@@ -8,9 +8,9 @@ output it produces.
 
 ``--trace 0`` gives the end-to-end metrics.  It runs
 ``python -m extreme_chains.cli run`` back to back, one fresh process each,
-until the runs add up to S seconds (at least MIN_RUNS runs), and times
-SETUP_REPS fresh set-up processes (import plus kernel/scheme/law
-construction) between the first runs.  It reports medians.
+and SETUP_REPS fresh set-up processes (import plus kernel/scheme/law
+construction) spread evenly among them, until they fill S seconds (at least
+MIN_RUNS runs).  It reports medians.
 
 ``--trace 1`` gives the per-layer metrics: set-up processes again, one CLI
 run with two workers, and two ``tracer.py`` children that each call
@@ -66,7 +66,7 @@ class Child:
 
 
 def child_env():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
     env.update({var: "1" for var in THREAD_VARS})
     return env
 
@@ -186,12 +186,23 @@ def setup_samples(probes):
 
 
 def end_to_end(bench, seconds):
-    """CLI runs filling ``seconds``, with the set-up probes interleaved."""
+    """CLI runs and set-up probes, interleaved, filling ``seconds``.
+
+    Probe k starts once k / SETUP_REPS of the time has passed, so that set-up
+    and runs sample the same stretch of the machine's speed.  A run starts
+    only if a run of the median length so far still ends within ``seconds``.
+    """
     probes, runs = [], []
-    while len(runs) < MIN_RUNS or sum(r.wall_s for r in runs) < seconds:
-        if len(probes) < SETUP_REPS:
+    start = time.perf_counter()
+    while True:
+        elapsed = time.perf_counter() - start
+        if len(probes) < SETUP_REPS and len(probes) * seconds <= elapsed * SETUP_REPS:
             probes.append(bench.setup_probe())
-        runs.append(bench.cli_run(f"run{len(runs)}", bench.workload.workers))
+        elif len(runs) < MIN_RUNS or (
+                elapsed + statistics.median(r.wall_s for r in runs) <= seconds):
+            runs.append(bench.cli_run(f"run{len(runs)}", bench.workload.workers))
+        else:
+            break
     while len(probes) < SETUP_REPS:
         probes.append(bench.setup_probe())
     transitions = bench.workload.transitions(bench.config)

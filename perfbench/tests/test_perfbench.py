@@ -90,8 +90,8 @@ def test_corrupted_output_is_counted_as_a_failure(tmp_path):
 
 
 def test_truncated_output_disagrees_with_the_manifest(tmp_path):
-    workload, config, out = tiny_output(tmp_path, "hr_deep_converge")
-    path = out / "remainders.csv"
+    workload, config, out = tiny_output(tmp_path, "fig1_envelopes")
+    path = out / "chain_iii.csv"
     path.write_text("".join(path.read_text().splitlines(True)[:-1]))
     problems = check_run(workload, out, config)
     assert problems and "manifest" in problems[0]

@@ -60,12 +60,10 @@ PER_LAYER = (
        ("margins.transform_elems", "count"),
        ("norming.limit_law_sample_s", "s"),
        ("norming.limit_law_draws", "count"),
-       ("norming.remainder_table_s", "s"),
        ("tailchain.simulate_s", "s"),
        ("tailchain.reconstruct_paths_s", "s"),
        ("diagnostics.forward_sim_self_s", "s"),
        ("diagnostics.quantile_envelope_s", "s"),
-       ("diagnostics.ks_s", "s"),
        ("cli.run_experiment_s", "s"),
        ("cli.self_s", "s"),
        ("cli.emit_manifest_s", "s"),
@@ -235,14 +233,12 @@ def layer_metrics(spans):
         m["margins.transform_elems"] = total("margins.transform")
     m["norming.limit_law_sample_s"], _, m["norming.limit_law_draws"] = \
         total("norming.LimitLaw.sample")
-    m["norming.remainder_table_s"] = total("norming.remainder_table")[0]
     m["tailchain.simulate_s"] = total("tailchain.simulate_", prefix=True)[0]
     m["tailchain.reconstruct_paths_s"] = total("tailchain.reconstruct_paths")[0]
     own = self_times(spans)
     m["diagnostics.forward_sim_self_s"] = sum(
         own[s["id"]] for s in named["diagnostics.conditional_forward_sim"])
     m["diagnostics.quantile_envelope_s"] = total("diagnostics.quantile_envelope")[0]
-    m["diagnostics.ks_s"] = total("diagnostics.ks_against_limit")[0]
     m["cli.run_experiment_s"] = total("cli.run_experiment")[0]
     m["cli.self_s"] = sum(own[s["id"]] for s in named["cli.run_experiment"])
     m["cli.emit_manifest_s"] = total("cli.emit_manifest")[0]

@@ -19,14 +19,9 @@ import numpy as np
 
 # Kernel ids the workloads build; per-kernel layer metrics carry these suffixes.
 KERNEL_IDS = ("bev_logistic", "inverted_bev_logistic", "expar",
-              "gaussian_copula", "arch_laplace", "inverted_max_stable")
+              "gaussian_copula", "arch_laplace")
 
 FIG1_GAMMA, FIG1_PHI, FIG1_RHO = 0.152, 0.8, 0.8
-HR_GAMMA = 1.0
-HR_LOG_V = (5.0, 10.0, 20.0)
-# KS of the inverted Hüsler-Reiss chain against its limit at v = e^20; the
-# finite-threshold bias is about 0.094, sampling noise is added per path count.
-HR_KS_DEEP_BOUND = 0.11
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,10 @@ def _fig1_check(out_dir, config):
 
 FIG1 = Workload(
     name="fig1_envelopes",
-    why="The paper's four-chain envelope study: bisection sampling of the "
-        "logistic chains dominates; it also drives the tail-chain simulators "
-        "and a pool of four unequal tasks.",
-    workers=2,
+    why="The paper's four-chain envelope study in one process: bisection "
+        "sampling of the logistic chains dominates; it also drives the "
+        "tail-chain simulators and the envelopes.",
+    workers=1,
     make_config=_fig1_config,
     # four actual chains plus three tail chains (chain iii has no limit law)
     transitions=lambda c: 7 * c["n_paths"] * c["horizon"],
@@ -162,56 +157,7 @@ ARCH = Workload(
 )
 
 
-# ---------------------------------------------------------------------------
-# hr_deep_converge
-# ---------------------------------------------------------------------------
-
-def _hr_config(seed, scale):
-    return {"kind": "converge", "seed": int(seed),
-            "kernel": {"id": "inverted_max_stable", "family": "husler_reiss",
-                       "gamma": HR_GAMMA},
-            "scheme": {"id": "husler_reiss", "gamma": HR_GAMMA},
-            "limit_law": {"id": "husler_reiss", "gamma": HR_GAMMA},
-            "v_grid": [math.exp(s) for s in HR_LOG_V],
-            "n_paths": _paths(40_000, scale), "t": 1}
-
-
-def _hr_check(out_dir, config):
-    problems = []
-    header, rows = read_rows(os.path.join(out_dir, "convergence.csv"))
-    col = {name: i for i, name in enumerate(header)}
-    if len(rows) != len(config["v_grid"]):
-        return [f"convergence.csv has {len(rows)} rows"]
-    ks = [float(r[col["ks"]]) for r in rows]
-    if any(float(r[col["atom_lo"]]) != 0.0 or float(r[col["atom_hi"]]) != 0.0
-           for r in rows):
-        problems.append("non-zero atom mass for a law without atoms")
-    # KS falls with v; allow the sampling noise of one sample size.
-    noise = 1.0 / math.sqrt(config["n_paths"])
-    if any(b > a + noise for a, b in zip(ks, ks[1:])):
-        problems.append(f"KS increases in v: {ks}")
-    if not ks[-1] < HR_KS_DEEP_BOUND + 2.0 * noise:
-        problems.append(f"KS at the deepest v is {ks[-1]:.4f}")
-    return problems
-
-
-HR = Workload(
-    name="hr_deep_converge",
-    why="Deep-threshold convergence of the inverted Husler-Reiss chain in one "
-        "process: bisection on a kernel with no closed form, no pool, plus "
-        "KS and remainder diagnostics.",
-    workers=1,
-    make_config=_hr_config,
-    transitions=lambda c: len(c["v_grid"]) * c["n_paths"] * c.get("t", 1),
-    builds={"kernels": [{"id": "inverted_max_stable", "family": "husler_reiss",
-                         "gamma": HR_GAMMA}],
-            "schemes": [{"id": "husler_reiss", "gamma": HR_GAMMA}],
-            "laws": [{"id": "husler_reiss", "gamma": HR_GAMMA}]},
-    check=_hr_check,
-)
-
-
-WORKLOADS = {w.name: w for w in (FIG1, ARCH, HR)}
+WORKLOADS = {w.name: w for w in (FIG1, ARCH)}
 
 
 # ---------------------------------------------------------------------------
