@@ -73,17 +73,20 @@ def _require(config, *names):
 # task bodies (top-level so a process pool can pickle them)
 # ---------------------------------------------------------------------------
 
+def _chunk_size(n, chunk):
+    """Paths in one of the _N_CHUNKS fixed chunks of an n-path run."""
+    return n // _N_CHUNKS + (1 if chunk < n % _N_CHUNKS else 0)
+
+
 def _task_simulate_chunk(args):
     config, chunk = args
     kern = _build_kernel(config["kernel"])
-    n = config["n_paths"]
-    counts = [n // _N_CHUNKS + (1 if i < n % _N_CHUNKS else 0)
-              for i in range(_N_CHUNKS)]
     rng = _rng_for(config["seed"], 1, chunk)
     init = (diagnostics.FixedX0(config["init"]["x0"]) if "x0" in config["init"]
             else diagnostics.Exceedance(config["init"]["u"]))
     X = diagnostics.conditional_forward_sim(
-        kern, kern.stationary_law, init, config["horizon"], counts[chunk], rng)
+        kern, kern.stationary_law, init, config["horizon"],
+        _chunk_size(config["n_paths"], chunk), rng)
     return X
 
 
@@ -157,14 +160,11 @@ def _task_figure1_chain(args):
 
 def _task_hidden_chunk(args):
     config, chunk = args
-    n = config["n_paths"]
-    counts = [n // _N_CHUNKS + (1 if i < n % _N_CHUNKS else 0)
-              for i in range(_N_CHUNKS)]
     rng = _rng_for(config["seed"], 4, chunk)
     T = config["horizon"]
     example = config["example"]
     params = config.get("params", {})
-    m = counts[chunk]
+    m = _chunk_size(config["n_paths"], chunk)
     if example == "asym_logistic":
         return tailchain.hidden_asym_logistic(
             params.get("phi1", 0.5), params.get("phi2", 0.5),
@@ -222,27 +222,49 @@ def _run_tasks(fn, arglist, workers):
         return list(pool.map(fn, arglist))
 
 
-def _write_paths_csv(path, chunks):
+def _int_tails(int_columns, shape):
+    """``",a,b"`` per cell from the integer columns; ``""`` when there are none."""
+    if not int_columns:
+        return [[""] * shape[1]] * shape[0]
+    columns = [np.asarray(c, dtype=np.int64).tolist() for c in int_columns]
+    return [["".join(f",{k}" for k in cells) for cells in zip(*per_path)]
+            for per_path in zip(*columns)]
+
+
+def _write_paths_csv(path, header, chunks, t0=0):
+    """Write long-format path rows ``path,t,value[,int columns]``; returns rows.
+
+    Each chunk is ``(values, *int_columns)``, arrays of shape (paths, steps),
+    and t counts from ``t0``.  The bytes are those ``csv.writer`` gives for
+    ``[pid, t, repr(float(v)), int(c), ...]``: no field needs quoting and
+    every line ends in ``\r\n``.
+    """
     rows = 0
+    pid = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "t", "value"])
-        pid = 0
-        for X in chunks:
-            for i in range(X.shape[0]):
-                for t in range(X.shape[1]):
-                    writer.writerow([pid, t, repr(float(X[i, t]))])
-                    rows += 1
+        fh.write(",".join(header) + "\r\n")
+        for values, *int_columns in chunks:
+            values = np.asarray(values, dtype=float)
+            steps = range(t0, t0 + values.shape[1])
+            tails = _int_tails(int_columns, values.shape)
+            for row, tail in zip(values.tolist(), tails):
+                fh.write("".join([f"{pid},{t},{v!r}{e}\r\n"
+                                  for t, v, e in zip(steps, row, tail)]))
                 pid += 1
+            rows += values.size
     return rows
 
 
 def _run_simulate(config, out_dir, workers):
     _require(config, "kernel", "init", "horizon", "n_paths")
+    init = config["init"]
+    if not isinstance(init, dict) or not ("x0" in init or "u" in init):
+        raise ValidationError(
+            "init must be a mapping with 'x0' (fixed start) or 'u' (exceedance threshold)")
     chunks = _run_tasks(_task_simulate_chunk,
                         [(config, c) for c in range(_N_CHUNKS)], workers)
     path = os.path.join(out_dir, "paths.csv")
-    rows = _write_paths_csv(path, chunks)
+    rows = _write_paths_csv(path, ("path", "t", "value"), [(X,) for X in chunks])
     return [(path, rows)]
 
 
@@ -285,19 +307,9 @@ def _run_hidden(config, out_dir, workers):
     chunks = _run_tasks(_task_hidden_chunk,
                         [(config, c) for c in range(_N_CHUNKS)], workers)
     path = os.path.join(out_dir, "hidden_paths.csv")
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "t", "value", "regime", "is_changepoint"])
-        pid = 0
-        for h in chunks:
-            for i in range(h.n_paths):
-                for t in range(h.horizon):
-                    writer.writerow([pid, t + 1, repr(float(h.M[i, t])),
-                                     int(h.regime[i, t]),
-                                     int(h.is_changepoint[i, t])])
-                    rows += 1
-                pid += 1
+    rows = _write_paths_csv(
+        path, ("path", "t", "value", "regime", "is_changepoint"),
+        [(h.M, h.regime, h.is_changepoint) for h in chunks], t0=1)
     return [(path, rows)]
 
 
@@ -367,7 +379,7 @@ def run_experiment(config, out_dir, workers=1):
     kind = config["kind"]
     if kind not in _KINDS:
         raise ValidationError(f"unknown experiment kind '{kind}'; known: {_KINDS}")
-    if not isinstance(config["seed"], int):
+    if isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
         raise ValidationError("seed must be an integer")
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()

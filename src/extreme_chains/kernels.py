@@ -1,19 +1,25 @@
-"""Bivariate transition kernels with exact conditional CDFs and samplers.
+"""Bivariate transition kernels with exact conditional CDFs and quantiles.
 
 Every kernel lives on a declared marginal scale (exponential, Laplace or
-Gaussian) and exposes ``cdf(x, y)`` (vectorised in either argument) and
-``sample(x, rng)``.  Kernels whose natural closed form sits on the Frechet
-scale are wrapped through ``T(x) = -1/log(1 - exp(-x))`` internally.
+Gaussian) and exposes ``cdf(x, y)`` (vectorised in either argument),
+``ppf(x, u)`` and ``sample(x, rng)``.  Kernels whose natural closed form sits
+on the Frechet scale are wrapped through ``T(x) = -1/log(1 - exp(-x))``
+internally; the logistic pair works with ``log T`` so that states beyond
+x ~ 709, where ``T`` overflows, stay exact.
 
-Sampling is direct wherever the defining mechanism allows (conditional
-normal, volatility recursion, tail-switching recursion, the autoregression
-behind the exponential-AR chain) and inverse-CDF with bracketed bisection
-otherwise.
+Sampling is one code path per kernel: ``sample(x, rng)`` is
+``ppf(x, U)`` with one uniform per draw, unless the defining mechanism gives
+a direct sampler (conditional normal, volatility recursion, tail-switching
+recursion, the autoregression behind the exponential-AR chain, the mixture
+pick).  The logistic pair inverts its CDF exactly through the Wright omega
+function; the other kernels invert theirs by bracketed bisection.
 """
 
+import inspect
 import math
 
 import numpy as np
+from scipy.special import wrightomega
 from scipy.stats import norm
 
 from . import margins, numerics
@@ -49,6 +55,35 @@ def frechet_from_exponential(x):
     """T(x) = -1/log(1 - exp(-x)), the exponential-to-Frechet map."""
     x = np.asarray(x, dtype=float)
     return -1.0 / np.log1p(-np.exp(-x))
+
+
+# Beyond this many units log T(x) = x - e^{-x}/2 to double precision.
+_FRECHET_ASYMPTOTE = 30.0
+
+
+def _log1mexp(t):
+    """log(1 - e^{-t}) for t >= 0 without cancellation at either end."""
+    with np.errstate(divide="ignore"):
+        return np.where(t < math.log(2.0), np.log(-np.expm1(-t)),
+                        np.log1p(-np.exp(-t)))
+
+
+def log_frechet_from_exponential(x):
+    """log T(x), finite for every x > 0 (T itself overflows beyond x ~ 709)."""
+    x = np.asarray(x, dtype=float)
+    xs = np.minimum(x, _FRECHET_ASYMPTOTE)
+    return np.where(x < _FRECHET_ASYMPTOTE, -np.log(-_log1mexp(xs)),
+                    x - 0.5 * np.exp(-x))
+
+
+def exponential_from_log_frechet(log_xf):
+    """Inverse of ``log_frechet_from_exponential``."""
+    log_xf = np.asarray(log_xf, dtype=float)
+    ls = np.minimum(log_xf, _FRECHET_ASYMPTOTE)
+    with np.errstate(over="ignore"):
+        small = -_log1mexp(np.exp(-ls))
+    return np.where(log_xf < _FRECHET_ASYMPTOTE, small,
+                    log_xf + 0.5 * np.exp(-log_xf))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +351,7 @@ def exponent_V1(measure, x, y):
 _BRACKET = 50.0
 _MAX_EXPAND = 10
 _BISECT_ITERS = 90
+_FLOOR = 1e-12      # smallest draw above the support floor
 
 
 def _inverse_cdf_sample(cdf, x, u, support_lo):
@@ -327,33 +363,73 @@ def _inverse_cdf_sample(cdf, x, u, support_lo):
     drops by a multiplicative factor at very deep thresholds) the bracket
     falls back to the support floor outright.  Bisection then runs to float
     resolution, reproducing the uniform draw through the CDF to ~1e-12.
+    A NaN from ``cdf`` at a bracket end or a midpoint raises SamplingError.
     """
     x = np.asarray(x, dtype=float)
+
+    def F(y):
+        val = cdf(x, y)
+        nan = np.isnan(val)
+        if nan.any():
+            i = int(np.argmax(nan))
+            raise SamplingError(
+                "cdf returned NaN", x=float(np.broadcast_to(x, nan.shape).flat[i]),
+                u=float(np.broadcast_to(u, nan.shape).flat[i]))
+        return val
+
     width = _BRACKET
     lo = np.maximum(x - width, support_lo)
     hi = x + width
     for _ in range(_MAX_EXPAND):
-        bad_lo = cdf(x, lo) > u
-        bad_hi = cdf(x, hi) < u
+        bad_lo = F(lo) > u
+        bad_hi = F(hi) < u
         if not bad_lo.any() and not bad_hi.any():
             break
         width *= 2.0
         lo = np.where(bad_lo, np.maximum(x - width, support_lo), lo)
         hi = np.where(bad_hi, x + width, hi)
-    bad_lo = cdf(x, lo) > u
+    bad_lo = F(lo) > u
     if bad_lo.any():
         lo = np.where(bad_lo, support_lo, lo)
-    still = (cdf(x, lo) > u) | (cdf(x, hi) < u)
+    still = (F(lo) > u) | (F(hi) < u)
     if still.any():
         i = int(np.argmax(still))
         raise SamplingError("bracket expansion failed", x=float(x[i]),
                             u=float(u[i]))
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        below = cdf(x, mid) < u
+        below = F(mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+# The logistic pair shares one conditional tail, z^{-m} exp(c (1 - z)) with
+# m = (1 - gamma)/gamma and z = e^zeta >= 1: the survival function of the
+# inverted kernel (c = x) and the CDF of the BEV kernel (c = 1/x_F, x_F the
+# Frechet state).  Both directions work with L = -log(tail), and c enters
+# through log c, which stays finite where 1/x_F underflows.
+
+def _logistic_L(zeta, log_c, m):
+    """L = m zeta + c expm1(zeta) with c = exp(log_c)."""
+    with np.errstate(over="ignore"):
+        return m * zeta - np.exp(log_c + zeta) * np.expm1(-zeta)
+
+
+def _logistic_zeta(L, log_c, m):
+    """The root zeta >= 0 of m zeta + c expm1(zeta) = L, exact via Wright omega.
+
+    zeta = b - omega(b + log(c/m)) with b = (c + L)/m.  Where omega is close
+    to b the same root is log(omega) - log(c/m), free of the cancellation;
+    one Newton step on the residual then brings L back to a few ulps.
+    """
+    log_cm = log_c - math.log(m)
+    b = (np.exp(log_c) + L) / m
+    w = wrightomega(b + log_cm)
+    with np.errstate(divide="ignore"):
+        zeta = np.maximum(np.where(w < 0.5 * b, b - w, np.log(w) - log_cm), 0.0)
+    slope = m + np.exp(log_c + zeta)
+    return np.maximum(zeta - (_logistic_L(zeta, log_c, m) - L) / slope, 0.0)
 
 
 def _as_array(x):
@@ -381,10 +457,14 @@ class _Kernel:
     def cdf(self, x, y):
         raise NotImplementedError
 
+    def ppf(self, x, u):
+        """Conditional quantile F^{-1}(u | x); bisection on ``cdf`` by default."""
+        x, u = np.broadcast_arrays(self._check_x(x), np.asarray(u, dtype=float))
+        return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
+
     def sample(self, x, rng):
-        x, scalar = _as_array(self._check_x(x))
-        u = rng.uniform(size=x.shape)
-        y = _inverse_cdf_sample(self.cdf, x, u, self.support_lo + 1e-12)
+        x, scalar = _as_array(x)
+        y = self.ppf(x, rng.uniform(size=x.shape))
         return float(y) if scalar else y
 
 
@@ -440,57 +520,84 @@ class GaussianCopulaKernel(_Kernel):
         return float(y) if scalar else y
 
 
-class BevLogisticKernel(_Kernel):
+class _LogisticPairKernel(_Kernel):
+    """Shared closed form of the BEV logistic kernel and its inversion.
+
+    With d the log ratio of the two states (on the scale each kernel names),
+    zeta = gamma log(1 + e^{d/gamma}) and d = gamma log(expm1(zeta/gamma)).
+    """
+
+    kernel_id = None
+
+    def __init__(self, gamma):
+        if not 0.0 < gamma < 1.0:
+            raise ValidationError("gamma must lie in (0, 1)")
+        self.gamma = float(gamma)
+        self._m = (1.0 - self.gamma) / self.gamma
+        self.name = f"{self.kernel_id}(gamma={gamma})"
+
+    def _zeta(self, d):
+        g = self.gamma
+        return g * np.logaddexp(0.0, d / g)
+
+    def _d(self, zeta):
+        t = zeta / self.gamma
+        return self.gamma * (t + _log1mexp(t))
+
+
+class BevLogisticKernel(_LogisticPairKernel):
     """Bivariate extreme-value copula with logistic dependence, exponential
     margins; asymptotically dependent with canonical indices (1, 0)."""
 
-    def __init__(self, gamma):
-        if not 0.0 < gamma < 1.0:
-            raise ValidationError("gamma must lie in (0, 1)")
-        self.gamma = float(gamma)
-        self.name = f"bev_logistic(gamma={gamma})"
-        self.ht_alpha_beta = (1.0, 0.0)
+    kernel_id = "bev_logistic"
+    ht_alpha_beta = (1.0, 0.0)
+
+    def _log_cdf(self, log_xf, log_yf):
+        return -_logistic_L(self._zeta(log_xf - log_yf), -log_xf, self._m)
 
     def frechet_cdf(self, xf, yf):
-        g = self.gamma
-        xf = np.asarray(xf, dtype=float)
-        yf = np.asarray(yf, dtype=float)
-        with np.errstate(over="ignore"):
-            r = (yf / xf) ** (-1.0 / g)
-            body = (1.0 + r) ** (g - 1.0)
-            expo = np.exp(1.0 / xf - (xf ** (-1.0 / g) + yf ** (-1.0 / g)) ** g)
-        return np.where(np.isfinite(body), body, 0.0) * expo
+        return np.exp(self._log_cdf(np.log(xf), np.log(yf)))
 
     def cdf(self, x, y):
         x = self._check_x(x)
         y = np.asarray(y, dtype=float)
         ok = y > 0.0
-        yf = frechet_from_exponential(np.where(ok, y, 1.0))
-        val = self.frechet_cdf(frechet_from_exponential(x), yf)
-        return np.where(ok, np.clip(val, 0.0, 1.0), 0.0)
+        log_yf = log_frechet_from_exponential(np.where(ok, y, 1.0))
+        val = np.exp(self._log_cdf(log_frechet_from_exponential(x), log_yf))
+        return np.where(ok, val, 0.0)
+
+    def ppf(self, x, u):
+        log_xf = log_frechet_from_exponential(self._check_x(x))
+        u = np.asarray(u, dtype=float)
+        pos = u > 0.0
+        zeta = _logistic_zeta(-np.log(np.where(pos, u, 0.5)), -log_xf, self._m)
+        y = exponential_from_log_frechet(log_xf - self._d(zeta))
+        return np.where(pos, np.maximum(y, _FLOOR), _FLOOR)
 
 
-class InvertedBevLogisticKernel(_Kernel):
+class InvertedBevLogisticKernel(_LogisticPairKernel):
     """Inverted BEV logistic copula on exponential margins; asymptotically
     independent with canonical indices (0, 1 - gamma)."""
 
+    kernel_id = "inverted_bev_logistic"
+
     def __init__(self, gamma):
-        if not 0.0 < gamma < 1.0:
-            raise ValidationError("gamma must lie in (0, 1)")
-        self.gamma = float(gamma)
-        self.name = f"inverted_bev_logistic(gamma={gamma})"
-        self.ht_alpha_beta = (0.0, 1.0 - gamma)
+        super().__init__(gamma)
+        self.ht_alpha_beta = (0.0, 1.0 - self.gamma)
 
     def cdf(self, x, y):
-        g = self.gamma
-        x = self._check_x(x)
+        log_x = np.log(self._check_x(x))
         y = np.asarray(y, dtype=float)
         ok = y > 0.0
-        yy = np.where(ok, y, 1.0)
-        with np.errstate(over="ignore"):
-            val = 1.0 - (1.0 + (yy / x) ** (1.0 / g)) ** (g - 1.0) * \
-                np.exp(x - (x ** (1.0 / g) + yy ** (1.0 / g)) ** g)
-        return np.where(ok, np.clip(val, 0.0, 1.0), 0.0)
+        d = np.log(np.where(ok, y, 1.0)) - log_x
+        val = -np.expm1(-_logistic_L(self._zeta(d), log_x, self._m))
+        return np.where(ok, val, 0.0)
+
+    def ppf(self, x, u):
+        log_x = np.log(self._check_x(x))
+        L = -np.log1p(-np.asarray(u, dtype=float))
+        y = np.exp(log_x + self._d(_logistic_zeta(L, log_x, self._m)))
+        return np.maximum(y, _FLOOR)
 
 
 class AsymmetricLogisticKernel(_Kernel):
@@ -731,27 +838,44 @@ class ArchLaplaceKernel(_Kernel):
 # catalogue
 # ---------------------------------------------------------------------------
 
+def _call_checked(what, builder, params):
+    """``builder(**params)``; a parameter it does not take is a ValidationError."""
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ValidationError(
+            f"{what}: {exc} (takes: {', '.join(signature.parameters)})") from None
+    return builder(**params)
+
+
+_EXPONENT_FAMILIES = {
+    "husler_reiss": HuslerReiss,
+    "logistic": density_logistic,
+    "constant": density_constant,
+    "power_decay": density_power_decay,
+    "exp_decay": density_exp_decay,
+}
+
+
 def _build_inverted_max_stable(family="husler_reiss", **params):
-    if family == "husler_reiss":
-        return InvertedMaxStableKernel(HuslerReiss(params["gamma"]))
-    if family == "logistic":
-        return InvertedMaxStableKernel(density_logistic(params["gamma"]))
-    if family == "constant":
-        return InvertedMaxStableKernel(density_constant())
-    if family == "power_decay":
-        return InvertedMaxStableKernel(density_power_decay(params["s"]))
-    if family == "exp_decay":
-        return InvertedMaxStableKernel(density_exp_decay(
-            params["delta"], params["gamma"], params["kappa"]))
-    raise ValidationError(f"unknown exponent family '{family}'")
+    if family not in _EXPONENT_FAMILIES:
+        raise ValidationError(f"unknown exponent family '{family}'")
+    return InvertedMaxStableKernel(_call_checked(
+        f"exponent family '{family}'", _EXPONENT_FAMILIES[family], params))
+
+
+def _component(k):
+    if not isinstance(k, dict):
+        return k
+    if "id" not in k:
+        raise ValidationError("mixture component spec needs an 'id'")
+    spec = dict(k)
+    return make_kernel(spec.pop("id"), **spec)
 
 
 def _build_ht_mixture(lam, k1, k2):
-    if isinstance(k1, dict):
-        k1 = make_kernel(k1.pop("id"), **k1)
-    if isinstance(k2, dict):
-        k2 = make_kernel(k2.pop("id"), **k2)
-    return HtMixtureKernel(lam, k1, k2)
+    return HtMixtureKernel(lam, _component(k1), _component(k2))
 
 
 _KERNEL_BUILDERS = {
@@ -776,7 +900,7 @@ def make_kernel(kernel_id, **params):
     except KeyError:
         raise ValidationError(
             f"unknown kernel id '{kernel_id}'; known: {', '.join(KERNEL_IDS)}")
-    return builder(**params)
+    return _call_checked(f"kernel '{kernel_id}'", builder, params)
 
 
 def kernel_cdf(kernel, x, y):

@@ -1,4 +1,8 @@
+import csv
 import json
+
+import numpy as np
+import pytest
 
 from extreme_chains import cli
 
@@ -120,6 +124,32 @@ class TestRunExperiment:
         assert len(rlines) == 1 + 4
 
 
+class TestPathsCsv:
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[-1.5, 1e-300, 1e300, 3.0],
+                           [0.0, -2.0, 7.25e-12, 12345678.0]])
+        regime = np.array([[0, 1, 2, -1], [3, 0, 1, 2]])
+        change = np.array([[True, False, False, True], [False] * 4])
+        for t0, ints in ((0, ()), (1, (regime, change))):
+            header = ["path", "t", "value", "regime", "is_changepoint"][:3 + len(ints)]
+            ref = tmp_path / f"ref{t0}.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                pid = 0
+                for _ in range(2):          # two chunks continue the path ids
+                    for i in range(values.shape[0]):
+                        for t in range(values.shape[1]):
+                            writer.writerow([pid, t + t0, repr(float(values[i, t]))]
+                                            + [int(c[i, t]) for c in ints])
+                        pid += 1
+            new = tmp_path / f"new{t0}.csv"
+            rows = cli._write_paths_csv(new, header, [(values, *ints)] * 2, t0=t0)
+            assert read(new) == read(ref)
+            assert rows == 2 * values.size
+
+
 class TestErrors:
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
@@ -153,3 +183,18 @@ class TestErrors:
                        "margin": "exponential"},
             "init": {"u": 1e310}, "horizon": 1, "n_paths": 10})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("change", [
+        {"kernel": {"id": "bev_logistic", "gama": 0.2}},     # misspelt key
+        {"init": {}},                                        # no x0 or u
+        {"seed": True},                                      # bool, not int
+    ])
+    def test_bad_config_exits_2_with_json_line(self, tmp_path, capsys, change):
+        config = {"kind": "simulate", "seed": 1,
+                  "kernel": {"id": "bev_logistic", "gamma": 0.2},
+                  "init": {"u": 5.0}, "horizon": 1, "n_paths": 10}
+        cfg = write_config(tmp_path, "bad.json", dict(config, **change))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from extreme_chains import kernels, margins
-from extreme_chains.errors import DomainError, ValidationError
+from extreme_chains import kernels, margins, norming
+from extreme_chains.errors import DomainError, SamplingError, ValidationError
 
 from _oracles import dkw_bound, ks_statistic
 
@@ -196,6 +196,35 @@ class TestKernelSample:
         y = kernels._inverse_cdf_sample(k.cdf, x, u, 1e-12)
         assert np.max(np.abs(k.cdf(x, y) - u)) < 1e-10
 
+    @pytest.mark.parametrize("nan_region", [
+        lambda y: np.ones_like(y, dtype=bool),
+        lambda y: (y > 9.0) & (y < 11.0),       # where the midpoints converge
+    ], ids=["everywhere", "midpoints"])
+    def test_nan_cdf_raises(self, nan_region):
+        def cdf(x, y):
+            y = np.broadcast_to(y, np.broadcast(x, y).shape)
+            return np.where(nan_region(y), np.nan, 1.0 - np.exp(-np.maximum(y, 0.0)))
+        x = np.full(4, 10.0)
+        with pytest.raises(SamplingError):
+            kernels._inverse_cdf_sample(cdf, x, np.full(4, 1.0 - np.exp(-10.0)), 1e-12)
+
+    @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
+    def test_closed_form_ppf_matches_bisection(self, kernel_id):
+        # the Wright-omega inverse and bisection on cdf give the same draw
+        rng = np.random.default_rng(4)
+        k = kernels.make_kernel(kernel_id, gamma=0.152)
+        x = rng.exponential(size=2000) * 5.0 + 0.05
+        u = rng.uniform(size=2000)
+        np.testing.assert_allclose(k.ppf(x, u), kernels._Kernel.ppf(k, x, u),
+                                   rtol=2e-10)
+
+    @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
+    def test_closed_form_ppf_floor(self, kernel_id):
+        # u = 0 maps to the finite floor shared with bisection, never NaN
+        k = kernels.make_kernel(kernel_id, gamma=0.3)
+        y = k.ppf(np.array([0.5, 10.0, 300.0]), 0.0)
+        np.testing.assert_array_equal(y, kernels._FLOOR)
+
     def test_stationarity_catalogue(self, arch_kernel_07, expar_kernel):
         # one kernel_sample step from 1e4 stationary starts stays stationary
         cases = [
@@ -218,6 +247,38 @@ class TestKernelSample:
         for i, k in enumerate(cases):
             d = stationarity_ks(k, 10_000, seed=100 + i)
             assert d < 0.02, (k.name, d)
+
+
+class TestDeepBevStates:
+    """States beyond x ~ 709, where the Frechet map itself overflows."""
+
+    kernel = kernels.BevLogisticKernel(0.152)
+
+    @pytest.mark.parametrize("x", [700.0, 800.0, 5000.0])
+    def test_cdf_is_a_distribution_function(self, x):
+        ys = x + np.linspace(-5.0, 5.0, 401)
+        vals = self.kernel.cdf(np.full(ys.shape, x), ys)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vals[0] < 1e-6 and vals[-1] > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("x", [700.0, 800.0, 5000.0])
+    def test_cdf_inverts_ppf(self, x):
+        u = np.linspace(0.001, 0.999, 999)
+        y = self.kernel.ppf(np.full(u.shape, x), u)
+        assert np.all(np.isfinite(y))
+        np.testing.assert_allclose(self.kernel.cdf(np.full(u.shape, x), y), u,
+                                   rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("x", [800.0, 5000.0])
+    def test_draws_follow_the_limit_law(self, x):
+        # at these depths y - x follows K(s) = (1 + e^{-s/gamma})^{gamma-1}
+        rng = np.random.default_rng(11)
+        n = 20_000
+        s = self.kernel.sample(np.full(n, x), rng) - x
+        law = norming.limit_law("bev_logistic", gamma=0.152)
+        assert ks_statistic(s, law.cdf) < dkw_bound(n)
+        assert abs(float(law.cdf(np.median(s))) - 0.5) < dkw_bound(n)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +304,21 @@ class TestMakeKernel:
     def test_unknown_id(self):
         with pytest.raises(ValidationError):
             kernels.make_kernel("cauchy_copula")
+
+    def test_misspelt_parameter_rejected(self):
+        with pytest.raises(ValidationError, match="gamma"):
+            kernels.make_kernel("bev_logistic", gama=0.2)
+        with pytest.raises(ValidationError):
+            kernels.make_kernel("inverted_max_stable", family="husler_reiss",
+                                gama=1.0)
+
+    def test_mixture_leaves_component_specs_intact(self):
+        k1 = {"id": "gaussian_copula", "rho": 0.95, "margin": "exponential"}
+        k2 = {"id": "inverted_bev_logistic", "gamma": 0.9}
+        before = (dict(k1), dict(k2))
+        for _ in range(2):
+            kernels.make_kernel("ht_mixture", lam=0.5, k1=k1, k2=k2)
+        assert (k1, k2) == before
 
     def test_parameter_boxes(self):
         with pytest.raises(ValidationError):
