@@ -416,20 +416,52 @@ def _logistic_L(zeta, log_c, m):
         return m * zeta - np.exp(log_c + zeta) * np.expm1(-zeta)
 
 
+# Bound on the ulp walk in _logistic_zeta; it takes at most ~20 passes.
+_ZETA_WALK_PASSES = 64
+
+
 def _logistic_zeta(L, log_c, m):
     """The root zeta >= 0 of m zeta + c expm1(zeta) = L, exact via Wright omega.
 
     zeta = b - omega(b + log(c/m)) with b = (c + L)/m.  Where omega is close
-    to b the same root is log(omega) - log(c/m), free of the cancellation;
-    one Newton step on the residual then brings L back to a few ulps.
+    to b the same root is log(omega) - log(c/m), free of the cancellation,
+    and below 1e-8 it is L/(m + c) to double precision.  One Newton step on
+    the residual then brings L back to a few ulps.
+
+    Last, zeta moves to the largest float whose rounded ``_logistic_L`` does
+    not exceed L.  The rounded ``_logistic_L`` is nondecreasing in zeta (two
+    positive increasing terms), so that float is nondecreasing in L, and the
+    quantiles built on it are monotone in u to the last bit.
     """
+    c = np.exp(log_c)
     log_cm = log_c - math.log(m)
-    b = (np.exp(log_c) + L) / m
+    b = (c + L) / m
     w = wrightomega(b + log_cm)
     with np.errstate(divide="ignore"):
-        zeta = np.maximum(np.where(w < 0.5 * b, b - w, np.log(w) - log_cm), 0.0)
+        zeta = np.where(w < 0.5 * b, b - w, np.log(w) - log_cm)
+    linear = L / (m + c)
+    zeta = np.maximum(np.where(linear < 1e-8, linear, zeta), 0.0)
     slope = m + np.exp(log_c + zeta)
-    return np.maximum(zeta - (_logistic_L(zeta, log_c, m) - L) / slope, 0.0)
+    zeta = np.maximum(zeta - (_logistic_L(zeta, log_c, m) - L) / slope, 0.0)
+
+    shape = np.broadcast(zeta, L, log_c).shape
+    z, L, log_c = (np.array(np.broadcast_to(a, shape), dtype=float).reshape(-1)
+                   for a in (zeta, L, log_c))
+    down = np.flatnonzero(_logistic_L(z, log_c, m) > L)
+    up = np.arange(z.size)
+    for _ in range(_ZETA_WALK_PASSES):
+        z[down] = np.nextafter(z[down], -np.inf)
+        down = down[_logistic_L(z[down], log_c[down], m) > L[down]]
+        if not down.size:
+            break
+    for _ in range(_ZETA_WALK_PASSES):
+        step = np.nextafter(z[up], np.inf)
+        ok = _logistic_L(step, log_c[up], m) <= L[up]
+        up = up[ok]
+        z[up] = step[ok]
+        if not up.size:
+            break
+    return z.reshape(shape)
 
 
 def _as_array(x):
@@ -845,16 +877,19 @@ def _call_checked(what, builder, params):
         signature.bind(**params)
     except TypeError as exc:
         raise ValidationError(
-            f"{what}: {exc} (takes: {', '.join(signature.parameters)})") from None
+            f"{what}: {exc} (takes: "
+            f"{', '.join(signature.parameters) or 'no parameters'})") from None
     return builder(**params)
 
 
+# Each family takes only its named parameters from a config; the shape
+# constants of the decay families (a, b) stay at their defaults.
 _EXPONENT_FAMILIES = {
-    "husler_reiss": HuslerReiss,
-    "logistic": density_logistic,
-    "constant": density_constant,
-    "power_decay": density_power_decay,
-    "exp_decay": density_exp_decay,
+    "husler_reiss": lambda gamma: HuslerReiss(gamma),
+    "logistic": lambda gamma: density_logistic(gamma),
+    "constant": lambda: density_constant(),
+    "power_decay": lambda s: density_power_decay(s),
+    "exp_decay": lambda delta, gamma, kappa: density_exp_decay(delta, gamma, kappa),
 }
 
 

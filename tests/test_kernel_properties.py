@@ -5,8 +5,7 @@ Over the parameter box gamma in [0.05, 0.95], uniforms in [0, 1) (with 0 and
 whose Frechet map overflows beyond ~709), ``ppf`` must be finite,
 nondecreasing in u and an inverse of ``cdf`` to 1e-12.  Draws at the floor
 shared with bisection only have to cover u.  Each drawn uniform comes with
-its next float up, where monotonicity is tested to rounding: a step back of
-at most 1e-13 relative.
+its next float up, so monotonicity is tested between adjacent floats too.
 """
 
 import numpy as np
@@ -32,7 +31,7 @@ def check_ppf(kernel, x, us, tol):
     xs = np.full(u.shape, x)
     y = kernel.ppf(xs, u)
     assert np.all(np.isfinite(y))
-    assert np.all(np.diff(y) >= -1e-13 * y[1:])
+    assert np.all(np.diff(y) >= 0.0)
     F = kernel.cdf(xs, y)
     floor = y == kernels._FLOOR
     err = np.abs(F - u)

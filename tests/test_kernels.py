@@ -312,6 +312,16 @@ class TestMakeKernel:
             kernels.make_kernel("inverted_max_stable", family="husler_reiss",
                                 gama=1.0)
 
+    @pytest.mark.parametrize("family, params", [
+        ("power_decay", {"s": 0.4, "a": 0.1}),
+        ("power_decay", {"s": 0.4, "b": 0.6}),
+        ("exp_decay", {"delta": 0.0, "gamma": 1.0, "kappa": 1.0, "a": 0.2}),
+    ])
+    def test_family_shape_constants_not_settable(self, family, params):
+        # a and b are fixed shape constants of the decay families, not config
+        with pytest.raises(ValidationError, match="takes"):
+            kernels.make_kernel("inverted_max_stable", family=family, **params)
+
     def test_mixture_leaves_component_specs_intact(self):
         k1 = {"id": "gaussian_copula", "rho": 0.95, "margin": "exponential"}
         k2 = {"id": "inverted_bev_logistic", "gamma": 0.9}
