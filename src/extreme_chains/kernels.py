@@ -416,7 +416,8 @@ def _logistic_L(zeta, log_c, m):
         return m * zeta - np.exp(log_c + zeta) * np.expm1(-zeta)
 
 
-# Bound on the ulp walk in _logistic_zeta; it takes at most ~20 passes.
+# Bound on the ulp walk in _logistic_zeta; from the Newton step it has taken
+# at most ~20 passes.
 _ZETA_WALK_PASSES = 64
 
 
