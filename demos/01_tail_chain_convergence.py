@@ -44,8 +44,7 @@ from extreme_chains import tailchain
 
 v = 24.0
 z2 = diagnostics.normalized_samples(k, v, scheme, t=2, n=n, rng=rng)
-upd = norming.update_functions(scheme)
-paths = tailchain.simulate_tail_chain(upd, K, T=2, n=n, rng=rng)
+paths = tailchain.simulate_tail_chain(scheme, K, T=2, n=n, rng=rng)
 m2 = np.sort(paths.M[:, 1])
 ks2 = diagnostics.ks_distance(z2, lambda s: np.searchsorted(m2, s, side="right") / m2.size)
 print(f"KS((X_2 - a_2(v))/b_2(v) | X_0 = {v}, simulated M_2) = {ks2:.4f}")

@@ -25,9 +25,8 @@ for t in range(1, 5):
           f"mean X_t = {X[:, t].mean():8.3f}")
 
 scheme = norming.make_norming("alternating_gaussian", rho=-0.8)
-upd = norming.update_functions(scheme)
 K = norming.limit_law("gaussian_exponential", rho=-0.8)
-paths = tailchain.simulate_negdep_tail_chain(upd, K, K, 4, n, rng)
+paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 4, n, rng)
 rec = tailchain.reconstruct_paths(20.0, scheme, paths.M)
 print("reconstructed tail-chain means:", np.round(rec.mean(axis=0), 3).tolist())
 print("actual chain means:           ",

@@ -147,12 +147,11 @@ def _task_figure1_chain(args):
     env_actual = diagnostics.quantile_envelope(X[:, 1:], source="actual", t_start=1)
     env_tc = None
     if law is not None:
-        upd = norming.update_functions(scheme)
         rng_tc = _rng_for(config["seed"], 3, idx, 1)
-        if upd.scale_only:
-            paths = tailchain.simulate_nonneg_tail_chain(upd, law, T, n, rng_tc)
+        if scheme.scale_only:
+            paths = tailchain.simulate_nonneg_tail_chain(scheme, law, T, n, rng_tc)
         else:
-            paths = tailchain.simulate_tail_chain(upd, law, T, n, rng_tc)
+            paths = tailchain.simulate_tail_chain(scheme, law, T, n, rng_tc)
         xtc = tailchain.reconstruct_paths(x0, scheme, paths.M)
         env_tc = diagnostics.quantile_envelope(xtc, source="tailchain", t_start=1)
     return tag, env_actual, env_tc
@@ -255,6 +254,15 @@ def _write_paths_csv(path, header, chunks, t0=0):
     return rows
 
 
+def _write_table(path, header, rows):
+    """Write ``header`` and ``rows`` with ``csv.writer``; returns the row count."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return len(rows)
+
+
 def _run_simulate(config, out_dir, workers):
     _require(config, "kernel", "init", "horizon", "n_paths")
     init = config["init"]
@@ -282,8 +290,10 @@ def _run_converge(config, out_dir, workers):
     r_rows = norming.remainder_table(scheme, [config.get("t", 1)],
                                      config["v_grid"])
     r_path = os.path.join(out_dir, "remainders.csv")
-    norming.remainder_table_to_csv(r_path, r_rows)
-    return [(path, len(rows)), (r_path, len(r_rows))]
+    n_r = _write_table(r_path, ["t", "v", "x", "r_a", "r_b"],
+                       [[t, repr(v), repr(x), repr(ra), repr(rb)]
+                        for t, v, x, ra, rb in r_rows])
+    return [(path, len(rows)), (r_path, n_r)]
 
 
 def _run_figure1(config, out_dir, workers):
@@ -316,12 +326,8 @@ def _run_hidden(config, out_dir, workers):
 def _run_negdep(config, out_dir, workers):
     rows = _run_tasks(_task_negdep, [(config, 0)], workers)[0]
     path = os.path.join(out_dir, "negdep_signs.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sign_match_freq"])
-        for t, frac in rows:
-            writer.writerow([t, repr(frac)])
-    return [(path, len(rows))]
+    return [(path, _write_table(path, ["t", "sign_match_freq"],
+                                [[t, repr(frac)] for t, frac in rows]))]
 
 
 def _run_chi(config, out_dir, workers):
@@ -330,13 +336,10 @@ def _run_chi(config, out_dir, workers):
                       [(config, j) for j in range(len(config["u_grid"]))],
                       workers)
     path = os.path.join(out_dir, "chi.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "estimate", "n_exceed", "n", "flagged"])
-        for r in rows:
-            writer.writerow([repr(r.u), repr(r.estimate), r.n_exceed, r.n,
-                             int(r.flagged)])
-    return [(path, len(rows))]
+    return [(path, _write_table(
+        path, ["u", "estimate", "n_exceed", "n", "flagged"],
+        [[repr(r.u), repr(r.estimate), r.n_exceed, r.n, int(r.flagged)]
+         for r in rows]))]
 
 
 _RUNNERS = {

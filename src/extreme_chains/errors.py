@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter check that
+turns a misspelt config key into a ValidationError."""
+
+import inspect
 
 
 class ExtremeChainsError(Exception):
@@ -13,12 +16,8 @@ class ValidationError(ExtremeChainsError, ValueError):
     """Parameter outside its admissible range; message names the violated range."""
 
 
-class BracketingError(ExtremeChainsError):
-    """Root finder was given an interval without a sign change."""
-
-
 class AccuracyError(ExtremeChainsError):
-    """Quadrature failed to reach the requested tolerance.
+    """Numerical integration failed to reach the requested tolerance.
 
     Carries the best available estimate in ``best``.
     """
@@ -51,3 +50,15 @@ class SamplingError(ExtremeChainsError):
         super().__init__(message)
         self.x = x
         self.u = u
+
+
+def call_checked(what, builder, params):
+    """``builder(**params)``; a parameter it does not take is a ValidationError."""
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ValidationError(
+            f"{what}: {exc} (takes: "
+            f"{', '.join(signature.parameters) or 'no parameters'})") from None
+    return builder(**params)

@@ -3,9 +3,10 @@
 Every kernel lives on a declared marginal scale (exponential, Laplace or
 Gaussian) and exposes ``cdf(x, y)`` (vectorised in either argument),
 ``ppf(x, u)`` and ``sample(x, rng)``.  Kernels whose natural closed form sits
-on the Frechet scale are wrapped through ``T(x) = -1/log(1 - exp(-x))``
-internally; the logistic pair works with ``log T`` so that states beyond
-x ~ 709, where ``T`` overflows, stay exact.
+on the Frechet scale (the logistic pair and the asymmetric logistic kernel)
+work internally with ``log T``, the logarithm of the map
+``T(x) = -1/log(1 - exp(-x))``, so that states beyond x ~ 709, where ``T``
+overflows, stay exact.
 
 Sampling is one code path per kernel: ``sample(x, rng)`` is
 ``ppf(x, U)`` with one uniform per draw, unless the defining mechanism gives
@@ -15,15 +16,17 @@ pick).  The logistic pair inverts its CDF exactly through the Wright omega
 function; the other kernels invert theirs by bracketed bisection.
 """
 
-import inspect
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wrightomega
 from scipy.stats import norm
 
 from . import margins, numerics
-from .errors import DomainError, SamplingError, ValidationError
+from .errors import (AccuracyError, DomainError, SamplingError, ValidationError,
+                     call_checked)
 
 __all__ = [
     "ExponentMeasure",
@@ -33,8 +36,6 @@ __all__ = [
     "density_logistic",
     "density_power_decay",
     "density_exp_decay",
-    "exponent_V",
-    "exponent_V1",
     "GaussianCopulaKernel",
     "BevLogisticKernel",
     "InvertedBevLogisticKernel",
@@ -45,16 +46,8 @@ __all__ = [
     "RootzenSmithKernel",
     "ArchLaplaceKernel",
     "make_kernel",
-    "kernel_cdf",
-    "kernel_sample",
     "KERNEL_IDS",
 ]
-
-
-def frechet_from_exponential(x):
-    """T(x) = -1/log(1 - exp(-x)), the exponential-to-Frechet map."""
-    x = np.asarray(x, dtype=float)
-    return -1.0 / np.log1p(-np.exp(-x))
 
 
 # Beyond this many units log T(x) = x - e^{-x}/2 to double precision.
@@ -93,9 +86,10 @@ def exponential_from_log_frechet(log_xf):
 class ExponentMeasure:
     """Bivariate exponent function V with partial derivative V_1.
 
-    Subclasses provide ``V_unit(w) = V(1, w)``, ``V1_unit(w) = V_1(1, w)`` and
-    the cancellation-safe ``one_minus_V_unit(w) = 1 - V(1, w)``; the general
-    evaluations follow by homogeneity ``V(x, y) = V(1, y/x)/x``.
+    Subclasses provide ``V_unit(w) = V(1, w)``, its derivative ``_dV_unit(w)``,
+    ``V1_unit(w) = V_1(1, w)`` and the cancellation-safe
+    ``one_minus_V_unit(w) = 1 - V(1, w)``; the general evaluations follow by
+    homogeneity ``V(x, y) = V(1, y/x)/x``.
     """
 
     name = "exponent"
@@ -115,12 +109,6 @@ class ExponentMeasure:
         # differentiate V(1, y/x)/x in x:  V_1 = -[V(1,w) + w V'(1,w)]/x^2
         w = y / x
         return -(self.V_unit(w) + w * self._dV_unit(w)) / (x * x)
-
-    def _dV_unit(self, w):
-        """d/dw V(1, w); default central difference, overridden where closed."""
-        w = np.asarray(w, dtype=float)
-        h = 1e-6 * np.maximum(w, 1.0)
-        return (self.V_unit(w + h) - self.V_unit(w - h)) / (2.0 * h)
 
     def V1_unit(self, w):
         """V_1(1, w): partial derivative in the first slot at (1, w)."""
@@ -166,68 +154,75 @@ class HuslerReiss(ExponentMeasure):
         return -(1.0 / (w * w)) * norm.cdf(g / 2.0 - lw / g)
 
 
+# Requested accuracy of every density-family integral (absolute below 1).
+_QUAD_TOL = 1e-12
+
+
+def _integrate(f, lo, hi):
+    """int_lo^hi f by QUADPACK; AccuracyError carries the estimate if the
+    error bound misses _QUAD_TOL."""
+    with warnings.catch_warnings():
+        # a miss is reported by the AccuracyError below, not on stderr
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    if not err <= _QUAD_TOL * max(1.0, abs(val)):
+        raise AccuracyError(
+            f"quad on [{lo}, {hi}]: error bound {err:.3g} misses tol {_QUAD_TOL}",
+            best=val)
+    return val
+
+
 class DensityFamily(ExponentMeasure):
     """Exponent measure from a spectral density h on [0, 1].
 
-    Requires total mass 2 and first moment 1 (checked by quadrature at
-    construction):  V(x,y) = int max(w/x, (1-w)/y) h(w) dw.
+    Requires total mass 2 and first moment 1 (checked at construction):
+    V(x,y) = int max(w/x, (1-w)/y) h(w) dw.  Everything follows from the
+    cumulative moments H0(s) = int_0^s h and H1(s) = int_0^s u h(u) du at
+    s = 1/(1+w).
     """
 
     name = "density_family"
 
-    def __init__(self, h, label="density", check_tol=1e-8, quad_tol=1e-9):
+    def __init__(self, h, label="density"):
         self.h = h
         self.label = label
-        self._quad_tol = quad_tol
-        mass = numerics.quadrature(h, 0.0, 1.0, quad_tol)
-        mean = numerics.quadrature(lambda w: w * h(w), 0.0, 1.0, quad_tol)
-        if abs(mass - 2.0) > check_tol:
-            raise ValidationError(f"density mass {mass} != 2 (tol {check_tol})")
-        if abs(mean - 1.0) > check_tol:
-            raise ValidationError(f"density first moment {mean} != 1 (tol {check_tol})")
+        mass = _integrate(h, 0.0, 1.0)
+        mean = _integrate(self._uh, 0.0, 1.0)
+        if abs(mass - 2.0) > 1e-8:
+            raise ValidationError(f"density mass {mass} != 2 (tol 1e-8)")
+        if abs(mean - 1.0) > 1e-8:
+            raise ValidationError(f"density first moment {mean} != 1 (tol 1e-8)")
 
-    def V_unit(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        for i, wi in enumerate(w):
-            split = 1.0 / (1.0 + wi)
-            upper = numerics.quadrature(lambda u: u * self.h(u), split, 1.0,
-                                        self._quad_tol)
-            lower = numerics.quadrature(lambda u: (1.0 - u) * self.h(u), 0.0,
-                                        split, self._quad_tol)
-            out[i] = upper + lower / wi
-        return out if out.size > 1 else float(out[0])
+    def _uh(self, u):
+        return u * self.h(u)
+
+    def _moments(self, w):
+        """(H0, H1) at s = 1/(1 + w), each shaped like ``w``.
+
+        Above s = 1/2 each is its total (2 or 1) less the integral over
+        [s, 1], so quad meets the density's behaviour at 0 and 1 (a cusp, a
+        jump or an integrable pole) only at an end of its range.
+        """
+        s = 1.0 / (1.0 + np.asarray(w, dtype=float))
+        return [np.reshape([_integrate(f, 0.0, si) if si <= 0.5
+                            else total - _integrate(f, si, 1.0) for si in s.flat],
+                           s.shape)
+                for f, total in ((self.h, 2.0), (self._uh, 1.0))]
 
     def V1_unit(self, w):
-        # differentiate under the integral: V_1(1, w) = -int_{1/(1+w)}^1 u h(u) du
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        for i, wi in enumerate(w):
-            split = 1.0 / (1.0 + wi)
-            out[i] = -numerics.quadrature(lambda u: u * self.h(u), split, 1.0,
-                                          self._quad_tol)
-        return out if out.size > 1 else float(out[0])
+        return -(1.0 - self._moments(w)[1])
+
+    def V_unit(self, w):
+        H0, H1 = self._moments(w)
+        return (1.0 - H1) + (H0 - H1) / w
 
     def one_minus_V_unit(self, w):
-        # 1 - V(1, w) = -int_0^{1/(1+w)} ((1-u)/w - u) h(u) du   (moment = 1)
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        for i, wi in enumerate(w):
-            split = 1.0 / (1.0 + wi)
-            out[i] = -numerics.quadrature(
-                lambda u: ((1.0 - u) / wi - u) * self.h(u), 0.0, split,
-                self._quad_tol)
-        return out if out.size > 1 else float(out[0])
+        H0, H1 = self._moments(w)
+        return H1 - (H0 - H1) / w
 
     def _dV_unit(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty_like(w)
-        for i, wi in enumerate(w):
-            split = 1.0 / (1.0 + wi)
-            out[i] = -numerics.quadrature(
-                lambda u: (1.0 - u) * self.h(u), 0.0, split,
-                self._quad_tol) / (wi * wi)
-        return out if out.size > 1 else float(out[0])
+        H0, H1 = self._moments(w)
+        return -(H0 - H1) / (w * w)
 
 
 def density_constant():
@@ -312,8 +307,8 @@ def density_exp_decay(delta, gamma, kappa, a=0.15):
             return 0.0
         return w ** delta * math.exp(-kappa * w ** (-gamma))
 
-    m0 = numerics.quadrature(core, 0.0, 1.0, 1e-12)
-    m1 = numerics.quadrature(lambda w: w * core(w), 0.0, 1.0, 1e-12)
+    m0 = _integrate(core, 0.0, 1.0)
+    m1 = _integrate(lambda w: w * core(w), 0.0, 1.0)
     target = (1.0 - m1) / (2.0 - m0)
     b = 2.0 * target - a
     if not a < b <= 1.0:
@@ -332,16 +327,6 @@ def density_exp_decay(delta, gamma, kappa, a=0.15):
     fam.decay_gamma = gamma
     fam.decay_kappa = kappa
     return fam
-
-
-def exponent_V(measure, x, y):
-    """V(x, y) for an exponent measure."""
-    return measure.V(x, y)
-
-
-def exponent_V1(measure, x, y):
-    """Partial derivative of V in its first argument."""
-    return measure.V1(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -650,23 +635,26 @@ class AsymmetricLogisticKernel(_Kernel):
         self.nu = float(nu)
         self.name = f"asymmetric_logistic({phi1}, {phi2}, {nu})"
 
-    def V_frechet(self, xf, yf):
-        p1, p2, nu = self.phi1, self.phi2, self.nu
-        return (1.0 - p1) / xf + (1.0 - p2) / yf + \
-            ((p1 / xf) ** (1.0 / nu) + (p2 / yf) ** (1.0 / nu)) ** nu
-
-    def frechet_cdf(self, xf, yf):
-        p1, p2, nu = self.phi1, self.phi2, self.nu
-        S = (p1 / xf) ** (1.0 / nu) + (p2 / yf) ** (1.0 / nu)
-        neg_x2_Vx = (1.0 - p1) + xf * (p1 / xf) ** (1.0 / nu) * S ** (nu - 1.0)
-        return neg_x2_Vx * np.exp(1.0 / xf - self.V_frechet(xf, yf))
-
     def cdf(self, x, y):
-        x = self._check_x(x)
+        # With d = log[(p2/y_F)^{1/nu} / (p1/x_F)^{1/nu}] and
+        # ell = log(1 + e^d) on the Frechet scale, the cdf is
+        #   [(1 - p1) + p1 e^{-(1-nu) ell}]
+        #     * exp(-p1 e^{nu ell}/x_F (1 - e^{-nu ell}) - (1 - p2)/y_F).
+        # It is evaluated from log x_F and log y_F, so states beyond x ~ 709
+        # stay finite, and nu ell - log x_F is formed without cancellation.
+        log_xf = log_frechet_from_exponential(self._check_x(x))
         y = np.asarray(y, dtype=float)
         ok = y > 0.0
-        yf = frechet_from_exponential(np.where(ok, y, 1.0))
-        val = self.frechet_cdf(frechet_from_exponential(x), yf)
+        log_yf = log_frechet_from_exponential(np.where(ok, y, 1.0))
+        p1, p2, nu = self.phi1, self.phi2, self.nu
+        c = math.log(p2 / p1)
+        d = (c + log_xf - log_yf) / nu
+        q = np.log1p(np.exp(-np.abs(d)))
+        ell = np.maximum(d, 0.0) + q
+        log_joint = nu * q + np.maximum(c - log_yf, -log_xf)
+        expo = p1 * np.exp(log_joint) * -np.expm1(-nu * ell) \
+            + (1.0 - p2) * np.exp(-log_yf)
+        val = ((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo)
         return np.where(ok, np.clip(val, 0.0, 1.0), 0.0)
 
 
@@ -871,18 +859,6 @@ class ArchLaplaceKernel(_Kernel):
 # catalogue
 # ---------------------------------------------------------------------------
 
-def _call_checked(what, builder, params):
-    """``builder(**params)``; a parameter it does not take is a ValidationError."""
-    signature = inspect.signature(builder)
-    try:
-        signature.bind(**params)
-    except TypeError as exc:
-        raise ValidationError(
-            f"{what}: {exc} (takes: "
-            f"{', '.join(signature.parameters) or 'no parameters'})") from None
-    return builder(**params)
-
-
 # Each family takes only its named parameters from a config; the shape
 # constants of the decay families (a, b) stay at their defaults.
 _EXPONENT_FAMILIES = {
@@ -897,7 +873,7 @@ _EXPONENT_FAMILIES = {
 def _build_inverted_max_stable(family="husler_reiss", **params):
     if family not in _EXPONENT_FAMILIES:
         raise ValidationError(f"unknown exponent family '{family}'")
-    return InvertedMaxStableKernel(_call_checked(
+    return InvertedMaxStableKernel(call_checked(
         f"exponent family '{family}'", _EXPONENT_FAMILIES[family], params))
 
 
@@ -936,14 +912,4 @@ def make_kernel(kernel_id, **params):
     except KeyError:
         raise ValidationError(
             f"unknown kernel id '{kernel_id}'; known: {', '.join(KERNEL_IDS)}")
-    return _call_checked(f"kernel '{kernel_id}'", builder, params)
-
-
-def kernel_cdf(kernel, x, y):
-    """Pr(X_{t+1} <= y | X_t = x) under ``kernel``."""
-    return kernel.cdf(x, y)
-
-
-def kernel_sample(kernel, x, rng):
-    """One draw of the next state per entry of ``x``."""
-    return kernel.sample(x, rng)
+    return call_checked(f"kernel '{kernel_id}'", builder, params)

@@ -24,8 +24,6 @@ __all__ = [
     "LAPLACE",
     "FRECHET",
     "GAUSSIAN",
-    "cdf",
-    "quantile",
     "transform",
 ]
 
@@ -228,16 +226,6 @@ EXPONENTIAL = StandardExponential()
 LAPLACE = StandardLaplace()
 FRECHET = StandardFrechet()
 GAUSSIAN = StandardGaussian()
-
-
-def cdf(law, x):
-    """Evaluate ``Pr(X <= x)`` under ``law``."""
-    return law.cdf(x)
-
-
-def quantile(law, p):
-    """Monotone inverse of ``cdf``; raises DomainError outside (0, 1)."""
-    return law.ppf(p)
 
 
 def transform(x, src, dst):

@@ -1,8 +1,8 @@
-"""Norming schemes a_t, b_t, their update functions, limit laws, and the
+"""Norming schemes a_t, b_t with their update functions, limit laws, and the
 remainder terms that witness the convergence assumptions numerically.
 
-Update-function indexing: ``psi_a(t, x)`` and ``psi_b(t, x)`` are the maps
-producing M_t from M_{t-1}, stored under the index of the step they produce
+Update-function indexing: a scheme's ``psi_a(t, x)`` and ``psi_b(t, x)`` are
+the maps producing M_t from M_{t-1}, indexed by the step they produce
 (t >= 2).
 """
 
@@ -13,18 +13,15 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
-                     ValidationError)
+                     ValidationError, call_checked)
 
 __all__ = [
     "NormingScheme",
-    "UpdateFunctions",
     "LimitLaw",
     "make_norming",
-    "update_functions",
     "limit_law",
     "remainder_terms",
     "remainder_table",
-    "remainder_table_to_csv",
     "update_limit_quotients",
     "SCHEME_IDS",
     "LIMIT_LAW_IDS",
@@ -37,7 +34,9 @@ def _binom2(t):
 
 @dataclass
 class NormingScheme:
-    """Time-indexed location/scale norming pair with one-step base maps."""
+    """Time-indexed location/scale norming pair with one-step base maps and
+    the update functions of the tail-chain recursion
+    M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t."""
 
     scheme_id: str
     params: dict
@@ -49,6 +48,12 @@ class NormingScheme:
         raise NotImplementedError
 
     def b(self, t, v):
+        raise NotImplementedError
+
+    def psi_a(self, t, x):
+        raise NotImplementedError
+
+    def psi_b(self, t, x):
         raise NotImplementedError
 
     def a1(self, v):
@@ -97,6 +102,15 @@ class HtCanonicalScheme(NormingScheme):
             return np.ones_like(v)
         return v ** self.beta
 
+    def psi_a(self, t, x):
+        return self.alpha * np.asarray(x, dtype=float)
+
+    def psi_b(self, t, x):
+        x = np.asarray(x, dtype=float)
+        if self.scale_only:
+            return x ** self.beta
+        return np.full_like(x, self.alpha ** ((t - 1) * self.beta))
+
 
 class HuslerReissScheme(NormingScheme):
     """Norming for the inverted max-stable chain with Husler-Reiss dependence.
@@ -123,6 +137,12 @@ class HuslerReissScheme(NormingScheme):
     def b(self, t, v):
         v = np.asarray(v, dtype=float)
         return self.a(t, v) / np.sqrt(np.log(v))
+
+    def psi_a(self, t, x):
+        return np.asarray(x, dtype=float)
+
+    def psi_b(self, t, x):
+        return np.ones_like(np.asarray(x, dtype=float))
 
 
 class DensityDecayScheme(NormingScheme):
@@ -168,6 +188,13 @@ class DensityDecayScheme(NormingScheme):
         v = np.asarray(v, dtype=float)
         return self.a(t, v) / np.log(v)
 
+    def psi_a(self, t, x):
+        drift = ((t - 1) / self.gamma ** 2) * math.log(self.kappa)
+        return np.asarray(x, dtype=float) - drift
+
+    def psi_b(self, t, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
 
 class NegativeHtScheme(NormingScheme):
     """Alternating canonical norming for negatively dependent chains."""
@@ -202,6 +229,15 @@ class NegativeHtScheme(NormingScheme):
         al = self.alpha_plus if t % 2 == 1 else self.alpha_minus
         return al * np.asarray(w, dtype=float)
 
+    def psi_a(self, t, x):
+        # producing an even step applies alpha_plus
+        al = self.alpha_plus if t % 2 == 0 else self.alpha_minus
+        return al * np.asarray(x, dtype=float)
+
+    def psi_b(self, t, x):
+        return np.full_like(np.asarray(x, dtype=float),
+                            abs(self.coef(t - 1)) ** self.beta)
+
 
 class AlternatingGaussianScheme(NormingScheme):
     """Negatively dependent Gaussian copula chain on Laplace margins."""
@@ -218,6 +254,12 @@ class AlternatingGaussianScheme(NormingScheme):
 
     def b(self, t, v):
         return np.sqrt(np.abs(np.asarray(v, dtype=float)))
+
+    def psi_a(self, t, x):
+        return -self.rho * self.rho * np.asarray(x, dtype=float)
+
+    def psi_b(self, t, x):
+        return np.full_like(np.asarray(x, dtype=float), abs(self.rho) ** (t - 1))
 
 
 _SCHEME_BUILDERS = {
@@ -238,61 +280,7 @@ def make_norming(scheme_id, **params):
     except KeyError:
         raise UnsupportedSchemeError(
             f"unknown norming scheme '{scheme_id}'; known: {', '.join(SCHEME_IDS)}")
-    return builder(**params)
-
-
-@dataclass
-class UpdateFunctions:
-    """Update maps for the tail-chain recursion M_t = psi_a(t, M) + psi_b(t, M) eps."""
-
-    psi_a: callable
-    psi_b: callable
-    scale_only: bool = False
-    alternating: bool = False
-    scheme_id: str = ""
-
-
-def update_functions(scheme):
-    """Closed-form update functions of a catalogued scheme."""
-    if isinstance(scheme, HtCanonicalScheme):
-        al, be = scheme.alpha, scheme.beta
-        if al == 0.0:
-            return UpdateFunctions(
-                psi_a=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                psi_b=lambda t, x: np.asarray(x, dtype=float) ** be,
-                scale_only=True, scheme_id=scheme.scheme_id)
-        return UpdateFunctions(
-            psi_a=lambda t, x: al * np.asarray(x, dtype=float),
-            psi_b=lambda t, x: np.full_like(np.asarray(x, dtype=float),
-                                            al ** ((t - 1) * be)),
-            scheme_id=scheme.scheme_id)
-    if isinstance(scheme, HuslerReissScheme):
-        return UpdateFunctions(
-            psi_a=lambda t, x: np.asarray(x, dtype=float),
-            psi_b=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-            scheme_id=scheme.scheme_id)
-    if isinstance(scheme, DensityDecayScheme):
-        g, kap = scheme.gamma, scheme.kappa
-        return UpdateFunctions(
-            psi_a=lambda t, x: np.asarray(x, dtype=float)
-            - ((t - 1) / g ** 2) * math.log(kap),
-            psi_b=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-            scheme_id=scheme.scheme_id)
-    if isinstance(scheme, NegativeHtScheme):
-        am, ap, be = scheme.alpha_minus, scheme.alpha_plus, scheme.beta
-        return UpdateFunctions(
-            psi_a=lambda t, x: (ap if t % 2 == 0 else am) * np.asarray(x, dtype=float),
-            psi_b=lambda t, x: np.full_like(np.asarray(x, dtype=float),
-                                            abs(scheme.coef(t - 1)) ** be),
-            alternating=True, scheme_id=scheme.scheme_id)
-    if isinstance(scheme, AlternatingGaussianScheme):
-        r = scheme.rho
-        return UpdateFunctions(
-            psi_a=lambda t, x: -r * r * np.asarray(x, dtype=float),
-            psi_b=lambda t, x: np.full_like(np.asarray(x, dtype=float),
-                                            abs(r) ** (t - 1)),
-            alternating=True, scheme_id=scheme.scheme_id)
-    raise UnsupportedSchemeError(f"no update functions for {scheme!r}")
+    return call_checked(f"norming scheme '{scheme_id}'", builder, params)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +390,7 @@ def _law_husler_reiss(gamma):
     return LimitLaw(name=f"husler_reiss(gamma={gamma})", cdf=cdf, ppf=ppf)
 
 
-def _law_density_decay(c=None, gamma=None, delta=None, kappa=None):
+def _law_density_decay(c=None, gamma=None, delta=None):
     """K(x) = 1 - exp(-c exp(gamma x)); c may be given or derived from delta."""
     if c is None:
         c = delta + 2.0 * (1.0 + gamma)
@@ -530,7 +518,7 @@ def limit_law(law_id, **params):
     except KeyError:
         raise UnsupportedLawError(
             f"unknown limit law '{law_id}'; known: {', '.join(LIMIT_LAW_IDS)}")
-    return builder(**params)
+    return call_checked(f"limit law '{law_id}'", builder, params)
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +533,17 @@ def remainder_terms(scheme, t, v, x):
     vanish as v grows when the scheme satisfies its convergence assumption.
     Scale-only schemes use A = b_t(v) x and have r_a = 0 identically.
     """
-    upd = update_functions(scheme)
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    if upd.scale_only:
+    if scheme.scale_only:
         A = scheme.b(t, v) * x
-        r_b = 1.0 - scheme.b(t + 1, v) * upd.psi_b(t + 1, x) / scheme.b(1, A)
+        r_b = 1.0 - scheme.b(t + 1, v) * scheme.psi_b(t + 1, x) / scheme.b(1, A)
         return np.zeros_like(r_b), r_b
     A = scheme.a(t, v) + scheme.b(t, v) * x
     bA = scheme.b(1, A)
     r_a = (scheme.a(t + 1, v) - scheme.one_step_a(t, A)
-           + scheme.b(t + 1, v) * upd.psi_a(t + 1, x)) / bA
-    r_b = 1.0 - scheme.b(t + 1, v) * upd.psi_b(t + 1, x) / bA
+           + scheme.b(t + 1, v) * scheme.psi_a(t + 1, x)) / bA
+    r_b = 1.0 - scheme.b(t + 1, v) * scheme.psi_b(t + 1, x) / bA
     return r_a, r_b
 
 
@@ -571,7 +558,7 @@ def remainder_table(scheme, t_values, v_values, x_values=(-5.0, 0.0, 5.0)):
     for t in t_values:
         for v in v_values:
             for x in x_values:
-                if getattr(scheme, "scale_only", False):
+                if scheme.scale_only:
                     if x <= 0.0:
                         continue
                     arg = float(scheme.b(int(t), float(v))) * x
@@ -585,24 +572,15 @@ def remainder_table(scheme, t_values, v_values, x_values=(-5.0, 0.0, 5.0)):
     return rows
 
 
-def remainder_table_to_csv(path, rows):
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "v", "x", "r_a", "r_b"])
-        for t, v, x, ra, rb in rows:
-            writer.writerow([t, repr(v), repr(x), repr(ra), repr(rb)])
-
-
 def update_limit_quotients(scheme, t, v, x):
     """Finite-v quotients whose limits define the update functions.
 
     Returns (psi_a_hat, psi_b_hat) evaluated at threshold ``v``; compare with
-    ``update_functions`` closed forms to witness the convergence.
+    the scheme's closed-form ``psi_a``/``psi_b`` to witness the convergence.
     """
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    if getattr(scheme, "scale_only", False):
+    if scheme.scale_only:
         A = scheme.b(t, v) * x
         psi_b_hat = scheme.b(1, A) / scheme.b(t + 1, v)
         return np.zeros_like(psi_b_hat), psi_b_hat

@@ -1,24 +1,20 @@
-"""Root finding, adaptive quadrature, and the two bespoke solves the example
-chains need: the stationary law of the centred exponential autoregression and
-the tail index of the squared-volatility recursion.
+"""The two bespoke solves the example chains need: the stationary law of the
+centred exponential autoregression and the tail index of the squared-volatility
+recursion.
 """
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from . import margins
-from .errors import (AccuracyError, BracketingError, ConvergenceError,
-                     DomainError, ValidationError)
+from .errors import ConvergenceError, ValidationError
 
 __all__ = [
     "GridFunction",
-    "solve_root",
-    "quadrature",
-    "lanczos_gamma",
     "arch_tail_index",
     "arch_stationary_fit",
     "solve_Fv_fixed_point",
@@ -29,16 +25,10 @@ __all__ = [
 
 @dataclass
 class GridFunction:
-    """Function carried on a strictly increasing grid.
-
-    ``rule`` selects the interpolant: "linear" or "monotone-cubic" (PCHIP,
-    which preserves monotone data).
-    """
+    """Function carried on a strictly increasing grid, linear in between."""
 
     xs: np.ndarray
     ys: np.ndarray
-    rule: str = "linear"
-    _pchip: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -47,155 +37,9 @@ class GridFunction:
             raise ValidationError("GridFunction needs matching 1-d arrays")
         if np.any(np.diff(self.xs) <= 0.0):
             raise ValidationError("GridFunction abscissae must be strictly increasing")
-        if self.rule not in ("linear", "monotone-cubic"):
-            raise ValidationError("interpolation rule must be 'linear' or 'monotone-cubic'")
-        if self.rule == "monotone-cubic":
-            self._pchip = PchipInterpolator(self.xs, self.ys, extrapolate=False)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.rule == "linear":
-            return np.interp(x, self.xs, self.ys)
-        out = self._pchip(np.clip(x, self.xs[0], self.xs[-1]))
-        return np.asarray(out, dtype=float)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for xv, yv in zip(self.xs, self.ys):
-                writer.writerow([repr(float(xv)), repr(float(yv))])
-
-    @classmethod
-    def from_csv(cls, path, rule="linear"):
-        xs, ys = [], []
-        with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if row:
-                    xs.append(float(row[0]))
-                    ys.append(float(row[1]))
-        return cls(np.array(xs), np.array(ys), rule=rule)
-
-
-def solve_root(f, lo, hi, tol=1e-12, max_iter=200):
-    """Bracketed scalar root: bisection with secant acceleration.
-
-    Returns a point whose final bracket width is at most ``tol``.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not hi > lo:
-        raise BracketingError("need lo < hi")
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketingError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
-        width = hi - lo
-        if width <= tol:
-            break
-        # secant proposal, fall back to bisection when it leaves the bracket
-        denom = fhi - flo
-        x = hi - fhi * width / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        # guarantee geometric shrink: bisect whenever the secant step stalls
-        if hi - lo > 0.5 * width:
-            m = 0.5 * (lo + hi)
-            fm = float(f(m))
-            if fm == 0.0:
-                return m
-            if flo * fm < 0.0:
-                hi, fhi = m, fm
-            else:
-                lo, flo = m, fm
-    return 0.5 * (lo + hi)
-
-
-def _simpson(f, a, b, fa, fm, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def quadrature(f, lo, hi, tol=1e-10, max_depth=72):
-    """Adaptive composite Simpson integration of ``f`` over [lo, hi].
-
-    Exact for cubics on the first pass; raises :class:`AccuracyError`
-    (carrying the best estimate) if the refinement limit is hit.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise DomainError("quadrature needs a finite interval (substitute first)")
-    if hi == lo:
-        return 0.0
-
-    bad = []
-
-    def recurse(a, b, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a + b)
-        fl = float(f(0.5 * (a + m)))
-        fr = float(f(0.5 * (m + b)))
-        left = _simpson(f, a, m, fa, fl, fm)
-        right = _simpson(f, m, b, fm, fr, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps or depth >= max_depth:
-            if depth >= max_depth and abs(delta) > 15.0 * eps:
-                bad.append(abs(delta))
-            return left + right + delta / 15.0
-        return (recurse(a, m, fa, fl, fm, left, eps / 2.0, depth + 1)
-                + recurse(m, b, fm, fr, fb, right, eps / 2.0, depth + 1))
-
-    fa = float(f(lo))
-    fb = float(f(hi))
-    fm = float(f(0.5 * (lo + hi)))
-    whole = _simpson(f, lo, hi, fa, fm, fb)
-    result = recurse(lo, hi, fa, fm, fb, whole, tol, 0)
-    if bad:
-        raise AccuracyError(
-            f"quadrature did not reach tol={tol} after depth {max_depth}", best=result)
-    return result
-
-
-# Lanczos approximation, g = 7, 9 coefficients: |relative error| < 1e-13 on
-# the positive half line, which is all arch_tail_index needs.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def lanczos_gamma(x):
-    """Gamma function by the Lanczos approximation (g=7, n=9)."""
-    x = float(x)
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    a = _LANCZOS_C[0]
-    t = x + _LANCZOS_G + 0.5
-    for i in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[i] / (x + i)
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
+        return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
 
 
 def arch_tail_index(theta1):
@@ -211,8 +55,7 @@ def arch_tail_index(theta1):
         return 2.0
 
     def g(u):
-        return u * math.log(2.0 * theta1) + math.log(lanczos_gamma(u + 0.5)) \
-            - 0.5 * math.log(math.pi)
+        return u * math.log(2.0 * theta1) + gammaln(u + 0.5) - 0.5 * math.log(math.pi)
 
     # g(0) = 0 and g is first decreasing, so bracket the positive root from a
     # point where g < 0 out to a sign change.
@@ -224,7 +67,8 @@ def arch_tail_index(theta1):
         hi *= 2.0
         if hi > 1e6:
             raise ConvergenceError("no positive root found for the moment equation")
-    u = solve_root(g, lo, hi, tol=1e-12)
+    # brentq's default xtol (2e-12) can leave kappa ~1000 ulp off the root
+    u = brentq(g, lo, hi, xtol=1e-15)
     return 2.0 * u
 
 
@@ -379,7 +223,7 @@ def _solve_fv(phi, grid_size=2048, tol=1e-9, max_iter=2000):
     cdfv = np.clip(1.0 - sf, 0.0, 1.0)
     cdfv[0] = 0.0
     cdfv = np.maximum.accumulate(cdfv)
-    grid = GridFunction(ys, cdfv, rule="linear")
+    grid = GridFunction(ys, cdfv)
     tail_const = float(sf[-1] * np.exp(ys[-1]))
     return FvSolution(phi, grid, np.log(sf), tail_const, residual, it)
 

@@ -86,22 +86,15 @@ class HiddenChainPaths:
         """Ordered change-point times (1-based) of path i."""
         return np.flatnonzero(self.is_changepoint[i]) + 1
 
-    def to_rows(self):
-        """Iterate (path, t, value, regime, is_changepoint) rows for CSV."""
-        n, T = self.M.shape
-        for i in range(n):
-            for t in range(T):
-                yield (i, t + 1, self.M[i, t], int(self.regime[i, t]),
-                       bool(self.is_changepoint[i, t]))
-
 
 def _check_horizon(T, n):
     if T < 1 or n < 1:
         raise ValidationError("need horizon >= 1 and at least one path")
 
 
-def simulate_tail_chain(update, K, T, n, rng):
-    """Theorem-1 regime: M_1 ~ K, M_{t+1} = psi_a(M_t) + psi_b(M_t) eps.
+def simulate_tail_chain(scheme, K, T, n, rng):
+    """Theorem-1 regime: M_1 ~ K, M_{t+1} = psi_a(M_t) + psi_b(M_t) eps with
+    the norming scheme's update functions.
 
     ``K`` must carry no mass at +-infinity.
     """
@@ -115,11 +108,11 @@ def simulate_tail_chain(update, K, T, n, rng):
     for t in range(2, T + 1):
         eps = K.sample(n, rng)
         prev = M[:, t - 2]
-        M[:, t - 1] = update.psi_a(t, prev) + update.psi_b(t, prev) * eps
-    return TailChainPaths(E0, M, scheme_id=update.scheme_id)
+        M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
+    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
 
 
-def simulate_nonneg_tail_chain(update, K, T, n, rng):
+def simulate_nonneg_tail_chain(scheme, K, T, n, rng):
     """Theorem-2 regime: multiplicative recursion M_{t+1} = psi_b(M_t) eps
     for a limit law supported on (0, inf) with no mass at zero."""
     _check_horizon(T, n)
@@ -132,11 +125,11 @@ def simulate_nonneg_tail_chain(update, K, T, n, rng):
     M[:, 0] = K.sample(n, rng)
     for t in range(2, T + 1):
         eps = K.sample(n, rng)
-        M[:, t - 1] = update.psi_b(t, M[:, t - 2]) * eps
-    return TailChainPaths(E0, M, scheme_id=update.scheme_id)
+        M[:, t - 1] = scheme.psi_b(t, M[:, t - 2]) * eps
+    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
 
 
-def simulate_negdep_tail_chain(update, K_minus, K_plus, T, n, rng):
+def simulate_negdep_tail_chain(scheme, K_minus, K_plus, T, n, rng):
     """Theorem-3 regime: M_1 ~ K_-, innovations alternate K_+ (producing even
     steps) and K_- (producing odd steps)."""
     _check_horizon(T, n)
@@ -151,8 +144,8 @@ def simulate_negdep_tail_chain(update, K_minus, K_plus, T, n, rng):
         law = K_plus if (t - 1) % 2 == 1 else K_minus
         eps = law.sample(n, rng)
         prev = M[:, t - 2]
-        M[:, t - 1] = update.psi_a(t, prev) + update.psi_b(t, prev) * eps
-    return TailChainPaths(E0, M, scheme_id=update.scheme_id)
+        M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
+    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
 
 
 def hidden_asym_logistic(phi1, phi2, nu, T, n, rng, kernel=None):

@@ -113,9 +113,8 @@ def test_criterion_04_scale_only_tail_chain():
     gamma = 0.152
     beta = 1.0 - gamma
     K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
-    upd = norming.update_functions(
-        norming.make_norming("ht_canonical", alpha=0.0, beta=beta))
-    paths = tailchain.simulate_nonneg_tail_chain(upd, K, 10, N_DEFAULT, rng_for(4))
+    scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
+    paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 10, N_DEFAULT, rng_for(4))
     positive = bool(np.all(paths.M > 0.0))
     logm = np.log(paths.M)
     x = logm[:, :-1].ravel()
@@ -386,8 +385,7 @@ def test_criterion_10_tail_chain_ks(negdep_paths):
     scheme = norming.make_norming("alternating_gaussian", rho=rho)
     z2 = (X[:, 2] - float(scheme.a(2, 20.0))) / float(scheme.b(2, 20.0))
     K = norming.limit_law("gaussian_exponential", rho=rho)
-    upd = norming.update_functions(scheme)
-    paths = tailchain.simulate_negdep_tail_chain(upd, K, K, 2, N_DEFAULT,
+    paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 2, N_DEFAULT,
                                                  rng_for(10, 1))
     d = two_sample_ks(z2, paths.M[:, 1])
     ok = d < 0.08

@@ -198,3 +198,22 @@ class TestErrors:
                          "--workers", "1"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
+
+    @pytest.mark.parametrize("change", [
+        {"scheme": {"id": "ht_canonical", "alfa": 0.64, "beta": 0.5}},
+        {"limit_law": {"id": "gaussian_exponential", "rh0": 0.8}},
+    ], ids=["scheme_key", "limit_law_key"])
+    def test_bad_converge_config_exits_2_with_json_line(self, tmp_path, capsys,
+                                                         change):
+        config = {"kind": "converge", "seed": 1,
+                  "kernel": {"id": "gaussian_copula", "rho": 0.8,
+                             "margin": "exponential"},
+                  "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+                  "limit_law": {"id": "gaussian_exponential", "rho": 0.8},
+                  "v_grid": [6.0], "n_paths": 10}
+        cfg = write_config(tmp_path, "bad.json", dict(config, **change))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert "takes" in err["error"]

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from extreme_chains import kernels, margins, norming
-from extreme_chains.errors import DomainError, SamplingError, ValidationError
+from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
+                                   ValidationError)
 
 from _oracles import dkw_bound, ks_statistic
 
@@ -42,15 +43,32 @@ class TestExponentMeasures:
                     assert em.V(s * x, s * y) == pytest.approx(em.V(x, y) / s, rel=1e-8)
 
     def test_constant_density_value(self):
-        # quadrature oracle: V(1,1) = int max(w, 1-w) * 2 dw = 3/2
+        # V(1,1) = int max(w, 1-w) * 2 dw = 3/2
         em = kernels.density_constant()
-        assert em.V(1.0, 1.0) == pytest.approx(1.5, abs=1e-8)
+        assert em.V(1.0, 1.0) == pytest.approx(1.5, abs=1e-14)
+        # h = 2 has H0(s) = 2s and H1(s) = s^2 at s = 1/(1+w); in closed form
+        # 1 - H1 = w(2+w)s^2, H0 - H1 = (1+2w)s^2 and 1 - V(1, w) = -s/w
+        w = np.logspace(-6.0, 6.0, 61)
+        s = 1.0 / (1.0 + w)
+        upper = w * (2.0 + w) * s * s
+        lower = (1.0 + 2.0 * w) * s * s
+        # V1 = -(1 - H1) keeps absolute, not relative, precision as w -> 0
+        np.testing.assert_allclose(em.V1_unit(w), -upper, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(em.V_unit(w), upper + lower / w, rtol=1e-12)
+        np.testing.assert_allclose(em.one_minus_V_unit(w), -s / w, rtol=1e-12)
+        np.testing.assert_allclose(em._dV_unit(w), -lower / (w * w), rtol=1e-12)
 
     def test_density_moment_validation(self):
         with pytest.raises(ValidationError):
             kernels.DensityFamily(lambda w: 1.0)          # mass 1, not 2
         with pytest.raises(ValidationError):
             kernels.DensityFamily(lambda w: 4.0 * w)      # mass 2, moment 4/3
+
+    def test_accuracy_error_carries_best(self):
+        # mass 2 + O(1e-5), but too oscillatory for quad at 1e-12
+        with pytest.raises(AccuracyError) as err:
+            kernels.DensityFamily(lambda w: 2.0 + math.sin(1e5 * w))
+        assert np.isfinite(err.value.best)
 
     def test_domain_errors(self):
         em = kernels.HuslerReiss(1.0)
@@ -67,10 +85,12 @@ class TestExponentMeasures:
             assert em.V1(x, y) == pytest.approx(fd, rel=1e-5)
 
     def test_power_decay_family_constructs(self):
-        fam = kernels.density_power_decay(0.4)
-        # moments validated at construction; decay coefficient recorded
-        assert fam.decay_s == 0.4
-        assert fam.decay_kappa > 0.0
+        # s near 0 puts a cusp (s > 0) or a jump (s = 0) at the origin
+        for s in (0.0, 0.2, 0.3, 0.4):
+            fam = kernels.density_power_decay(s)
+            # moments validated at construction; decay coefficient recorded
+            assert fam.decay_s == s
+            assert fam.decay_kappa > 0.0
 
     def test_exp_decay_family_constructs(self):
         fam = kernels.density_exp_decay(0.0, 1.0, 1.0)
@@ -78,15 +98,18 @@ class TestExponentMeasures:
 
 
 def test_generic_inverted_max_stable_matches_closed_logistic():
-    # mutual validation of the quadrature route and the closed form
-    gam = 0.4
-    k_gen = kernels.make_kernel("inverted_max_stable", family="logistic", gamma=gam)
-    k_cls = kernels.make_kernel("inverted_bev_logistic", gamma=gam)
-    ys = np.array([0.5, 2.0, 6.0, 11.0])
-    for x in (1.0, 3.0, 8.0):
-        a = k_gen.cdf(np.full(ys.shape, x), ys)
-        b = k_cls.cdf(np.full(ys.shape, x), ys)
-        np.testing.assert_allclose(a, b, atol=1e-8)
+    # mutual validation of the quadrature route and the closed form; gamma
+    # near 1/2 puts a cusp at both ends of the spectral density
+    ys = np.array([0.5, 2.0, 6.0, 11.0, 29.0, 31.0, 45.0])
+    for gam in (0.2, 0.4, 0.45, 0.5):
+        k_gen = kernels.make_kernel("inverted_max_stable", family="logistic",
+                                    gamma=gam)
+        k_cls = kernels.make_kernel("inverted_bev_logistic", gamma=gam)
+        for x in (1.0, 3.0, 8.0, 30.0):
+            a = k_gen.cdf(np.full(ys.shape, x), ys)
+            b = k_cls.cdf(np.full(ys.shape, x), ys)
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12,
+                                       err_msg=f"gamma={gam}, x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +302,50 @@ class TestDeepBevStates:
         law = norming.limit_law("bev_logistic", gamma=0.152)
         assert ks_statistic(s, law.cdf) < dkw_bound(n)
         assert abs(float(law.cdf(np.median(s))) - 0.5) < dkw_bound(n)
+
+
+def direct_asymmetric_logistic_cdf(k, x, y):
+    """The conditional cdf straight from the Frechet-scale formula; exact
+    while (phi1/x_F)^{1/nu} stays a normal float (x up to ~700 nu)."""
+    p1, p2, nu = k.phi1, k.phi2, k.nu
+    xf, yf = -1.0 / np.log1p(-np.exp(-x)), -1.0 / np.log1p(-np.exp(-y))
+    S = (p1 / xf) ** (1.0 / nu) + (p2 / yf) ** (1.0 / nu)
+    V = (1.0 - p1) / xf + (1.0 - p2) / yf + S ** nu
+    return ((1.0 - p1) + xf * (p1 / xf) ** (1.0 / nu) * S ** (nu - 1.0)) \
+        * np.exp(1.0 / xf - V)
+
+
+class TestDeepAsymmetricLogistic:
+    """The Frechet map overflows beyond x ~ 709; the kernel works in log T."""
+
+    kernels_under_test = [
+        kernels.AsymmetricLogisticKernel(0.5, 0.5, 0.152),
+        kernels.AsymmetricLogisticKernel(0.4, 0.7, 0.3),
+        kernels.AsymmetricLogisticKernel(0.9, 0.2, 0.8),
+    ]
+
+    @pytest.mark.parametrize("x", [700.0, 720.0, 800.0, 5000.0])
+    def test_cdf_is_a_distribution_function(self, x):
+        ys = np.sort(np.concatenate([np.linspace(1e-3, 3.0 * x, 3000),
+                                     x + np.linspace(-50.0, 50.0, 2001)]))
+        for k in self.kernels_under_test:
+            vals = k.cdf(np.full(ys.shape, x), ys)
+            assert np.all(np.isfinite(vals)), k.name
+            assert np.all((vals >= 0.0) & (vals <= 1.0)), k.name
+            assert np.all(np.diff(vals) >= 0.0), k.name
+
+    def test_matches_direct_formula(self):
+        xs = np.linspace(0.05, 60.0, 120)
+        for k in self.kernels_under_test:
+            for x in xs:
+                ys = np.concatenate([np.linspace(0.01, 80.0, 300),
+                                     x + np.linspace(-5.0, 5.0, 41)])
+                ys = ys[ys > 0.0]
+                with np.errstate(all="ignore"):
+                    ref = direct_asymmetric_logistic_cdf(k, x, ys)
+                assert np.all(np.isfinite(ref))
+                np.testing.assert_allclose(k.cdf(np.full(ys.shape, x), ys), ref,
+                                           rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

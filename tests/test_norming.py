@@ -102,54 +102,48 @@ class TestMakeNorming:
 class TestUpdateFunctions:
 
     def test_random_walk(self):
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=1.0, beta=0.0))
+        scheme = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
         x = np.array([0.3, -2.0])
-        np.testing.assert_allclose(upd.psi_a(5, x), x)
-        np.testing.assert_allclose(upd.psi_b(5, x), 1.0)
+        np.testing.assert_allclose(scheme.psi_a(5, x), x)
+        np.testing.assert_allclose(scheme.psi_b(5, x), 1.0)
 
     def test_scale_only_power(self):
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.0, beta=0.4))
-        assert upd.scale_only
-        np.testing.assert_allclose(upd.psi_b(3, np.array([2.0])), 2.0 ** 0.4)
+        scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=0.4)
+        assert scheme.scale_only
+        np.testing.assert_allclose(scheme.psi_b(3, np.array([2.0])), 2.0 ** 0.4)
 
     def test_scaled_autoregression(self):
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.64, beta=0.5))
+        scheme = norming.make_norming("ht_canonical", alpha=0.64, beta=0.5)
         # producing step t uses alpha^{(t-1) beta}
-        np.testing.assert_allclose(upd.psi_a(2, np.array([1.0])), 0.64)
-        np.testing.assert_allclose(upd.psi_b(2, np.array([0.0])), 0.8)
-        np.testing.assert_allclose(upd.psi_b(3, np.array([0.0])), 0.64)
+        np.testing.assert_allclose(scheme.psi_a(2, np.array([1.0])), 0.64)
+        np.testing.assert_allclose(scheme.psi_b(2, np.array([0.0])), 0.8)
+        np.testing.assert_allclose(scheme.psi_b(3, np.array([0.0])), 0.64)
 
     def test_husler_reiss_is_random_walk(self):
-        upd = norming.update_functions(norming.make_norming("husler_reiss", gamma=0.7))
+        scheme = norming.make_norming("husler_reiss", gamma=0.7)
         x = np.array([1.5])
-        np.testing.assert_allclose(upd.psi_a(4, x), x)
-        np.testing.assert_allclose(upd.psi_b(4, x), 1.0)
+        np.testing.assert_allclose(scheme.psi_a(4, x), x)
+        np.testing.assert_allclose(scheme.psi_b(4, x), 1.0)
 
     def test_density_decay_drift(self):
         s = norming.make_norming("density_decay", kappa=2.0, gamma=1.0, delta=0.0)
-        upd = norming.update_functions(s)
         # M_{t+1} = M_t - (t/gamma^2) log kappa + eps
-        np.testing.assert_allclose(upd.psi_a(4, np.array([0.0])),
+        np.testing.assert_allclose(s.psi_a(4, np.array([0.0])),
                                    -3.0 * math.log(2.0))
 
     def test_alternating_gaussian(self):
-        upd = norming.update_functions(
-            norming.make_norming("alternating_gaussian", rho=-0.8))
-        np.testing.assert_allclose(upd.psi_a(2, np.array([1.0])), -0.64)
-        np.testing.assert_allclose(upd.psi_b(2, np.array([0.0])), 0.8)
-        np.testing.assert_allclose(upd.psi_b(4, np.array([0.0])), 0.8 ** 3)
+        scheme = norming.make_norming("alternating_gaussian", rho=-0.8)
+        np.testing.assert_allclose(scheme.psi_a(2, np.array([1.0])), -0.64)
+        np.testing.assert_allclose(scheme.psi_b(2, np.array([0.0])), 0.8)
+        np.testing.assert_allclose(scheme.psi_b(4, np.array([0.0])), 0.8 ** 3)
 
     def test_negative_ht_parity(self):
         s = norming.make_norming("negative_ht", alpha_minus=-0.6,
                                  alpha_plus=-0.5, beta=0.3)
-        upd = norming.update_functions(s)
         # producing an even step applies alpha_plus
-        np.testing.assert_allclose(upd.psi_a(2, np.array([1.0])), -0.5)
-        np.testing.assert_allclose(upd.psi_a(3, np.array([1.0])), -0.6)
-        np.testing.assert_allclose(upd.psi_b(2, np.array([0.0])),
+        np.testing.assert_allclose(s.psi_a(2, np.array([1.0])), -0.5)
+        np.testing.assert_allclose(s.psi_a(3, np.array([1.0])), -0.6)
+        np.testing.assert_allclose(s.psi_b(2, np.array([0.0])),
                                    abs(s.coef(1)) ** 0.3)
 
     def test_b2c_condition(self):
@@ -204,14 +198,13 @@ class TestUpdateConsistency:
         (norming.make_norming("alternating_gaussian", rho=-0.8), 1e6),
     ])
     def test_polynomial_rate_schemes_within_2pct(self, scheme, v):
-        upd = norming.update_functions(scheme)
         for t in (1, 2, 3):
             for x in (-2.0, 0.5, 3.0):
-                if getattr(upd, "scale_only", False) and x <= 0.0:
+                if scheme.scale_only and x <= 0.0:
                     continue
                 pa_hat, pb_hat = norming.update_limit_quotients(scheme, t, v, x)
-                pa = upd.psi_a(t + 1, x)
-                pb = upd.psi_b(t + 1, x)
+                pa = scheme.psi_a(t + 1, x)
+                pb = scheme.psi_b(t + 1, x)
                 assert abs(float(pa_hat) - float(pa)) <= 0.02 * max(1.0, abs(float(pa)))
                 assert abs(float(pb_hat) / float(pb) - 1.0) <= 0.02
 
@@ -222,12 +215,11 @@ class TestUpdateConsistency:
     def test_log_rate_schemes_converge(self, scheme):
         # these schemes converge at (log v)^{-1/2} / loglog v / log v rates,
         # far slower than polynomial; witness decreasing deviation instead
-        upd = norming.update_functions(scheme)
         devs = []
         for L in (10.0, 30.0, 90.0):
             v = math.exp(L)
             pa_hat, pb_hat = norming.update_limit_quotients(scheme, 1, v, 1.0)
-            pa = float(upd.psi_a(2, 1.0))
+            pa = float(scheme.psi_a(2, 1.0))
             devs.append(abs(float(pa_hat) - pa) + abs(float(pb_hat) - 1.0))
         assert devs[2] < devs[1] < devs[0]
 

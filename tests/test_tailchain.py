@@ -20,9 +20,8 @@ class TestTheoremOne:
 
     def test_random_walk_variance(self, rng):
         K = norming.limit_law("bev_logistic", gamma=0.152)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=1.0, beta=0.0))
-        paths = tailchain.simulate_tail_chain(upd, K, 5, 100_000, rng)
+        scheme = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
+        paths = tailchain.simulate_tail_chain(scheme, K, 5, 100_000, rng)
         var_k = float(np.var(K.ppf(rng.uniform(size=400_000))))
         for t in (1, 2, 3, 4, 5):
             ratio = float(np.var(paths.M[:, t - 1])) / (t * var_k)
@@ -30,19 +29,17 @@ class TestTheoremOne:
 
     def test_marginal_of_first_step(self, rng):
         K = norming.limit_law("gaussian_exponential", rho=0.8)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.64, beta=0.5))
-        paths = tailchain.simulate_tail_chain(upd, K, 1, 100_000, rng)
+        scheme = norming.make_norming("ht_canonical", alpha=0.64, beta=0.5)
+        paths = tailchain.simulate_tail_chain(scheme, K, 1, 100_000, rng)
         assert ks_statistic(paths.M[:, 0], K.cdf) < 0.006
 
     def test_scaled_ar_mean_recursion(self, rng):
         # E[M_{t+1}] = alpha E[M_t] + alpha^{t beta} E[eps]
         K = norming.limit_law("bev_logistic", gamma=0.3)
         al, be = 0.64, 0.5
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=al, beta=be))
+        scheme = norming.make_norming("ht_canonical", alpha=al, beta=be)
         n = 200_000
-        paths = tailchain.simulate_tail_chain(upd, K, 4, n, rng)
+        paths = tailchain.simulate_tail_chain(scheme, K, 4, n, rng)
         mu_eps = float(np.mean(K.ppf(rng.uniform(size=400_000))))
         for t in (1, 2, 3):
             lhs = paths.M[:, t].mean()
@@ -52,19 +49,17 @@ class TestTheoremOne:
 
     def test_e0_independent_of_chain(self, rng):
         K = norming.limit_law("gaussian_exponential", rho=0.8)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.64, beta=0.5))
-        paths = tailchain.simulate_tail_chain(upd, K, 3, 100_000, rng)
+        scheme = norming.make_norming("ht_canonical", alpha=0.64, beta=0.5)
+        paths = tailchain.simulate_tail_chain(scheme, K, 3, 100_000, rng)
         assert ks_statistic(paths.E0, margins.EXPONENTIAL.cdf) < 0.006
         for t in range(3):
             assert abs(np.corrcoef(paths.E0, paths.M[:, t])[0, 1]) < 0.02
 
     def test_atom_law_rejected(self, rng):
         K1 = norming.limit_law("asym_logistic_k1", phi1=0.5, phi2=0.5, nu=0.152)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=1.0, beta=0.0))
+        scheme = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
         with pytest.raises(RegimeError):
-            tailchain.simulate_tail_chain(upd, K1, 3, 100, rng)
+            tailchain.simulate_tail_chain(scheme, K1, 3, 100, rng)
 
 
 class TestTheoremTwo:
@@ -73,9 +68,8 @@ class TestTheoremTwo:
         gamma = 0.152
         beta = 1.0 - gamma
         K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.0, beta=beta))
-        paths = tailchain.simulate_nonneg_tail_chain(upd, K, 10, 50_000, rng)
+        scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
+        paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 10, 50_000, rng)
         assert np.all(paths.M > 0.0)
         logm = np.log(paths.M)
         x = logm[:, :-1].ravel()
@@ -91,10 +85,9 @@ class TestTheoremTwo:
         beta = 1.0 - gamma
         mu = gamma * (-EULER_GAMMA - math.log(gamma))
         K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.0, beta=beta))
+        scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
         n = 200_000
-        paths = tailchain.simulate_nonneg_tail_chain(upd, K, 6, n, rng)
+        paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 6, n, rng)
         logm = np.log(paths.M)
         for t in (1, 3, 6):
             expect = mu * (beta ** (t - 1) + sum(beta ** j for j in range(t - 1)))
@@ -103,10 +96,9 @@ class TestTheoremTwo:
 
     def test_mass_at_zero_rejected(self, rng):
         K = norming.limit_law("gaussian_exponential", rho=0.8)   # mass below 0
-        upd = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=0.0, beta=0.5))
+        scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=0.5)
         with pytest.raises(RegimeError):
-            tailchain.simulate_nonneg_tail_chain(upd, K, 3, 100, rng)
+            tailchain.simulate_nonneg_tail_chain(scheme, K, 3, 100, rng)
 
 
 class TestTheoremThree:
@@ -115,10 +107,9 @@ class TestTheoremThree:
         # M_{t+1} = -rho^2 M_t + |rho|^t eps with a single limit law
         rho = -0.8
         K = norming.limit_law("gaussian_exponential", rho=rho)
-        upd = norming.update_functions(
-            norming.make_norming("alternating_gaussian", rho=rho))
+        scheme = norming.make_norming("alternating_gaussian", rho=rho)
         n = 200_000
-        paths = tailchain.simulate_negdep_tail_chain(upd, K, K, 4, n, rng)
+        paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 4, n, rng)
         v = K.var
         var2 = rho ** 4 * v + abs(rho) ** 2 * v
         assert np.var(paths.M[:, 1]) == pytest.approx(var2, rel=0.02)
@@ -131,9 +122,8 @@ class TestTheoremThree:
         K_plus = norming.limit_law("density_decay", c=4.0, gamma=1.0)
         s = norming.make_norming("negative_ht", alpha_minus=-0.5,
                                  alpha_plus=-0.5, beta=0.0)
-        upd = norming.update_functions(s)
         n = 100_000
-        paths = tailchain.simulate_negdep_tail_chain(upd, K_minus, K_plus, 2, n, rng)
+        paths = tailchain.simulate_negdep_tail_chain(s, K_minus, K_plus, 2, n, rng)
         # M_2 = -0.5 M_1 + eps_2: recover eps_2 and test against K_plus
         eps2 = paths.M[:, 1] + 0.5 * paths.M[:, 0]
         assert ks_statistic(eps2, K_plus.cdf) < 0.006
@@ -142,14 +132,12 @@ class TestTheoremThree:
         # equal laws and symmetric coefficients reproduce the plain recursion
         rho = -0.8
         K = norming.limit_law("gaussian_exponential", rho=rho)
-        upd_alt = norming.update_functions(
-            norming.make_norming("alternating_gaussian", rho=rho))
-        p_alt = tailchain.simulate_negdep_tail_chain(upd_alt, K, K, 3, 100_000, rng)
+        scheme_alt = norming.make_norming("alternating_gaussian", rho=rho)
+        p_alt = tailchain.simulate_negdep_tail_chain(scheme_alt, K, K, 3, 100_000, rng)
 
         # mirror chain: M'_{t+1} = rho^2 M'_t + |rho|^t eps has |M| equal in law
-        upd_pos = norming.update_functions(
-            norming.make_norming("ht_canonical", alpha=rho * rho, beta=0.5))
-        p_pos = tailchain.simulate_tail_chain(upd_pos, K, 3, 100_000, rng)
+        scheme_pos = norming.make_norming("ht_canonical", alpha=rho * rho, beta=0.5)
+        p_pos = tailchain.simulate_tail_chain(scheme_pos, K, 3, 100_000, rng)
         d = two_sample_ks(np.abs(p_alt.M[:, 2]), np.abs(p_pos.M[:, 2]))
         assert d < 0.01
 
@@ -469,12 +457,11 @@ class TestForwardVersusLimitProcess:
         k = kernels.make_kernel(kid, **kp)
         scheme = norming.make_norming(sspec[0], **sspec[1])
         K = norming.limit_law(lspec[0], **lspec[1])
-        upd = norming.update_functions(scheme)
         rng = np.random.default_rng(41)
-        if upd.scale_only:
-            limit = tailchain.simulate_nonneg_tail_chain(upd, K, 3, self.N, rng)
+        if scheme.scale_only:
+            limit = tailchain.simulate_nonneg_tail_chain(scheme, K, 3, self.N, rng)
         else:
-            limit = tailchain.simulate_tail_chain(upd, K, 3, self.N, rng)
+            limit = tailchain.simulate_tail_chain(scheme, K, 3, self.N, rng)
         ks = np.empty((len(grid), 3))
         for j, v in enumerate(grid):
             rng_v = np.random.default_rng(np.random.SeedSequence(
@@ -497,9 +484,8 @@ class TestForwardVersusLimitProcess:
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="gaussian")
         scheme = norming.make_norming("ht_canonical", alpha=0.8, beta=0.0)
         K = norming.limit_law("gaussian_margins", rho=0.8)
-        upd = norming.update_functions(scheme)
         rng = np.random.default_rng(47)
-        limit = tailchain.simulate_tail_chain(upd, K, 3, self.N, rng)
+        limit = tailchain.simulate_tail_chain(scheme, K, 3, self.N, rng)
         for v in (2.0, 4.0, 6.0):
             X = diagnostics.conditional_forward_sim(
                 k, k.stationary_law, diagnostics.FixedX0(v), 3, self.N, rng)
