@@ -251,6 +251,23 @@ class TestRemainders:
         vals = np.array(vals)
         assert vals.max() - vals.min() < 0.5 * np.abs(vals).max()
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.848])
+    def test_scale_only_remainders(self, beta):
+        # Theorem-2 regime: no location term, r_b = 1 - b_{t+1}(v) x^beta / (b_t(v) x)^beta
+        s = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
+        for t in (1, 2, 3):
+            for v in (6.0, 12.0, 24.0, 1e3, 1e6):
+                bt, bt1 = float(s.b(t, v)), float(s.b(t + 1, v))
+                for x in (0.5, 1.0, 2.5, 5.0):
+                    ra, rb = norming.remainder_terms(s, t, v, x)
+                    assert float(ra) == 0.0
+                    assert float(rb) == 1.0 - bt1 * np.power(x, beta) \
+                        / np.power(bt * x, beta)
+        rows = norming.remainder_table(s, [1, 2, 3], [6.0, 12.0, 24.0],
+                                       x_values=(-5.0, -0.5, 0.0, 0.5, 5.0))
+        assert rows and all(x > 0.0 and ra == 0.0 for _, _, x, ra, _ in rows)
+        assert len(rows) == 3 * 3 * 2
+
     def test_negative_ht_exact_location(self):
         s = norming.make_norming("negative_ht", alpha_minus=-0.6,
                                  alpha_plus=-0.5, beta=0.3)
