@@ -26,7 +26,9 @@ for t in range(1, 5):
 
 scheme = norming.make_norming("alternating_gaussian", rho=-0.8)
 K = norming.limit_law("gaussian_exponential", rho=-0.8)
-paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 4, n, rng)
+# Theorem 3: innovations producing even steps come from K_plus (K_+), the
+# others from K (K_-); this chain has one law for both
+paths = tailchain.simulate_tail_chain(scheme, K, 4, n, rng, K_plus=K)
 rec = tailchain.reconstruct_paths(20.0, scheme, paths.M)
 print("reconstructed tail-chain means:", np.round(rec.mean(axis=0), 3).tolist())
 print("actual chain means:           ",

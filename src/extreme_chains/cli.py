@@ -15,12 +15,12 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import diagnostics, kernels, norming, tailchain
-from .errors import ExtremeChainsError, ValidationError
+from .errors import ExtremeChainsError, ValidationError, call_checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,39 +148,36 @@ def _task_figure1_chain(args):
     env_tc = None
     if law is not None:
         rng_tc = _rng_for(config["seed"], 3, idx, 1)
-        if scheme.scale_only:
-            paths = tailchain.simulate_nonneg_tail_chain(scheme, law, T, n, rng_tc)
-        else:
-            paths = tailchain.simulate_tail_chain(scheme, law, T, n, rng_tc)
+        paths = tailchain.simulate_tail_chain(scheme, law, T, n, rng_tc)
         xtc = tailchain.reconstruct_paths(x0, scheme, paths.M)
         env_tc = diagnostics.quantile_envelope(xtc, source="tailchain", t_start=1)
     return tag, env_actual, env_tc
 
 
+# hidden example -> builder of (T, n, rng, **params); the defaults are the
+# parameters a config may leave out
+_HIDDEN_EXAMPLES = {
+    "asym_logistic": lambda T, n, rng, phi1=0.5, phi2=0.5, nu=0.152:
+        tailchain.hidden_asym_logistic(phi1, phi2, nu, T, n, rng),
+    "rootzen_smith": lambda T, n, rng: tailchain.hidden_rootzen_smith(T, n, rng),
+    "arch": lambda T, n, rng, theta0=1.0, theta1=0.7:
+        tailchain.hidden_arch(theta0, theta1, T, n, rng),
+    "ht_mixture": lambda T, n, rng, alpha1, beta1, g1, alpha2, beta2, g2, lam=0.5:
+        tailchain.hidden_ht_mixture(lam, (alpha1, beta1, _build_law(g1)),
+                                    (alpha2, beta2, _build_law(g2)), T, n, rng),
+}
+
+
 def _task_hidden_chunk(args):
     config, chunk = args
-    rng = _rng_for(config["seed"], 4, chunk)
-    T = config["horizon"]
     example = config["example"]
-    params = config.get("params", {})
+    if example not in _HIDDEN_EXAMPLES:
+        raise ValidationError(f"unknown hidden example '{example}'")
+    rng = _rng_for(config["seed"], 4, chunk)
     m = _chunk_size(config["n_paths"], chunk)
-    if example == "asym_logistic":
-        return tailchain.hidden_asym_logistic(
-            params.get("phi1", 0.5), params.get("phi2", 0.5),
-            params.get("nu", 0.152), T, m, rng)
-    if example == "rootzen_smith":
-        return tailchain.hidden_rootzen_smith(T, m, rng)
-    if example == "arch":
-        return tailchain.hidden_arch(
-            params.get("theta0", 1.0), params.get("theta1", 0.7), T, m, rng)
-    if example == "ht_mixture":
-        g1 = _build_law(params["g1"])
-        g2 = _build_law(params["g2"])
-        return tailchain.hidden_ht_mixture(
-            params.get("lam", 0.5),
-            (params["alpha1"], params["beta1"], g1),
-            (params["alpha2"], params["beta2"], g2), T, m, rng)
-    raise ValidationError(f"unknown hidden example '{example}'")
+    builder = partial(_HIDDEN_EXAMPLES[example], config["horizon"], m, rng)
+    return call_checked(f"hidden example '{example}'", builder,
+                        config.get("params", {}))
 
 
 def _task_chi_row(args):

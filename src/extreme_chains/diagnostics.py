@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .tailchain import detect_changepoints
 
 __all__ = [
     "FixedX0",
@@ -33,32 +32,35 @@ __all__ = [
 
 @dataclass
 class FixedX0:
+    """Start every path at ``x0``."""
+
     x0: float
+
+    def draw(self, law, n, rng):
+        return np.full(n, self.x0, dtype=float)
 
 
 @dataclass
 class Exceedance:
+    """Start from ``law`` above ``u`` by exact inverse-CDF conditioning:
+    X_0 = law.ppf(F(u) + (1 - F(u)) U)."""
+
     u: float
+
+    def draw(self, law, n, rng):
+        pu = float(law.cdf(self.u))
+        if not pu < 1.0:
+            raise DomainError(f"threshold {self.u} beyond the law's numeric range")
+        return law.ppf(pu + (1.0 - pu) * rng.uniform(size=n))
 
 
 def conditional_forward_sim(kernel, law, init, T, n, rng):
-    """Simulate n paths X_0..X_T; X_0 fixed or drawn from ``law`` above u.
-
-    Exceedance initial states use exact inverse-CDF conditioning:
-    X_0 = law.ppf(F(u) + (1 - F(u)) U).
-    """
+    """Simulate n paths X_0..X_T; ``init`` (FixedX0 or Exceedance) draws X_0
+    from ``law``, then each step draws from ``kernel``."""
     if n < 1 or T < 0:
         raise ValidationError("need n >= 1 and T >= 0")
     X = np.empty((n, T + 1))
-    if isinstance(init, FixedX0):
-        X[:, 0] = init.x0
-    elif isinstance(init, Exceedance):
-        pu = float(law.cdf(init.u))
-        if not pu < 1.0:
-            raise DomainError(f"threshold {init.u} beyond the law's numeric range")
-        X[:, 0] = law.ppf(pu + (1.0 - pu) * rng.uniform(size=n))
-    else:
-        raise ValidationError("init must be FixedX0 or Exceedance")
+    X[:, 0] = init.draw(law, n, rng)
     for t in range(1, T + 1):
         X[:, t] = kernel.sample(X[:, t - 1], rng)
     return X
@@ -226,15 +228,16 @@ def geometric_pmf_truncated(p, horizon):
 def changepoint_law_check(paths, rule, p, horizon=None):
     """Total-variation distance between the first-detection law and Geometric(p).
 
-    ``paths`` holds X_0..X_T per row; detections beyond the horizon land in a
-    shared truncation bucket on both sides.
+    ``rule`` is a change-point rule from ``tailchain`` (``rule.times(path)``
+    gives the detections); ``paths`` holds X_0..X_T per row; detections
+    beyond the horizon land in a shared truncation bucket on both sides.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     T = paths.shape[1] - 1
     horizon = T if horizon is None else min(horizon, T)
     firsts = np.empty(paths.shape[0], dtype=int)
     for i in range(paths.shape[0]):
-        times = detect_changepoints(paths[i], rule)
+        times = rule.times(paths[i])
         firsts[i] = times[0] if times.size and times[0] <= horizon else horizon + 1
     emp = np.array([(firsts == t).mean() for t in range(1, horizon + 1)]
                    + [(firsts == horizon + 1).mean()])

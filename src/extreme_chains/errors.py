@@ -31,11 +31,11 @@ class ConvergenceError(ExtremeChainsError):
     """Iterative solver failed to converge."""
 
 
-class UnsupportedSchemeError(ExtremeChainsError, KeyError):
-    """Requested norming scheme or update family is not in the catalogue."""
+class UnsupportedSchemeError(ValidationError):
+    """Requested norming scheme is not in the catalogue."""
 
 
-class UnsupportedLawError(ExtremeChainsError, KeyError):
+class UnsupportedLawError(ValidationError):
     """Requested limit law is unknown or underivable."""
 
 

@@ -183,9 +183,8 @@ class DensityFamily(ExponentMeasure):
 
     name = "density_family"
 
-    def __init__(self, h, label="density"):
+    def __init__(self, h):
         self.h = h
-        self.label = label
         mass = _integrate(h, 0.0, 1.0)
         mean = _integrate(self._uh, 0.0, 1.0)
         if abs(mass - 2.0) > 1e-8:
@@ -227,7 +226,7 @@ class DensityFamily(ExponentMeasure):
 
 def density_constant():
     """The flat spectral density h = 2."""
-    return DensityFamily(lambda w: 2.0, label="constant")
+    return DensityFamily(lambda w: 2.0)
 
 
 def density_logistic(gamma):
@@ -250,7 +249,7 @@ def density_logistic(gamma):
             + (g - 2.0) * log_a
         return math.exp(log_h)
 
-    return DensityFamily(h, label=f"logistic({gamma})")
+    return DensityFamily(h)
 
 
 def _bump_density(a, b):
@@ -287,7 +286,7 @@ def density_power_decay(s, a=0.05, b=0.55):
             return 0.0
         return kappa * w ** s + c2 * g(w)
 
-    fam = DensityFamily(h, label=f"power_decay(s={s})")
+    fam = DensityFamily(h)
     fam.decay_kappa = kappa
     fam.decay_s = s
     return fam
@@ -322,11 +321,7 @@ def density_exp_decay(delta, gamma, kappa, a=0.15):
             return 0.0
         return core(w) + c2 * g(w)
 
-    fam = DensityFamily(h, label=f"exp_decay(d={delta},g={gamma},k={kappa})")
-    fam.decay_delta = delta
-    fam.decay_gamma = gamma
-    fam.decay_kappa = kappa
-    return fam
+    return DensityFamily(h)
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +665,6 @@ class InvertedMaxStableKernel(_Kernel):
             raise ValidationError("exponent must be an ExponentMeasure")
         self.exponent = exponent
         self.name = f"inverted_max_stable({exponent.name})"
-        if isinstance(exponent, HuslerReiss):
-            self.norming_id = ("husler_reiss", {"gamma": exponent.gamma})
-        elif getattr(exponent, "decay_gamma", None) is not None:
-            self.norming_id = ("density_decay", {
-                "kappa": exponent.decay_kappa,
-                "gamma": exponent.decay_gamma,
-                "delta": exponent.decay_delta,
-            })
-        else:
-            self.norming_id = None
 
     def cdf(self, x, y):
         x = self._check_x(x)
@@ -704,12 +689,11 @@ class ExpARKernel(_Kernel):
     exponential margins by construction.
     """
 
-    def __init__(self, phi, fv=None, grid_size=2048, tol=1e-9):
+    def __init__(self, phi):
         if not 0.0 < phi < 1.0:
             raise ValidationError("phi must lie in (0, 1)")
         self.phi = float(phi)
-        self.fv = fv if fv is not None else numerics.solve_Fv_fixed_point(
-            phi, grid_size=grid_size, tol=tol, full=True)
+        self.fv = numerics.solve_Fv_fixed_point(phi, full=True)
         self.name = f"expar(phi={phi})"
         self.ht_alpha_beta = (phi, 0.0)
         self._shift = 1.0 / (1.0 - phi)
@@ -802,9 +786,6 @@ class RootzenSmithKernel(_Kernel):
         self.p_flip = float(p_flip)
         self.name = "rootzen_smith"
 
-    def _check_x(self, x):
-        return np.asarray(x, dtype=float)
-
     def cdf(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -819,12 +800,13 @@ class RootzenSmithKernel(_Kernel):
 
 
 class ArchLaplaceKernel(_Kernel):
-    """Squared-volatility recursion transformed to standard Laplace margins."""
+    """Squared-volatility recursion transformed to standard Laplace margins;
+    ``law`` reuses a fitted stationary law instead of fitting one."""
 
     scale = "laplace"
     support_lo = -np.inf
 
-    def __init__(self, theta0, theta1, law=None, fit_draws=10_000_000):
+    def __init__(self, theta0, theta1, law=None):
         if theta0 <= 0.0:
             raise ValidationError("theta0 must be positive")
         if not 0.0 < theta1 < 1.0:
@@ -832,13 +814,10 @@ class ArchLaplaceKernel(_Kernel):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self.law = law if law is not None else numerics.arch_stationary_fit(
-            theta0, theta1, n_draws=fit_draws)
+            theta0, theta1)
         self.kappa = self.law.kappa
         self.stationary_law = margins.LAPLACE
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
-
-    def _check_x(self, x):
-        return np.asarray(x, dtype=float)
 
     def cdf(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -899,7 +878,7 @@ _KERNEL_BUILDERS = {
     "expar": ExpARKernel,
     "ht_mixture": _build_ht_mixture,
     "rootzen_smith": RootzenSmithKernel,
-    "arch_laplace": ArchLaplaceKernel,
+    "arch_laplace": lambda theta0, theta1: ArchLaplaceKernel(theta0, theta1),
 }
 
 KERNEL_IDS = tuple(sorted(_KERNEL_BUILDERS))

@@ -56,12 +56,6 @@ class NormingScheme:
     def psi_b(self, t, x):
         raise NotImplementedError
 
-    def a1(self, v):
-        return self.a(1, v)
-
-    def b1(self, v):
-        return self.b(1, v)
-
     def one_step_a(self, t, w):
         """One-step location map applied at time t (parity-aware for
         alternating schemes where the map differs by tail)."""
@@ -531,14 +525,10 @@ def remainder_terms(scheme, t, v, x):
     r_a = [a_{t+1}(v) - a(A) + b_{t+1}(v) psi_a(x)] / b(A) and
     r_b = 1 - b_{t+1}(v) psi_b(x) / b(A) with A = a_t(v) + b_t(v) x; both
     vanish as v grows when the scheme satisfies its convergence assumption.
-    Scale-only schemes use A = b_t(v) x and have r_a = 0 identically.
+    Scale-only schemes have a_t = 0 and psi_a = 0, hence r_a = 0 identically.
     """
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    if scheme.scale_only:
-        A = scheme.b(t, v) * x
-        r_b = 1.0 - scheme.b(t + 1, v) * scheme.psi_b(t + 1, x) / scheme.b(1, A)
-        return np.zeros_like(r_b), r_b
     A = scheme.a(t, v) + scheme.b(t, v) * x
     bA = scheme.b(1, A)
     r_a = (scheme.a(t + 1, v) - scheme.one_step_a(t, A)
@@ -552,19 +542,15 @@ def remainder_table(scheme, t_values, v_values, x_values=(-5.0, 0.0, 5.0)):
 
     Grid combinations whose norming argument a_t(v) + b_t(v) x falls outside
     the scheme's marginal support (possible at small thresholds with very
-    negative x) are skipped: the remainder is defined only in range.
+    negative x, and every x <= 0 of a scale-only scheme) are skipped: the
+    remainder is defined only in range.
     """
     rows = []
     for t in t_values:
         for v in v_values:
             for x in x_values:
-                if scheme.scale_only:
-                    if x <= 0.0:
-                        continue
-                    arg = float(scheme.b(int(t), float(v))) * x
-                else:
-                    arg = float(scheme.a(int(t), float(v))) \
-                        + float(scheme.b(int(t), float(v))) * x
+                arg = float(scheme.a(int(t), float(v))) \
+                    + float(scheme.b(int(t), float(v))) * x
                 if scheme.scale == "exponential" and arg <= 0.0:
                     continue
                 r_a, r_b = remainder_terms(scheme, int(t), float(v), float(x))
@@ -580,10 +566,6 @@ def update_limit_quotients(scheme, t, v, x):
     """
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    if scheme.scale_only:
-        A = scheme.b(t, v) * x
-        psi_b_hat = scheme.b(1, A) / scheme.b(t + 1, v)
-        return np.zeros_like(psi_b_hat), psi_b_hat
     A = scheme.a(t, v) + scheme.b(t, v) * x
     psi_a_hat = (scheme.one_step_a(t, A) - scheme.a(t + 1, v)) / scheme.b(t + 1, v)
     psi_b_hat = scheme.b(1, A) / scheme.b(t + 1, v)

@@ -1,6 +1,7 @@
-"""Simulators for the limit processes: tail chains under the three theorem
-regimes, hidden tail chains with change-points, affine path reconstruction,
-and change-point detection on simulated paths.
+"""Simulators for the limit processes: one tail-chain recursion for the three
+theorem regimes (the norming scheme carries its regime), hidden tail chains
+with change-points, affine path reconstruction, and change-point rules whose
+``times(path)`` detects change-points on simulated paths.
 
 Atoms at +-infinity never enter floating-point arithmetic: hidden-chain
 states carry integer regime codes instead and the values stay finite.
@@ -20,14 +21,11 @@ __all__ = [
     "SignChange",
     "ValueChange",
     "simulate_tail_chain",
-    "simulate_nonneg_tail_chain",
-    "simulate_negdep_tail_chain",
     "hidden_asym_logistic",
     "hidden_ht_mixture",
     "hidden_rootzen_smith",
     "hidden_arch",
     "reconstruct_paths",
-    "detect_changepoints",
 ]
 
 
@@ -92,57 +90,30 @@ def _check_horizon(T, n):
         raise ValidationError("need horizon >= 1 and at least one path")
 
 
-def simulate_tail_chain(scheme, K, T, n, rng):
-    """Theorem-1 regime: M_1 ~ K, M_{t+1} = psi_a(M_t) + psi_b(M_t) eps with
-    the norming scheme's update functions.
+def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
+    """Tail chain M_1 ~ K, M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t.
 
-    ``K`` must carry no mass at +-infinity.
+    The scheme carries the regime through its update functions: location and
+    scale (Theorem 1), scale only with psi_a = 0 (Theorem 2, which needs K on
+    (0, inf) with K({0}) = 0), or sign-alternating (Theorem 3).  ``K_plus``,
+    when given, is the law of the innovations that produce even steps (K_+ of
+    Theorem 3, ``K`` then being K_-); by default every innovation is drawn
+    from ``K``.  Neither law may carry mass at +-infinity.
     """
     _check_horizon(T, n)
-    if K.has_atoms:
-        raise RegimeError(
-            "limit law has atoms at +-inf; use the hidden-chain simulators")
-    E0 = rng.exponential(size=n)
-    M = np.empty((n, T))
-    M[:, 0] = K.sample(n, rng)
-    for t in range(2, T + 1):
-        eps = K.sample(n, rng)
-        prev = M[:, t - 2]
-        M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
-    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
-
-
-def simulate_nonneg_tail_chain(scheme, K, T, n, rng):
-    """Theorem-2 regime: multiplicative recursion M_{t+1} = psi_b(M_t) eps
-    for a limit law supported on (0, inf) with no mass at zero."""
-    _check_horizon(T, n)
-    if K.has_atoms:
-        raise RegimeError("limit law has atoms at +-inf")
-    if K.support[0] < 0.0 or K.cdf(0.0) > 0.0:
-        raise RegimeError("scale-only regime needs K on (0, inf) with K({0}) = 0")
-    E0 = rng.exponential(size=n)
-    M = np.empty((n, T))
-    M[:, 0] = K.sample(n, rng)
-    for t in range(2, T + 1):
-        eps = K.sample(n, rng)
-        M[:, t - 1] = scheme.psi_b(t, M[:, t - 2]) * eps
-    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
-
-
-def simulate_negdep_tail_chain(scheme, K_minus, K_plus, T, n, rng):
-    """Theorem-3 regime: M_1 ~ K_-, innovations alternate K_+ (producing even
-    steps) and K_- (producing odd steps)."""
-    _check_horizon(T, n)
-    for law in (K_minus, K_plus):
+    K_plus = K if K_plus is None else K_plus
+    for law in (K, K_plus):
         if law.has_atoms:
-            raise RegimeError("limit laws with atoms need a hidden-chain simulator")
+            raise RegimeError(
+                "limit law has atoms at +-inf; use the hidden-chain simulators")
+        if scheme.scale_only and (law.support[0] < 0.0 or law.cdf(0.0) > 0.0):
+            raise RegimeError(
+                "scale-only regime needs K on (0, inf) with K({0}) = 0")
     E0 = rng.exponential(size=n)
     M = np.empty((n, T))
-    M[:, 0] = K_minus.sample(n, rng)
+    M[:, 0] = K.sample(n, rng)
     for t in range(2, T + 1):
-        # step t is produced from M_{t-1}; t-1 odd -> K_plus innovation
-        law = K_plus if (t - 1) % 2 == 1 else K_minus
-        eps = law.sample(n, rng)
+        eps = (K_plus if t % 2 == 0 else K).sample(n, rng)
         prev = M[:, t - 2]
         M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
     return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
@@ -345,7 +316,8 @@ def reconstruct_paths(x0, scheme, M):
 
 
 # ---------------------------------------------------------------------------
-# change-point rules
+# change-point rules: ``times(path)`` gives the ordered detection times
+# (1-based, X_0 at index 0) of one path
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -359,37 +331,30 @@ class RatioThreshold:
         if not 0.0 < self.c < 1.0:
             raise ValidationError("ratio threshold c must lie in (0, 1)")
 
+    def times(self, path):
+        x = np.asarray(path, dtype=float)
+        times = []
+        want_below = True
+        for t, below in enumerate(x[1:] <= self.c * x[:-1], start=1):
+            if below == want_below:
+                times.append(t)
+                want_below = not want_below
+        return np.asarray(times, dtype=int)
+
 
 @dataclass
 class SignChange:
     """Times with sign(X_t) != sign(X_{t-1})."""
+
+    def times(self, path):
+        x = np.sign(np.asarray(path, dtype=float))
+        return np.flatnonzero(x[1:] != x[:-1]) + 1
 
 
 @dataclass
 class ValueChange:
     """First time the strict alternation X_t = -X_{t-1} breaks."""
 
-
-def detect_changepoints(path, rule):
-    """Ordered change-point times (1-based, X_0 at index 0) under ``rule``."""
-    x = np.asarray(path, dtype=float)
-    if x.size < 2:
-        return np.array([], dtype=int)
-    cur, prev = x[1:], x[:-1]
-    if isinstance(rule, SignChange):
-        hits = np.sign(cur) != np.sign(prev)
-        return np.flatnonzero(hits) + 1
-    if isinstance(rule, ValueChange):
-        hits = cur != -prev
-        idx = np.flatnonzero(hits)
-        return idx[:1] + 1
-    if isinstance(rule, RatioThreshold):
-        below = cur <= rule.c * prev
-        times = []
-        want_below = True
-        for t in np.arange(1, x.size):
-            if below[t - 1] == want_below:
-                times.append(t)
-                want_below = not want_below
-        return np.asarray(times, dtype=int)
-    raise ValidationError(f"unknown change-point rule {rule!r}")
+    def times(self, path):
+        x = np.asarray(path, dtype=float)
+        return np.flatnonzero(x[1:] != -x[:-1])[:1] + 1

@@ -114,7 +114,7 @@ def test_criterion_04_scale_only_tail_chain():
     beta = 1.0 - gamma
     K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
     scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
-    paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 10, N_DEFAULT, rng_for(4))
+    paths = tailchain.simulate_tail_chain(scheme, K, 10, N_DEFAULT, rng_for(4))
     positive = bool(np.all(paths.M > 0.0))
     logm = np.log(paths.M)
     x = logm[:, :-1].ravel()
@@ -239,7 +239,7 @@ def test_criterion_07_post_change_marginal(asym_paths):
     _, X = asym_paths
     vals = []
     for i in range(X.shape[0]):
-        times = tailchain.detect_changepoints(X[i], tailchain.RatioThreshold(0.5))
+        times = tailchain.RatioThreshold(0.5).times(X[i])
         if times.size:
             vals.append(X[i, times[0]])
     vals = np.asarray(vals)
@@ -385,8 +385,7 @@ def test_criterion_10_tail_chain_ks(negdep_paths):
     scheme = norming.make_norming("alternating_gaussian", rho=rho)
     z2 = (X[:, 2] - float(scheme.a(2, 20.0))) / float(scheme.b(2, 20.0))
     K = norming.limit_law("gaussian_exponential", rho=rho)
-    paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 2, N_DEFAULT,
-                                                 rng_for(10, 1))
+    paths = tailchain.simulate_tail_chain(scheme, K, 2, N_DEFAULT, rng_for(10, 1))
     d = two_sample_ks(z2, paths.M[:, 1])
     ok = d < 0.08
     report(10, ok, f"alternating tail-chain KS at t = 2: {d:.4f} "

@@ -188,6 +188,12 @@ class TestErrors:
         {"kernel": {"id": "bev_logistic", "gama": 0.2}},     # misspelt key
         {"init": {}},                                        # no x0 or u
         {"seed": True},                                      # bool, not int
+        # constructor knobs that are not config parameters
+        {"kernel": {"id": "expar", "phi": 0.8, "fv": 1}},
+        {"kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7,
+                    "law": 3}},
+        {"kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7,
+                    "fit_draws": 0}},
     ])
     def test_bad_config_exits_2_with_json_line(self, tmp_path, capsys, change):
         config = {"kind": "simulate", "seed": 1,
@@ -199,12 +205,14 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
 
-    @pytest.mark.parametrize("change", [
-        {"scheme": {"id": "ht_canonical", "alfa": 0.64, "beta": 0.5}},
-        {"limit_law": {"id": "gaussian_exponential", "rh0": 0.8}},
-    ], ids=["scheme_key", "limit_law_key"])
+    @pytest.mark.parametrize("change,says", [
+        ({"scheme": {"id": "ht_canonical", "alfa": 0.64, "beta": 0.5}}, "takes"),
+        ({"limit_law": {"id": "gaussian_exponential", "rh0": 0.8}}, "takes"),
+        ({"scheme": {"id": "ht_canonicl", "alpha": 0.64, "beta": 0.5}}, "unknown"),
+        ({"limit_law": {"id": "gaussian_exponentail", "rho": 0.8}}, "unknown"),
+    ], ids=["scheme_key", "limit_law_key", "scheme_id", "limit_law_id"])
     def test_bad_converge_config_exits_2_with_json_line(self, tmp_path, capsys,
-                                                         change):
+                                                         change, says):
         config = {"kind": "converge", "seed": 1,
                   "kernel": {"id": "gaussian_copula", "rho": 0.8,
                              "margin": "exponential"},
@@ -212,6 +220,24 @@ class TestErrors:
                   "limit_law": {"id": "gaussian_exponential", "rho": 0.8},
                   "v_grid": [6.0], "n_paths": 10}
         cfg = write_config(tmp_path, "bad.json", dict(config, **change))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert says in err["error"]
+        assert not err["error"].startswith('"')       # no KeyError quoting
+
+    @pytest.mark.parametrize("example,params", [
+        ("arch", {"thetaa1": 0.7}),                       # misspelt key
+        ("asym_logistic", {"phi1": 0.5, "nuu": 0.152}),
+        ("rootzen_smith", {"p": 0.5}),                    # takes no params
+        ("ht_mixture", {"lam": 0.5}),                     # modes missing
+    ])
+    def test_bad_hidden_params_exit_2_with_json_line(self, tmp_path, capsys,
+                                                     example, params):
+        cfg = write_config(tmp_path, "bad.json", {
+            "kind": "hidden", "seed": 1, "example": example, "horizon": 2,
+            "n_paths": 16, "params": params})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--workers", "1"]) == 2
         err = json.loads(capsys.readouterr().err)

