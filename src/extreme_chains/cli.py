@@ -262,8 +262,8 @@ def _write_table(path, header, rows):
 
 def _run_simulate(config, out_dir, workers):
     _require(config, "kernel", "init", "horizon", "n_paths")
-    init = config["init"]
-    if not isinstance(init, dict) or not ("x0" in init or "u" in init):
+    start = config["init"]
+    if not isinstance(start, dict) or not ("x0" in start or "u" in start):
         raise ValidationError(
             "init must be a mapping with 'x0' (fixed start) or 'u' (exceedance threshold)")
     chunks = _run_tasks(_task_simulate_chunk,
