@@ -27,7 +27,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_KINDS = ("simulate", "converge", "figure1", "hidden", "negdep", "chi")
 _N_CHUNKS = 8   # fixed path-partition count; independent of worker count
 
 
@@ -61,12 +60,6 @@ def _build_law(spec):
         raise ValidationError("limit law spec must be a mapping with an 'id'")
     spec = dict(spec)
     return norming.limit_law(spec.pop("id"), **spec)
-
-
-def _require(config, *names):
-    for name in names:
-        if name not in config:
-            raise ValidationError(f"config is missing required field '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +254,11 @@ def _write_table(path, header, rows):
 
 
 def _run_simulate(config, out_dir, workers):
-    _require(config, "kernel", "init", "horizon", "n_paths")
     start = config["init"]
-    if not isinstance(start, dict) or not ("x0" in start or "u" in start):
+    if not isinstance(start, dict) or set(start) not in ({"x0"}, {"u"}):
         raise ValidationError(
-            "init must be a mapping with 'x0' (fixed start) or 'u' (exceedance threshold)")
+            "init must be a mapping with exactly one key, 'x0' (fixed start) or "
+            f"'u' (exceedance threshold); got {start!r}")
     chunks = _run_tasks(_task_simulate_chunk,
                         [(config, c) for c in range(_N_CHUNKS)], workers)
     path = os.path.join(out_dir, "paths.csv")
@@ -274,7 +267,6 @@ def _run_simulate(config, out_dir, workers):
 
 
 def _run_converge(config, out_dir, workers):
-    _require(config, "kernel", "scheme", "limit_law", "v_grid", "n_paths")
     rows = _run_tasks(_task_converge_row,
                       [(config, j) for j in range(len(config["v_grid"]))],
                       workers)
@@ -294,7 +286,6 @@ def _run_converge(config, out_dir, workers):
 
 
 def _run_figure1(config, out_dir, workers):
-    _require(config, "n_paths")
     results = _run_tasks(_task_figure1_chain,
                          [(config, i) for i in range(4)], workers)
     outputs = []
@@ -310,7 +301,6 @@ def _run_figure1(config, out_dir, workers):
 
 
 def _run_hidden(config, out_dir, workers):
-    _require(config, "example", "horizon", "n_paths")
     chunks = _run_tasks(_task_hidden_chunk,
                         [(config, c) for c in range(_N_CHUNKS)], workers)
     path = os.path.join(out_dir, "hidden_paths.csv")
@@ -328,7 +318,6 @@ def _run_negdep(config, out_dir, workers):
 
 
 def _run_chi(config, out_dir, workers):
-    _require(config, "kernel", "u_grid", "n_paths")
     rows = _run_tasks(_task_chi_row,
                       [(config, j) for j in range(len(config["u_grid"]))],
                       workers)
@@ -339,14 +328,37 @@ def _run_chi(config, out_dir, workers):
          for r in rows]))]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "converge": _run_converge,
-    "figure1": _run_figure1,
-    "hidden": _run_hidden,
-    "negdep": _run_negdep,
-    "chi": _run_chi,
+# kind -> (runner, required keys, optional keys); every kind also requires
+# "kind" and "seed", and any other top-level key is a config error
+_KINDS = {
+    "simulate": (_run_simulate, ("kernel", "init", "horizon", "n_paths"), ()),
+    "converge": (_run_converge, ("kernel", "scheme", "limit_law", "v_grid", "n_paths"),
+                 ("t", "atom_cut")),
+    "figure1": (_run_figure1, ("n_paths",), ("gamma", "phi", "rho", "x0", "horizon")),
+    "hidden": (_run_hidden, ("example", "horizon", "n_paths"), ("params",)),
+    "negdep": (_run_negdep, (), ("rho", "x0", "horizon", "n_paths")),
+    "chi": (_run_chi, ("kernel", "u_grid", "n_paths"), ("t",)),
 }
+
+
+def _check_keys(config):
+    """The runner of the config's kind, once its top-level keys are checked."""
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(
+            f"config key 'kind' must be one of {', '.join(_KINDS)}; got {kind!r}")
+    runner, required, optional = _KINDS[kind]
+    required = ("kind", "seed") + required
+    allowed = ", ".join(sorted(required + optional))
+    for key in required:
+        if key not in config:
+            raise ValidationError(
+                f"{kind} config is missing required key '{key}' (allowed: {allowed})")
+    for key in config:
+        if key not in required + optional:
+            raise ValidationError(
+                f"{kind} config has unknown key '{key}' (allowed: {allowed})")
+    return runner
 
 
 def emit_manifest(config, outputs, out_dir, wall_time):
@@ -375,15 +387,12 @@ def run_experiment(config, out_dir, workers=1):
     """Validate and execute one experiment config; returns output list."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    _require(config, "kind", "seed")
-    kind = config["kind"]
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown experiment kind '{kind}'; known: {_KINDS}")
+    runner = _check_keys(config)
     if isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
         raise ValidationError("seed must be an integer")
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
-    outputs = _RUNNERS[kind](config, out_dir, workers)
+    outputs = runner(config, out_dir, workers)
     emit_manifest(config, outputs, out_dir, time.time() - start)
     return outputs
 

@@ -13,7 +13,8 @@ Sampling is one code path per kernel: ``sample(x, rng)`` is
 a direct sampler (conditional normal, volatility recursion, tail-switching
 recursion, the autoregression behind the exponential-AR chain, the mixture
 pick).  The logistic pair inverts its CDF exactly through the Wright omega
-function; the other kernels invert theirs by bracketed bisection.
+function; the other kernels solve ``cdf(x, y) = u`` with scipy's elementwise
+``bracket_root`` and ``find_root``.
 """
 
 import math
@@ -21,6 +22,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize.elementwise import bracket_root, find_root
 from scipy.special import wrightomega
 from scipy.stats import norm
 
@@ -328,60 +330,47 @@ def density_exp_decay(delta, gamma, kappa, a=0.15):
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-_BRACKET = 50.0
-_MAX_EXPAND = 10
-_BISECT_ITERS = 90
 _FLOOR = 1e-12      # smallest draw above the support floor
 
 
 def _inverse_cdf_sample(cdf, x, u, support_lo):
-    """Vectorised inverse-CDF draw: bracket expansion plus bisection.
+    """Vectorised inverse-CDF draw by scipy's elementwise root finders.
 
-    ``cdf(x, y)`` must be nondecreasing in ``y``.  The bracket starts at
-    x +- 50 and doubles its width per round, clamped at the support floor;
-    if the width budget runs out on the lower side (chains whose next state
-    drops by a multiplicative factor at very deep thresholds) the bracket
-    falls back to the support floor outright.  Bisection then runs to float
-    resolution, reproducing the uniform draw through the CDF to ~1e-12.
-    A NaN from ``cdf`` at a bracket end or a midpoint raises SamplingError.
+    ``cdf(x, y)`` must be nondecreasing in ``y``.  Where ``cdf`` already
+    reaches ``u`` at ``support_lo`` the draw is ``support_lo``.  Elsewhere
+    ``bracket_root`` grows the bracket x -+ 1 (never below ``support_lo``)
+    until it holds the root of ``cdf(x, y) - u``, and ``find_root``
+    (Chandrupatla's method) solves to float resolution.  A NaN from ``cdf``,
+    or a bracket or root that scipy cannot find, raises SamplingError.
     """
-    x = np.asarray(x, dtype=float)
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
-    def F(y):
+    def excess(y, x, u):
         val = cdf(x, y)
         nan = np.isnan(val)
         if nan.any():
             i = int(np.argmax(nan))
-            raise SamplingError(
-                "cdf returned NaN", x=float(np.broadcast_to(x, nan.shape).flat[i]),
-                u=float(np.broadcast_to(u, nan.shape).flat[i]))
-        return val
+            xi, ui = (float(np.broadcast_to(a, nan.shape).flat[i]) for a in (x, u))
+            raise SamplingError(f"cdf returned NaN at x={xi!r}, u={ui!r}", x=xi, u=ui)
+        return val - u
 
-    width = _BRACKET
-    lo = np.maximum(x - width, support_lo)
-    hi = x + width
-    for _ in range(_MAX_EXPAND):
-        bad_lo = F(lo) > u
-        bad_hi = F(hi) < u
-        if not bad_lo.any() and not bad_hi.any():
-            break
-        width *= 2.0
-        lo = np.where(bad_lo, np.maximum(x - width, support_lo), lo)
-        hi = np.where(bad_hi, x + width, hi)
-    bad_lo = F(lo) > u
-    if bad_lo.any():
-        lo = np.where(bad_lo, support_lo, lo)
-    still = (F(lo) > u) | (F(hi) < u)
-    if still.any():
-        i = int(np.argmax(still))
-        raise SamplingError("bracket expansion failed", x=float(x[i]),
-                            u=float(u[i]))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = F(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    def check(res, what, xs, us):
+        if not np.all(res.success):
+            i = int(np.argmin(res.success))
+            raise SamplingError(
+                f"{what} failed at x={float(xs[i])!r}, u={float(us[i])!r} "
+                f"(scipy status {int(res.status[i])})", x=float(xs[i]), u=float(us[i]))
+
+    y = np.full(x.shape, support_lo)
+    free = excess(y, x, u) < 0.0
+    xs, us = x[free], u[free]
+    found = bracket_root(excess, np.maximum(xs - 1.0, support_lo), xs + 1.0,
+                         xmin=support_lo, args=(xs, us))
+    check(found, "bracket_root", xs, us)
+    root = find_root(excess, found.bracket, args=(xs, us))
+    check(root, "find_root", xs, us)
+    y[free] = root.x
+    return y
 
 
 # The logistic pair shares one conditional tail, z^{-m} exp(c (1 - z)) with
@@ -471,7 +460,7 @@ class _Kernel:
         raise NotImplementedError
 
     def ppf(self, x, u):
-        """Conditional quantile F^{-1}(u | x); bisection on ``cdf`` by default."""
+        """Conditional quantile F^{-1}(u | x); a root of ``cdf`` by default."""
         x, u = np.broadcast_arrays(self._check_x(x), np.asarray(u, dtype=float))
         return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
 
@@ -693,7 +682,7 @@ class ExpARKernel(_Kernel):
         if not 0.0 < phi < 1.0:
             raise ValidationError("phi must lie in (0, 1)")
         self.phi = float(phi)
-        self.fv = numerics.solve_Fv_fixed_point(phi, full=True)
+        self.fv = numerics.solve_Fv_fixed_point(phi)
         self.name = f"expar(phi={phi})"
         self.ht_alpha_beta = (phi, 0.0)
         self._shift = 1.0 / (1.0 - phi)

@@ -6,9 +6,6 @@ half, which keeps full relative precision deep in either tail (needed when
 states sit 30-40 units out on the exponential or Laplace scale).
 """
 
-import csv
-import io
-
 import numpy as np
 from scipy.stats import norm
 
@@ -182,44 +179,6 @@ class ArchStationaryLaw:
 
     def isf(self, s):
         return -self.ppf(s)
-
-    def to_csv(self, path):
-        """Write the fitted grid as (x, F) rows; parameters go in '#' headers."""
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# theta0={self.theta0!r}\n")
-            fh.write(f"# theta1={self.theta1!r}\n")
-            fh.write(f"# kappa={self.kappa!r}\n")
-            fh.write(f"# c={self.c!r}\n")
-            fh.write(f"# blend_x={self.blend_x!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["x", "F"])
-            for xv, fv in zip(self.grid_x, self.grid_cdf):
-                writer.writerow([repr(float(xv)), repr(float(fv))])
-
-    @classmethod
-    def from_csv(cls, path):
-        meta = {}
-        rows = []
-        with open(path, "r", newline="") as fh:
-            text = fh.read()
-        body = []
-        for line in io.StringIO(text):
-            if line.startswith("#"):
-                key, val = line[1:].strip().split("=", 1)
-                meta[key.strip()] = float(val)
-            else:
-                body.append(line)
-        reader = csv.reader(body)
-        header = next(reader)
-        if header != ["x", "F"]:
-            raise DomainError("unexpected CSV header for ArchStationaryLaw grid")
-        for row in reader:
-            if row:
-                rows.append((float(row[0]), float(row[1])))
-        xs = np.array([r[0] for r in rows])
-        fs = np.array([r[1] for r in rows])
-        return cls(meta["theta0"], meta["theta1"], meta["kappa"], meta["c"],
-                   meta["blend_x"], xs, fs)
 
 
 EXPONENTIAL = StandardExponential()

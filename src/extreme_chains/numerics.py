@@ -146,10 +146,6 @@ class FvSolution:
     residual: float
     iterations: int
 
-    @property
-    def lower_endpoint(self):
-        return -1.0 / (1.0 - self.phi)
-
     def sf(self, y):
         y = np.asarray(y, dtype=float)
         xs = self.grid.xs
@@ -162,11 +158,6 @@ class FvSolution:
 
     def cdf(self, y):
         return 1.0 - self.sf(y)
-
-    def mean(self):
-        xs = self.grid.xs
-        return xs[0] + np.trapezoid(np.exp(np.interp(xs, xs, self.log_sf)), xs) \
-            + self.tail_const * np.exp(-xs[-1])
 
 
 def _fv_grid(phi, grid_size):
@@ -228,20 +219,17 @@ def _solve_fv(phi, grid_size=2048, tol=1e-9, max_iter=2000):
     return FvSolution(phi, grid, np.log(sf), tail_const, residual, it)
 
 
-def solve_Fv_fixed_point(phi, grid_size=2048, tol=1e-9, max_iter=2000,
-                         full=False):
+def solve_Fv_fixed_point(phi, grid_size=2048, tol=1e-9, max_iter=2000):
     """Stationary CDF of ``V' = phi V + (E - 1)`` with unit exponential ``E``.
 
     Damped fixed-point iteration of the survival-form stationarity map on a
     ``grid_size``-point grid spanning the support from ``-1/(1-phi)``; the
-    returned CDF has fixed-point residual below ``tol``.  ``full=True``
-    returns the :class:`FvSolution` (survival data included) instead of just
-    the CDF grid.
+    returned :class:`FvSolution` (CDF grid and survival data) has fixed-point
+    residual below ``tol``.
     """
     if not 0.0 < phi < 1.0:
         raise ValidationError("phi must lie in (0, 1)")
-    sol = _solve_fv(phi, grid_size=grid_size, tol=tol, max_iter=max_iter)
-    return sol if full else sol.grid
+    return _solve_fv(phi, grid_size=grid_size, tol=tol, max_iter=max_iter)
 
 
 def fv_residual(sol, refine=2):

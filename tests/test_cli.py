@@ -194,16 +194,41 @@ class TestErrors:
                     "law": 3}},
         {"kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7,
                     "fit_draws": 0}},
+        # misspelt top-level keys; a change naming its kind is a whole config
+        {"kind": "figure1", "seed": 1, "n_paths": 200, "horizon": 3, "gama": 0.3},
+        {"kind": "negdep", "seed": 1, "n_paths": 200, "rhoo": -0.5},
+        {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 100, "tt": 3,
+         "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}},
+        {"init": {"x0": 5.0, "u": 5.0}},                     # both x0 and u
     ])
     def test_bad_config_exits_2_with_json_line(self, tmp_path, capsys, change):
         config = {"kind": "simulate", "seed": 1,
                   "kernel": {"id": "bev_logistic", "gamma": 0.2},
                   "init": {"u": 5.0}, "horizon": 1, "n_paths": 10}
-        cfg = write_config(tmp_path, "bad.json", dict(config, **change))
+        if "kind" not in change:
+            change = dict(config, **change)
+        cfg = write_config(tmp_path, "bad.json", change)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--workers", "1"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
+
+    @pytest.mark.parametrize("config,says", [
+        ({"kind": "figure1", "seed": 1, "n_paths": 200, "gama": 0.3},
+         "unknown key 'gama' (allowed: gamma, horizon, kind, n_paths, phi, rho, "
+         "seed, x0)"),
+        ({"kind": "hidden", "seed": 1, "example": "arch", "n_paths": 16},
+         "missing required key 'horizon' (allowed: example, horizon, kind, "
+         "n_paths, params, seed)"),
+    ])
+    def test_top_level_key_error_names_key_and_allowed(self, tmp_path, capsys,
+                                                       config, says):
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert says in err["error"]
 
     @pytest.mark.parametrize("change,says", [
         ({"scheme": {"id": "ht_canonical", "alfa": 0.64, "beta": 0.5}}, "takes"),

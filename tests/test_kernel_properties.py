@@ -1,11 +1,17 @@
-"""Property tests of the closed-form quantiles of the logistic kernel pair.
+"""Property tests of the kernel quantiles.
 
-Over the parameter box gamma in [0.05, 0.95], uniforms in [0, 1) (with 0 and
-1 - 2^-53 always in play) and states up to 700 (5000 for the BEV kernel,
-whose Frechet map overflows beyond ~709), ``ppf`` must be finite,
-nondecreasing in u and an inverse of ``cdf`` to 1e-12.  Draws at the floor
-shared with bisection only have to cover u.  Each drawn uniform comes with
-its next float up, so monotonicity is tested between adjacent floats too.
+The closed-form quantiles of the logistic kernel pair, over the parameter box
+gamma in [0.05, 0.95], uniforms in [0, 1) (with 0 and 1 - 2^-53 always in
+play) and states up to 700 (5000 for the BEV kernel, whose Frechet map
+overflows beyond ~709), must be finite, nondecreasing in u and an inverse of
+``cdf`` to 1e-12.  Draws at the floor shared with the root-finding path only
+have to cover u.  Each drawn uniform comes with its next float up, so
+monotonicity is tested between adjacent floats too.
+
+The root-finding quantiles of the asymmetric logistic and the inverted
+Husler-Reiss kernels meet the same bounds, except monotonicity between
+adjacent floats, which that path does not claim, and a draw costs at most
+30 ``cdf`` evaluations.
 """
 
 import numpy as np
@@ -25,13 +31,15 @@ STATES = st.floats(0.01, 700.0, exclude_min=True)
 DEEP_STATES = st.floats(700.0, 5000.0, exclude_min=True)
 
 
-def check_ppf(kernel, x, us, tol):
+def check_ppf(kernel, x, us, tol, monotone=True):
     u = np.array([0.0, U_TOP] + us)
     u = np.sort(np.concatenate([u, np.minimum(np.nextafter(u, 1.0), U_TOP)]))
     xs = np.full(u.shape, x)
     y = kernel.ppf(xs, u)
     assert np.all(np.isfinite(y))
-    assert np.all(np.diff(y) >= 0.0)
+    assert np.all(y >= kernels._FLOOR)
+    if monotone:
+        assert np.all(np.diff(y) >= 0.0)
     F = kernel.cdf(xs, y)
     floor = y == kernels._FLOOR
     err = np.abs(F - u)
@@ -55,3 +63,49 @@ def test_bev_ppf_deep_states(gamma, x, us):
     # below 1/gamma, so the identity holds to that rounding on top of 1e-12.
     check_ppf(kernels.BevLogisticKernel(gamma), x, us,
               lambda y: 1e-12 + np.spacing(y) / gamma)
+
+
+UNIT_BOX = st.floats(0.05, 0.95)
+
+
+@PROPERTY_SETTINGS
+@given(phi1=UNIT_BOX, phi2=UNIT_BOX, nu=UNIT_BOX, x=STATES, us=UNIFORMS)
+def test_asymmetric_logistic_ppf_inverts_cdf(phi1, phi2, nu, x, us):
+    kernel = kernels.AsymmetricLogisticKernel(phi1, phi2, nu)
+    check_ppf(kernel, x, us, lambda y: 1e-12, monotone=False)
+
+
+@PROPERTY_SETTINGS
+@given(gamma=st.floats(0.2, 3.0), x=st.floats(0.01, 200.0, exclude_min=True),
+       us=UNIFORMS)
+def test_inverted_husler_reiss_ppf_inverts_cdf(gamma, x, us):
+    kernel = kernels.InvertedMaxStableKernel(kernels.HuslerReiss(gamma))
+    check_ppf(kernel, x, us, lambda y: 1e-12, monotone=False)
+
+
+class CountingCdf:
+    """Wraps a kernel's ``cdf`` and counts the (x, y) pairs it evaluates."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.evals = 0
+
+    def __call__(self, x, y):
+        val = self.kernel.cdf(x, y)
+        self.evals += np.size(val)
+        return val
+
+
+@pytest.mark.parametrize("kernel", [
+    kernels.AsymmetricLogisticKernel(0.5, 0.5, 0.152),
+    kernels.InvertedMaxStableKernel(kernels.HuslerReiss(1.0)),
+], ids=["asymmetric_logistic", "inverted_husler_reiss"])
+@pytest.mark.parametrize("x", [2.0, 9.0, 30.0])
+def test_root_finding_cost_per_draw(kernel, x):
+    # ~15 evaluations per draw; fixed-step bisection took 95
+    n = 10_000
+    u = np.random.default_rng(8).uniform(size=n)
+    cdf = CountingCdf(kernel)
+    y = kernels._inverse_cdf_sample(cdf, np.full(n, x), u, kernels._FLOOR)
+    assert np.all(np.isfinite(y))
+    assert cdf.evals <= 30 * n, cdf.evals / n

@@ -222,7 +222,7 @@ class TestKernelSample:
 
     @pytest.mark.parametrize("nan_region", [
         lambda y: np.ones_like(y, dtype=bool),
-        lambda y: (y > 9.0) & (y < 11.0),       # where the midpoints converge
+        lambda y: (y > 9.0) & (y < 11.0),       # around the root
     ], ids=["everywhere", "midpoints"])
     def test_nan_cdf_raises(self, nan_region):
         def cdf(x, y):
@@ -234,7 +234,7 @@ class TestKernelSample:
 
     @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
     def test_closed_form_ppf_matches_bisection(self, kernel_id):
-        # the Wright-omega inverse and bisection on cdf give the same draw
+        # the Wright-omega inverse and the root of cdf give the same draw
         rng = np.random.default_rng(4)
         k = kernels.make_kernel(kernel_id, gamma=0.152)
         x = rng.exponential(size=2000) * 5.0 + 0.05
@@ -244,9 +244,16 @@ class TestKernelSample:
 
     @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
     def test_closed_form_ppf_floor(self, kernel_id):
-        # u = 0 maps to the finite floor shared with bisection, never NaN
+        # u = 0 maps to the finite floor shared with root finding, never NaN
         k = kernels.make_kernel(kernel_id, gamma=0.3)
         y = k.ppf(np.array([0.5, 10.0, 300.0]), 0.0)
+        np.testing.assert_array_equal(y, kernels._FLOOR)
+
+    def test_asymmetric_logistic_ppf_floor(self):
+        # the cdf keeps ~5e-13 of mass below the floor at x = 9, so u = 0
+        # and any u up to that mass draw the floor
+        k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
+        y = k.ppf(np.full(2, 9.0), [0.0, 1e-13])
         np.testing.assert_array_equal(y, kernels._FLOOR)
 
     def test_stationarity_catalogue(self, arch_kernel_07, expar_kernel):

@@ -134,14 +134,3 @@ class TestArchStationary:
 
     def test_theta1_one_has_kappa_two(self):
         assert numerics.arch_tail_index(1.0) == 2.0
-
-    def test_csv_round_trip(self, law, tmp_path):
-        path = tmp_path / "arch_grid.csv"
-        law.to_csv(path)
-        back = margins.ArchStationaryLaw.from_csv(path)
-        assert back.kappa == law.kappa
-        assert back.c == law.c
-        np.testing.assert_allclose(back.grid_x, law.grid_x)
-        np.testing.assert_allclose(back.grid_cdf, law.grid_cdf)
-        xs = np.linspace(-20.0, 20.0, 101)
-        np.testing.assert_allclose(back.cdf(xs), law.cdf(xs), atol=1e-14)

@@ -38,7 +38,7 @@ class TestArchTailIndex:
 
 @pytest.fixture(scope="module")
 def sol():
-    return numerics.solve_Fv_fixed_point(0.8, full=True)
+    return numerics.solve_Fv_fixed_point(0.8)
 
 
 class TestFvFixedPoint:
@@ -53,7 +53,7 @@ class TestFvFixedPoint:
     def test_residual_reverified_at_double_resolution(self, sol):
         # independent pass: fresh solve at twice the grid size, plus the
         # quadrature-map residual of the interpolated solution
-        sol2 = numerics.solve_Fv_fixed_point(0.8, grid_size=4096, full=True)
+        sol2 = numerics.solve_Fv_fixed_point(0.8, grid_size=4096)
         assert sol2.residual < 1e-8
         xs = sol.grid.xs
         assert np.max(np.abs(sol2.cdf(xs) - sol.grid.ys)) < 1e-4
@@ -81,7 +81,7 @@ class TestFvFixedPoint:
 
     def test_other_phis_converge(self):
         for phi in (0.3, 0.6, 0.9):
-            s = numerics.solve_Fv_fixed_point(phi, grid_size=1024, full=True)
+            s = numerics.solve_Fv_fixed_point(phi, grid_size=1024)
             assert s.residual < 1e-8
             assert s.grid.xs[0] == pytest.approx(-1.0 / (1.0 - phi))
 
