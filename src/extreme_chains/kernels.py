@@ -21,10 +21,8 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize.elementwise import bracket_root, find_root
-from scipy.special import wrightomega
-from scipy.stats import norm
+from scipy.special import ndtr, wrightomega
 
 from . import margins, numerics
 from .errors import (AccuracyError, DomainError, SamplingError, ValidationError,
@@ -135,25 +133,25 @@ class HuslerReiss(ExponentMeasure):
         g = self.gamma
         w = np.asarray(w, dtype=float)
         lw = np.log(w)
-        return norm.cdf(g / 2.0 + lw / g) + (1.0 / w) * norm.cdf(g / 2.0 - lw / g)
+        return ndtr(g / 2.0 + lw / g) + (1.0 / w) * ndtr(g / 2.0 - lw / g)
 
     def V1_unit(self, w):
         # exact: the two density terms cancel, leaving -Phi(g/2 + log(w)/g)
         g = self.gamma
-        return -norm.cdf(g / 2.0 + np.log(np.asarray(w, dtype=float)) / g)
+        return -ndtr(g / 2.0 + np.log(np.asarray(w, dtype=float)) / g)
 
     def one_minus_V_unit(self, w):
         g = self.gamma
         w = np.asarray(w, dtype=float)
         lw = np.log(w)
-        return norm.sf(g / 2.0 + lw / g) - (1.0 / w) * norm.cdf(g / 2.0 - lw / g)
+        return ndtr(-(g / 2.0 + lw / g)) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
 
     def _dV_unit(self, w):
         g = self.gamma
         w = np.asarray(w, dtype=float)
         lw = np.log(w)
         # the phi-terms cancel pairwise as in V1_unit
-        return -(1.0 / (w * w)) * norm.cdf(g / 2.0 - lw / g)
+        return -(1.0 / (w * w)) * ndtr(g / 2.0 - lw / g)
 
 
 # Requested accuracy of every density-family integral (absolute below 1).
@@ -163,6 +161,10 @@ _QUAD_TOL = 1e-12
 def _integrate(f, lo, hi):
     """int_lo^hi f by QUADPACK; AccuracyError carries the estimate if the
     error bound misses _QUAD_TOL."""
+    # imported on first use: only the density families integrate, and
+    # scipy.integrate would add about 0.35 s to every CLI start
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         # a miss is reported by the AccuracyError below, not on stderr
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -511,7 +513,7 @@ class GaussianCopulaKernel(_Kernel):
         ok = y > self.support_lo if np.isfinite(self.support_lo) else np.ones_like(out, bool)
         yb = np.broadcast_to(y, out.shape)
         zy = self._to_z(np.where(ok, yb, 1.0))
-        val = norm.cdf((zy - self.rho * zx) / math.sqrt(1.0 - self.rho ** 2))
+        val = ndtr((zy - self.rho * zx) / math.sqrt(1.0 - self.rho ** 2))
         return np.where(ok, val, 0.0)
 
     def sample(self, x, rng):
@@ -789,8 +791,10 @@ class RootzenSmithKernel(_Kernel):
 
 
 class ArchLaplaceKernel(_Kernel):
-    """Squared-volatility recursion transformed to standard Laplace margins;
-    ``law`` reuses a fitted stationary law instead of fitting one."""
+    """Squared-volatility recursion Y' = sqrt(theta0 + theta1 Y^2) W on
+    standard Laplace margins, through the stationary law of Y that
+    :func:`numerics.arch_stationary_fit` solves; ``law`` reuses a solved law
+    instead of solving one."""
 
     scale = "laplace"
     support_lo = -np.inf
@@ -813,7 +817,7 @@ class ArchLaplaceKernel(_Kernel):
         y = np.asarray(y, dtype=float)
         zx = margins.transform(x, margins.LAPLACE, self.law)
         zy = margins.transform(y, margins.LAPLACE, self.law)
-        return norm.cdf(zy / np.sqrt(self.theta0 + self.theta1 * zx * zx))
+        return ndtr(zy / np.sqrt(self.theta0 + self.theta1 * zx * zx))
 
     def sample(self, x, rng):
         x, scalar = _as_array(np.asarray(x, dtype=float))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
                      ValidationError, call_checked)
@@ -311,8 +311,8 @@ class LimitLaw:
 
 def _gaussian_law(sd, name):
     return LimitLaw(name=name,
-                    cdf=lambda x: norm.cdf(np.asarray(x, dtype=float) / sd),
-                    ppf=lambda p: sd * norm.ppf(p),
+                    cdf=lambda x: ndtr(np.asarray(x, dtype=float) / sd),
+                    ppf=lambda p: sd * ndtri(p),
                     mean=0.0, var=sd * sd)
 
 
@@ -454,11 +454,11 @@ def _law_arch_g_plus(theta1, kappa):
     def cdf(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            return 2.0 * norm.cdf(np.exp(x / kappa) / rt) - 1.0
+            return 2.0 * ndtr(np.exp(x / kappa) / rt) - 1.0
 
     def ppf(p):
         p = np.asarray(p, dtype=float)
-        return kappa * np.log(rt * norm.ppf((1.0 + p) / 2.0))
+        return kappa * np.log(rt * ndtri((1.0 + p) / 2.0))
 
     return LimitLaw(name=f"arch_g_plus(theta1={theta1})", cdf=cdf, ppf=ppf)
 
@@ -471,11 +471,11 @@ def _law_arch_g_minus(theta1, kappa):
     def cdf(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            return 2.0 * norm.cdf(-np.exp(-x / kappa) / rt)
+            return 2.0 * ndtr(-np.exp(-x / kappa) / rt)
 
     def ppf(p):
         p = np.asarray(p, dtype=float)
-        return -kappa * np.log(-rt * norm.ppf(p / 2.0))
+        return -kappa * np.log(-rt * ndtri(p / 2.0))
 
     return LimitLaw(name=f"arch_g_minus(theta1={theta1})", cdf=cdf, ppf=ppf)
 

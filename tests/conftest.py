@@ -6,8 +6,8 @@ from extreme_chains import kernels, numerics
 
 @pytest.fixture(scope="session")
 def arch_law_07():
-    """Full-size stationary fit for theta1 = 0.7 (shared: the fit is seconds)."""
-    return numerics.arch_stationary_fit(1.0, 0.7, seed=0)
+    """Solved stationary law for theta1 = 0.7, shared by the ARCH kernel tests."""
+    return numerics.arch_stationary_fit(1.0, 0.7)
 
 
 @pytest.fixture(scope="session")

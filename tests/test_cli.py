@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +271,14 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
         assert "takes" in err["error"]
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    # a cold CLI start loads neither; the density families import quad on use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, extreme_chains.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
