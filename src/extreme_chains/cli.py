@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -211,22 +212,14 @@ def _run_tasks(fn, arglist, workers):
         return list(pool.map(fn, arglist))
 
 
-def _int_tails(int_columns, shape):
-    """``",a,b"`` per cell from the integer columns; ``""`` when there are none."""
-    if not int_columns:
-        return [[""] * shape[1]] * shape[0]
-    columns = [np.asarray(c, dtype=np.int64).tolist() for c in int_columns]
-    return [["".join(f",{k}" for k in cells) for cells in zip(*per_path)]
-            for per_path in zip(*columns)]
-
-
 def _write_paths_csv(path, header, chunks, t0=0):
     """Write long-format path rows ``path,t,value[,int columns]``; returns rows.
 
     Each chunk is ``(values, *int_columns)``, arrays of shape (paths, steps),
     and t counts from ``t0``.  The bytes are those ``csv.writer`` gives for
     ``[pid, t, repr(float(v)), int(c), ...]``: no field needs quoting and
-    every line ends in ``\r\n``.
+    every line ends in ``\r\n``.  Each path is one ``str.format`` call on a
+    template built once per chunk, with arguments ``pid, *values, *ints...``.
     """
     rows = 0
     pid = 0
@@ -234,11 +227,16 @@ def _write_paths_csv(path, header, chunks, t0=0):
         fh.write(",".join(header) + "\r\n")
         for values, *int_columns in chunks:
             values = np.asarray(values, dtype=float)
-            steps = range(t0, t0 + values.shape[1])
-            tails = _int_tails(int_columns, values.shape)
-            for row, tail in zip(values.tolist(), tails):
-                fh.write("".join([f"{pid},{t},{v!r}{e}\r\n"
-                                  for t, v, e in zip(steps, row, tail)]))
+            steps = values.shape[1]
+            n_int = len(int_columns)
+            template = "".join(
+                f"{{0}},{t0 + t},{{{1 + t}!r}}"
+                + "".join(f",{{{1 + k * steps + t}}}" for k in range(1, n_int + 1))
+                + "\r\n" for t in range(steps)).format
+            columns = [values.tolist()]
+            columns += [np.asarray(c, dtype=np.int64).tolist() for c in int_columns]
+            for cells in zip(*columns):
+                fh.write(template(pid, *chain.from_iterable(cells)))
                 pid += 1
             rows += values.size
     return rows

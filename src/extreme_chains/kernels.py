@@ -21,7 +21,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize.elementwise import bracket_root, find_root
 from scipy.special import ndtr, wrightomega
 
 from . import margins, numerics
@@ -345,6 +344,10 @@ def _inverse_cdf_sample(cdf, x, u, support_lo):
     (Chandrupatla's method) solves to float resolution.  A NaN from ``cdf``,
     or a bracket or root that scipy cannot find, raises SamplingError.
     """
+    # imported on first use: the logistic pair and the direct samplers never
+    # find a root, and scipy.optimize would add about 0.4 s to every CLI start
+    from scipy.optimize.elementwise import bracket_root, find_root
+
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
     def excess(y, x, u):

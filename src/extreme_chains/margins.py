@@ -211,15 +211,17 @@ def transform(x, src, dst):
 
     Computes ``dst.ppf(src.cdf(x))`` but routes through the survival pair
     ``dst.isf(src.sf(x))`` when the point sits in the upper half, so both
-    tails keep relative precision.
+    tails keep relative precision.  ``src.cdf`` is evaluated only at the
+    lower-half points.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(src.sf(x), dtype=float)
     upper = s < 0.5
+    lower = ~upper
     out = np.empty_like(s)
     if np.any(upper):
         out[upper] = dst.isf(np.clip(s[upper], _P_LO, _P_HI))
-    if np.any(~upper):
-        p = np.asarray(src.cdf(x), dtype=float)
-        out[~upper] = dst.ppf(np.clip(p[~upper], _P_LO, _P_HI))
+    if np.any(lower):
+        p = np.asarray(src.cdf(x[lower]), dtype=float)
+        out[lower] = dst.ppf(np.clip(p, _P_LO, _P_HI))
     return out if out.ndim else float(out)

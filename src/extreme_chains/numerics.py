@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr
 
 from . import margins
@@ -55,6 +54,8 @@ def arch_tail_index(theta1):
         raise ValidationError("theta1 must lie in (0, 1]")
     if theta1 == 1.0:
         return 2.0
+    # imported on first use: only the volatility chain solves for kappa
+    from scipy.optimize import brentq
 
     def g(u):
         return u * math.log(2.0 * theta1) + gammaln(u + 0.5) - 0.5 * math.log(math.pi)
@@ -102,11 +103,25 @@ def _gauss_panels(edges, order):
 
 def _arch_kernel(s, r, theta1):
     """K(s, r) = d/dr 2 Phibar(s / sigma(r)), sigma(r)^2 = 1 + theta1 r^2, and
-    its s-derivative, on the grid s x r."""
+    its s-derivative, on the grid s x r.
+
+    The two returned blocks are the only block-sized arrays it allocates; the
+    operations, and so the bits, are those of ``phi = exp(-0.5 v v) c(r)``,
+    ``phi s`` and ``phi (1 - v v)`` with ``v = s / sigma(r)``.
+    """
     sig2 = 1.0 + theta1 * r * r
-    v = s[:, None] / np.sqrt(sig2)
-    phi = np.exp(-0.5 * v * v) * ((2.0 * theta1 / _SQRT_2PI) * r / (sig2 * np.sqrt(sig2)))
-    return phi * s[:, None], phi * (1.0 - v * v)
+    sig = np.sqrt(sig2)
+    coef = (2.0 * theta1 / _SQRT_2PI) * r / (sig2 * sig)
+    v = s[:, None] / sig
+    phi = np.multiply(v, -0.5)
+    np.multiply(phi, v, out=phi)
+    np.exp(phi, out=phi)
+    np.multiply(phi, coef, out=phi)
+    np.multiply(v, v, out=v)
+    np.subtract(1.0, v, out=v)
+    np.multiply(phi, v, out=v)          # phi (1 - v v)
+    np.multiply(phi, s[:, None], out=phi)
+    return phi, v
 
 
 class _ArchNystrom:
@@ -135,8 +150,9 @@ class _ArchNystrom:
         rows = np.append(self.r[:n], _ARCH_R)
         a = np.empty((n + 1, n + 1))
         for i in range(0, n + 1, self._step):
-            kw = _arch_kernel(rows[i:i + self._step], self.r, theta1)[0] * w
-            a[i:i + self._step, :n] = -kw[:, :n]
+            kw = _arch_kernel(rows[i:i + self._step], self.r, theta1)[0]
+            kw *= w
+            np.negative(kw[:, :n], out=a[i:i + self._step, :n])
             a[i:i + self._step, n] = -kw[:, n:].sum(axis=1)
         a[np.diag_indices(n + 1)] += 1.0
         sol = np.linalg.solve(a, 2.0 * ndtr(-rows))

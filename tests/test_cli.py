@@ -152,6 +152,34 @@ class TestPathsCsv:
             assert read(new) == read(ref)
             assert rows == 2 * values.size
 
+    def test_bytes_match_csv_writer_on_unequal_chunks(self, tmp_path):
+        # the docstring's contract, on chunks of 3 and 1 paths and on values
+        # whose repr is signed zero, subnormal or in exponent form
+        values = [np.array([[-0.0, 5e-324, 1e-5], [0.1, 1e16, -2.5e20],
+                            [1e-5, -0.0, 0.1]]),
+                  np.array([[-2.5e20, 1e16, 5e-324]])]
+        regime = [np.array([[0, -1, 2], [1, 1, 0], [3, 0, -2]]), np.array([[7, 0, 1]])]
+        change = [v > 0.0 for v in values]
+        for t0, n_int in ((0, 0), (1, 0), (0, 2), (1, 2)):
+            chunks = [(v, r, c)[:1 + n_int] for v, r, c in zip(values, regime, change)]
+            header = ["path", "t", "value", "regime", "is_changepoint"][:3 + n_int]
+            ref = tmp_path / f"ref{t0}{n_int}.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                pid = 0
+                for v, *ints in chunks:
+                    for i in range(v.shape[0]):
+                        for t in range(v.shape[1]):
+                            writer.writerow([pid, t + t0, repr(float(v[i, t]))]
+                                            + [int(c[i, t]) for c in ints])
+                        pid += 1
+            new = tmp_path / f"new{t0}{n_int}.csv"
+            rows = cli._write_paths_csv(new, header, chunks, t0=t0)
+            assert read(new) == read(ref)
+            assert rows == 12
+            assert b",-0.0" in read(new) and b",5e-324" in read(new)
+
 
 class TestErrors:
 
@@ -273,6 +301,23 @@ class TestErrors:
         assert "takes" in err["error"]
 
 
+@pytest.mark.parametrize("config, name", [
+    ({"kind": "simulate", "seed": 11,
+      "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+      "init": {"u": 5.0}, "horizon": 4, "n_paths": 400}, "paths.csv"),
+    ({"kind": "hidden", "seed": 12, "example": "asym_logistic",
+      "horizon": 4, "n_paths": 64}, "hidden_paths.csv"),
+], ids=["arch_simulate", "asym_logistic_hidden"])
+def test_paths_outputs_worker_invariant(tmp_path, config, name):
+    # pool workers build their own kernels and import scipy.optimize
+    # themselves; the bytes must not depend on it
+    cfg = write_config(tmp_path, "p.json", config)
+    for w in ("1", "2"):
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / w),
+                         "--workers", w]) == 0
+    assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
+
+
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
     # a cold CLI start loads neither; the density families import quad on use
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -282,3 +327,22 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_figure1_run_leaves_out_scipy_optimize_interpolate_and_linalg(tmp_path):
+    # no figure-1 kernel finds a root or tabulates a law; the ARCH kernel
+    # still builds afterwards, through the imports it makes on first use
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "\n".join([
+        "import sys",
+        "from extreme_chains import cli, kernels",
+        f"cli.run_experiment({FIG1_CONFIG!r}, {str(tmp_path / 'fig')!r})",
+        "print([m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg')",
+        "       if m in sys.modules])",
+        "k = kernels.make_kernel('arch_laplace', theta0=1.0, theta1=0.7)",
+        "print(k.law.kappa > 0.0, 'scipy.optimize' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]

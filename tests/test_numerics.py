@@ -55,6 +55,18 @@ class TestArchStationaryFit:
         for a, b in zip(coarse, fine):
             assert np.max(np.abs(a / b - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("theta1", [0.05, 0.7, 0.99])
+    def test_kernel_matches_the_plain_expression(self, theta1):
+        s = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 97)])
+        r = np.concatenate([[0.0], np.geomspace(1e-6, 1e16, 300)])
+        sig2 = 1.0 + theta1 * r * r
+        v = s[:, None] / np.sqrt(sig2)
+        phi = np.exp(-0.5 * v * v) * ((2.0 * theta1 / math.sqrt(2.0 * math.pi)) * r
+                                      / (sig2 * np.sqrt(sig2)))
+        k, dk = numerics._arch_kernel(s, r, theta1)
+        assert np.array_equal(k, phi * s[:, None])
+        assert np.array_equal(dk, phi * (1.0 - v * v))
+
     def test_table_residual_recorded(self, arch_law_07):
         assert 0.0 < arch_law_07.residual <= 1e-8
 
