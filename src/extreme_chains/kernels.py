@@ -1,22 +1,23 @@
 """Bivariate transition kernels with exact conditional CDFs and quantiles.
 
-Every kernel lives on a declared marginal scale (exponential, Laplace or
-Gaussian) and exposes ``cdf(x, y)`` (vectorised in either argument),
-``ppf(x, u)`` and ``sample(x, rng)``.  Kernels whose natural closed form sits
+Every kernel declares its stationary law (exponential, Laplace or Gaussian)
+and exposes ``cdf(x, y)`` (vectorised in either argument), ``ppf(x, u)`` and
+``sample(x, rng)``.  Kernels whose natural closed form sits
 on the Frechet scale (the logistic pair and the asymmetric logistic kernel)
 work internally with ``log T``, the logarithm of the map
 ``T(x) = -1/log(1 - exp(-x))``, so that states beyond x ~ 709, where ``T``
 overflows, stay exact.
 
-Sampling is one code path per kernel: ``sample(x, rng)`` is
-``ppf(x, U)`` with one uniform per draw, unless the defining mechanism gives
-a direct sampler (conditional normal, volatility recursion, tail-switching
-recursion, the autoregression behind the exponential-AR chain, the mixture
-pick).  The logistic pair inverts its CDF exactly through the Wright omega
+Sampling is one code path per kernel: ``sample(x, rng)`` is ``ppf(x, U)``
+with one uniform per draw, unless the defining mechanism gives a direct
+sampler ``_draw(x, rng)`` (conditional normal, volatility recursion,
+tail-switching recursion, the autoregression behind the exponential-AR chain,
+the mixture pick).  The logistic pair inverts its CDF exactly through the Wright omega
 function; the other kernels solve ``cdf(x, y) = u`` with scipy's elementwise
 ``bracket_root`` and ``find_root``.
 """
 
+import functools
 import math
 import warnings
 
@@ -85,29 +86,25 @@ def exponential_from_log_frechet(log_xf):
 class ExponentMeasure:
     """Bivariate exponent function V with partial derivative V_1.
 
-    Subclasses provide ``V_unit(w) = V(1, w)``, its derivative ``_dV_unit(w)``,
-    ``V1_unit(w) = V_1(1, w)`` and the cancellation-safe
-    ``one_minus_V_unit(w) = 1 - V(1, w)``; the general evaluations follow by
-    homogeneity ``V(x, y) = V(1, y/x)/x``.
+    Subclasses provide what the inverted kernel reads: ``V1_unit(w) =
+    V_1(1, w)`` and the cancellation-safe ``one_minus_V_unit(w) = 1 - V(1, w)``.
+    The general evaluations follow by homogeneity: V is of order -1 and V_1
+    of order -2, so V(x, y) = V(1, y/x)/x and V_1(x, y) = V_1(1, y/x)/x^2.
     """
 
     name = "exponent"
 
     def V(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(x <= 0.0) or np.any(y <= 0.0):
-            raise DomainError("exponent measure arguments must be positive")
+        x, y = _positive_pair(x, y)
         return self.V_unit(y / x) / x
 
     def V1(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(x <= 0.0) or np.any(y <= 0.0):
-            raise DomainError("exponent measure arguments must be positive")
-        # differentiate V(1, y/x)/x in x:  V_1 = -[V(1,w) + w V'(1,w)]/x^2
-        w = y / x
-        return -(self.V_unit(w) + w * self._dV_unit(w)) / (x * x)
+        x, y = _positive_pair(x, y)
+        return self.V1_unit(y / x) / (x * x)
+
+    def V_unit(self, w):
+        """V(1, w)."""
+        return 1.0 - self.one_minus_V_unit(w)
 
     def V1_unit(self, w):
         """V_1(1, w): partial derivative in the first slot at (1, w)."""
@@ -116,6 +113,14 @@ class ExponentMeasure:
     def one_minus_V_unit(self, w):
         """1 - V(1, w) without cancellation (V(1, w) -> 1 as w -> infinity)."""
         raise NotImplementedError
+
+
+def _positive_pair(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x <= 0.0) or np.any(y <= 0.0):
+        raise DomainError("exponent measure arguments must be positive")
+    return x, y
 
 
 class HuslerReiss(ExponentMeasure):
@@ -128,12 +133,6 @@ class HuslerReiss(ExponentMeasure):
             raise ValidationError("husler_reiss gamma must be positive")
         self.gamma = float(gamma)
 
-    def V_unit(self, w):
-        g = self.gamma
-        w = np.asarray(w, dtype=float)
-        lw = np.log(w)
-        return ndtr(g / 2.0 + lw / g) + (1.0 / w) * ndtr(g / 2.0 - lw / g)
-
     def V1_unit(self, w):
         # exact: the two density terms cancel, leaving -Phi(g/2 + log(w)/g)
         g = self.gamma
@@ -144,13 +143,6 @@ class HuslerReiss(ExponentMeasure):
         w = np.asarray(w, dtype=float)
         lw = np.log(w)
         return ndtr(-(g / 2.0 + lw / g)) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
-
-    def _dV_unit(self, w):
-        g = self.gamma
-        w = np.asarray(w, dtype=float)
-        lw = np.log(w)
-        # the phi-terms cancel pairwise as in V1_unit
-        return -(1.0 / (w * w)) * ndtr(g / 2.0 - lw / g)
 
 
 # Requested accuracy of every density-family integral (absolute below 1).
@@ -214,17 +206,9 @@ class DensityFamily(ExponentMeasure):
     def V1_unit(self, w):
         return -(1.0 - self._moments(w)[1])
 
-    def V_unit(self, w):
-        H0, H1 = self._moments(w)
-        return (1.0 - H1) + (H0 - H1) / w
-
     def one_minus_V_unit(self, w):
         H0, H1 = self._moments(w)
         return H1 - (H0 - H1) / w
-
-    def _dV_unit(self, w):
-        H0, H1 = self._moments(w)
-        return -(H0 - H1) / (w * w)
 
 
 def density_constant():
@@ -265,7 +249,7 @@ def _bump_density(a, b):
     return g, g0
 
 
-def density_power_decay(s, a=0.05, b=0.55):
+def density_power_decay(s):
     """Density with exact decay h(w) ~ kappa * w**s as w -> 0, s > -1.
 
     kappa and the bump weight are solved from the two moment constraints; the
@@ -274,6 +258,7 @@ def density_power_decay(s, a=0.05, b=0.55):
     """
     if s <= -1.0:
         raise ValidationError("power decay exponent must exceed -1")
+    a, b = 0.05, 0.55
     m0 = 1.0 / (s + 1.0)
     m1 = 1.0 / (s + 2.0)
     g, g0 = _bump_density(a, b)
@@ -295,11 +280,11 @@ def density_power_decay(s, a=0.05, b=0.55):
     return fam
 
 
-def density_exp_decay(delta, gamma, kappa, a=0.15):
+def density_exp_decay(delta, gamma, kappa):
     """Density with exact decay h(w) ~ w**delta * exp(-kappa w**-gamma) as w -> 0.
 
     The decay term enters with coefficient one; a quartic bump away from the
-    origin absorbs the two moment constraints.
+    origin, from a = 0.15, absorbs the two moment constraints.
     """
     if gamma <= 0.0 or kappa <= 0.0:
         raise ValidationError("exp decay needs gamma > 0 and kappa > 0")
@@ -309,6 +294,7 @@ def density_exp_decay(delta, gamma, kappa, a=0.15):
             return 0.0
         return w ** delta * math.exp(-kappa * w ** (-gamma))
 
+    a = 0.15
     m0 = _integrate(core, 0.0, 1.0)
     m1 = _integrate(lambda w: w * core(w), 0.0, 1.0)
     target = (1.0 - m1) / (2.0 - m0)
@@ -439,26 +425,42 @@ def _logistic_zeta(L, log_c, m):
     return z.reshape(shape)
 
 
-def _as_array(x):
-    x = np.asarray(x, dtype=float)
-    return x, x.ndim == 0
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
+def _conditional_cdf(cdf):
+    """Wrap a kernel's ``cdf(self, x, y)``, written for y above the support
+    floor, in the shared contract: the state check, 0 at and below the
+    floor, and values clipped to [0, 1]."""
+    @functools.wraps(cdf)
+    def checked(self, x, y):
+        x = self._check_x(x)
+        y = np.asarray(y, dtype=float)
+        lo = self.support_lo
+        below = y <= lo
+        val = cdf(self, x, np.where(below, lo + 1.0, y))
+        return np.where(below, 0.0, np.clip(val, 0.0, 1.0))
+    return checked
+
+
 class _Kernel:
-    scale = "exponential"
-    support_lo = 0.0
+    """Each kernel states its ``stationary_law`` and writes its formulas:
+    ``cdf`` under ``_conditional_cdf``, and ``ppf`` or ``_draw`` where it
+    has a closed form or a direct sampler."""
+
     stationary_law = margins.EXPONENTIAL
     ht_alpha_beta = None
 
+    @property
+    def support_lo(self):
+        return self.stationary_law.support[0]
+
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
-        if self.support_lo == 0.0 and np.any(x <= 0.0):
-            raise DomainError(f"{self.name}: conditioning state must be positive "
-                              "on the exponential scale")
+        if np.any(x <= self.support_lo):
+            raise DomainError(f"{self.name}: conditioning state must exceed "
+                              f"the support floor {self.support_lo}")
         return x
 
     def cdf(self, x, y):
@@ -470,9 +472,13 @@ class _Kernel:
         return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
 
     def sample(self, x, rng):
-        x, scalar = _as_array(x)
-        y = self.ppf(x, rng.uniform(size=x.shape))
-        return float(y) if scalar else y
+        """One draw per state; a scalar state gives a float."""
+        x = self._check_x(x)
+        y = self._draw(x, rng)
+        return float(y) if x.ndim == 0 else y
+
+    def _draw(self, x, rng):
+        return self.ppf(x, rng.uniform(size=x.shape))
 
 
 class GaussianCopulaKernel(_Kernel):
@@ -482,15 +488,11 @@ class GaussianCopulaKernel(_Kernel):
         if not -1.0 < rho < 1.0 or rho == 0.0:
             raise ValidationError("rho must lie in (-1, 1) and be nonzero")
         self.rho = float(rho)
-        laws = {"exponential": margins.EXPONENTIAL,
-                "laplace": margins.LAPLACE,
-                "gaussian": margins.GAUSSIAN}
+        laws = {law.name: law for law in (margins.EXPONENTIAL, margins.LAPLACE,
+                                          margins.GAUSSIAN)}
         if margin not in laws:
             raise ValidationError(f"unknown margin '{margin}'")
-        self.margin = margin
         self.stationary_law = laws[margin]
-        self.scale = margin
-        self.support_lo = 0.0 if margin == "exponential" else -np.inf
         self.name = f"gaussian_copula(rho={rho}, {margin})"
         if rho > 0.0:
             if margin == "gaussian":
@@ -499,32 +501,24 @@ class GaussianCopulaKernel(_Kernel):
                 self.ht_alpha_beta = (rho * rho, 0.5)
 
     def _to_z(self, x):
-        if self.margin == "gaussian":
-            return np.asarray(x, dtype=float)
+        if self.stationary_law is margins.GAUSSIAN:
+            return x
         return margins.transform(x, self.stationary_law, margins.GAUSSIAN)
 
     def _from_z(self, z):
-        if self.margin == "gaussian":
+        if self.stationary_law is margins.GAUSSIAN:
             return z
         return margins.transform(z, margins.GAUSSIAN, self.stationary_law)
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        x = self._check_x(x)
-        y = np.asarray(y, dtype=float)
         zx = self._to_z(x)
-        out = np.zeros(np.broadcast(x, y).shape)
-        ok = y > self.support_lo if np.isfinite(self.support_lo) else np.ones_like(out, bool)
-        yb = np.broadcast_to(y, out.shape)
-        zy = self._to_z(np.where(ok, yb, 1.0))
-        val = ndtr((zy - self.rho * zx) / math.sqrt(1.0 - self.rho ** 2))
-        return np.where(ok, val, 0.0)
+        return ndtr((self._to_z(y) - self.rho * zx) / math.sqrt(1.0 - self.rho ** 2))
 
-    def sample(self, x, rng):
-        x, scalar = _as_array(self._check_x(x))
-        z = self._to_z(x)
-        z2 = self.rho * z + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(x.shape)
-        y = self._from_z(z2)
-        return float(y) if scalar else y
+    def _draw(self, x, rng):
+        z = self.rho * self._to_z(x) \
+            + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(x.shape)
+        return self._from_z(z)
 
 
 class _LogisticPairKernel(_Kernel):
@@ -565,13 +559,10 @@ class BevLogisticKernel(_LogisticPairKernel):
     def frechet_cdf(self, xf, yf):
         return np.exp(self._log_cdf(np.log(xf), np.log(yf)))
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        x = self._check_x(x)
-        y = np.asarray(y, dtype=float)
-        ok = y > 0.0
-        log_yf = log_frechet_from_exponential(np.where(ok, y, 1.0))
-        val = np.exp(self._log_cdf(log_frechet_from_exponential(x), log_yf))
-        return np.where(ok, val, 0.0)
+        return np.exp(self._log_cdf(log_frechet_from_exponential(x),
+                                    log_frechet_from_exponential(y)))
 
     def ppf(self, x, u):
         log_xf = log_frechet_from_exponential(self._check_x(x))
@@ -592,13 +583,10 @@ class InvertedBevLogisticKernel(_LogisticPairKernel):
         super().__init__(gamma)
         self.ht_alpha_beta = (0.0, 1.0 - self.gamma)
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        log_x = np.log(self._check_x(x))
-        y = np.asarray(y, dtype=float)
-        ok = y > 0.0
-        d = np.log(np.where(ok, y, 1.0)) - log_x
-        val = -np.expm1(-_logistic_L(self._zeta(d), log_x, self._m))
-        return np.where(ok, val, 0.0)
+        log_x = np.log(x)
+        return -np.expm1(-_logistic_L(self._zeta(np.log(y) - log_x), log_x, self._m))
 
     def ppf(self, x, u):
         log_x = np.log(self._check_x(x))
@@ -624,6 +612,7 @@ class AsymmetricLogisticKernel(_Kernel):
         self.nu = float(nu)
         self.name = f"asymmetric_logistic({phi1}, {phi2}, {nu})"
 
+    @_conditional_cdf
     def cdf(self, x, y):
         # With d = log[(p2/y_F)^{1/nu} / (p1/x_F)^{1/nu}] and
         # ell = log(1 + e^d) on the Frechet scale, the cdf is
@@ -631,10 +620,8 @@ class AsymmetricLogisticKernel(_Kernel):
         #     * exp(-p1 e^{nu ell}/x_F (1 - e^{-nu ell}) - (1 - p2)/y_F).
         # It is evaluated from log x_F and log y_F, so states beyond x ~ 709
         # stay finite, and nu ell - log x_F is formed without cancellation.
-        log_xf = log_frechet_from_exponential(self._check_x(x))
-        y = np.asarray(y, dtype=float)
-        ok = y > 0.0
-        log_yf = log_frechet_from_exponential(np.where(ok, y, 1.0))
+        log_xf = log_frechet_from_exponential(x)
+        log_yf = log_frechet_from_exponential(y)
         p1, p2, nu = self.phi1, self.phi2, self.nu
         c = math.log(p2 / p1)
         d = (c + log_xf - log_yf) / nu
@@ -643,8 +630,7 @@ class AsymmetricLogisticKernel(_Kernel):
         log_joint = nu * q + np.maximum(c - log_yf, -log_xf)
         expo = p1 * np.exp(log_joint) * -np.expm1(-nu * ell) \
             + (1.0 - p2) * np.exp(-log_yf)
-        val = ((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo)
-        return np.where(ok, np.clip(val, 0.0, 1.0), 0.0)
+        return ((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo)
 
 
 class InvertedMaxStableKernel(_Kernel):
@@ -660,17 +646,13 @@ class InvertedMaxStableKernel(_Kernel):
         self.exponent = exponent
         self.name = f"inverted_max_stable({exponent.name})"
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        x = self._check_x(x)
-        y = np.asarray(y, dtype=float)
-        ok = y > 0.0
-        yy = np.where(ok, y, 1.0)
-        w = x / yy
+        w = x / y
         v1 = self.exponent.V1_unit(w)
         one_minus_v = self.exponent.one_minus_V_unit(w)
         with np.errstate(over="ignore"):
-            val = 1.0 + v1 * np.exp(x * one_minus_v)
-        return np.where(ok, np.clip(val, 0.0, 1.0), 0.0)
+            return 1.0 + v1 * np.exp(x * one_minus_v)
 
 
 class ExpARKernel(_Kernel):
@@ -715,18 +697,12 @@ class ExpARKernel(_Kernel):
         logsf = np.where(beyond, self._log_tail_c - v, logsf)
         return -np.where(v <= self._dec_x[0], 0.0, logsf)
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        x = self._check_x(x)
-        y = np.asarray(y, dtype=float)
-        ok = y > 0.0
-        d = self.U(np.where(ok, y, 1.0)) - self.phi * self.U(x)
-        return np.where(ok, np.where(d > 0.0, -np.expm1(-np.maximum(d, 0.0)), 0.0), 0.0)
+        return -np.expm1(-np.maximum(self.U(y) - self.phi * self.U(x), 0.0))
 
-    def sample(self, x, rng):
-        x, scalar = _as_array(self._check_x(x))
-        v = self.phi * self.U(x) + rng.exponential(size=x.shape)
-        y = self.U_inverse(v)
-        return float(y) if scalar else y
+    def _draw(self, x, rng):
+        return self.U_inverse(self.phi * self.U(x) + rng.exponential(size=x.shape))
 
 
 class HtMixtureKernel(_Kernel):
@@ -739,7 +715,7 @@ class HtMixtureKernel(_Kernel):
             if k.ht_alpha_beta is None:
                 raise ValidationError(
                     "mixture components must carry canonical (alpha, beta) indices")
-            if k.scale != "exponential":
+            if k.stationary_law is not margins.EXPONENTIAL:
                 raise ValidationError("mixture components must live on the exponential scale")
         a1, b1 = k1.ht_alpha_beta
         a2, b2 = k2.ht_alpha_beta
@@ -753,25 +729,23 @@ class HtMixtureKernel(_Kernel):
         self.alpha2, self.beta2 = a2, b2
         self.name = f"ht_mixture(lam={lam}, {k1.name}, {k2.name})"
 
+    @_conditional_cdf
     def cdf(self, x, y):
         return self.lam * self.k1.cdf(x, y) + (1.0 - self.lam) * self.k2.cdf(x, y)
 
-    def sample(self, x, rng):
-        x, scalar = _as_array(self._check_x(x))
+    def _draw(self, x, rng):
         pick1 = rng.uniform(size=x.shape) < self.lam
         out = np.empty_like(x)
         if pick1.any():
             out[pick1] = self.k1.sample(x[pick1], rng)
         if (~pick1).any():
             out[~pick1] = self.k2.sample(x[~pick1], rng)
-        return float(out) if scalar else out
+        return out
 
 
 class RootzenSmithKernel(_Kernel):
     """Tail-switching chain on Laplace margins: flip sign or draw fresh."""
 
-    scale = "laplace"
-    support_lo = -np.inf
     stationary_law = margins.LAPLACE
 
     def __init__(self, p_flip=0.5):
@@ -780,17 +754,14 @@ class RootzenSmithKernel(_Kernel):
         self.p_flip = float(p_flip)
         self.name = "rootzen_smith"
 
+    @_conditional_cdf
     def cdf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         return self.p_flip * (y >= -x) + (1.0 - self.p_flip) * margins.LAPLACE.cdf(y)
 
-    def sample(self, x, rng):
-        x, scalar = _as_array(np.asarray(x, dtype=float))
+    def _draw(self, x, rng):
         flip = rng.uniform(size=x.shape) < self.p_flip
         fresh = margins.LAPLACE.ppf(rng.uniform(size=x.shape))
-        y = np.where(flip, -x, fresh)
-        return float(y) if scalar else y
+        return np.where(flip, -x, fresh)
 
 
 class ArchLaplaceKernel(_Kernel):
@@ -799,8 +770,7 @@ class ArchLaplaceKernel(_Kernel):
     :func:`numerics.arch_stationary_fit` solves; ``law`` reuses a solved law
     instead of solving one."""
 
-    scale = "laplace"
-    support_lo = -np.inf
+    stationary_law = margins.LAPLACE
 
     def __init__(self, theta0, theta1, law=None):
         if theta0 <= 0.0:
@@ -811,37 +781,32 @@ class ArchLaplaceKernel(_Kernel):
         self.theta1 = float(theta1)
         self.law = law if law is not None else numerics.arch_stationary_fit(
             theta0, theta1)
-        self.kappa = self.law.kappa
-        self.stationary_law = margins.LAPLACE
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
 
-    def cdf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        zx = margins.transform(x, margins.LAPLACE, self.law)
-        zy = margins.transform(y, margins.LAPLACE, self.law)
-        return ndtr(zy / np.sqrt(self.theta0 + self.theta1 * zx * zx))
-
-    def sample(self, x, rng):
-        x, scalar = _as_array(np.asarray(x, dtype=float))
+    def _volatility(self, x):
         z = margins.transform(x, margins.LAPLACE, self.law)
-        z2 = np.sqrt(self.theta0 + self.theta1 * z * z) * rng.standard_normal(x.shape)
-        y = margins.transform(z2, self.law, margins.LAPLACE)
-        return float(y) if scalar else y
+        return np.sqrt(self.theta0 + self.theta1 * z * z)
+
+    @_conditional_cdf
+    def cdf(self, x, y):
+        zy = margins.transform(y, margins.LAPLACE, self.law)
+        return ndtr(zy / self._volatility(x))
+
+    def _draw(self, x, rng):
+        z = self._volatility(x) * rng.standard_normal(x.shape)
+        return margins.transform(z, self.law, margins.LAPLACE)
 
 
 # ---------------------------------------------------------------------------
 # catalogue
 # ---------------------------------------------------------------------------
 
-# Each family takes only its named parameters from a config; the shape
-# constants of the decay families (a, b) stay at their defaults.
 _EXPONENT_FAMILIES = {
-    "husler_reiss": lambda gamma: HuslerReiss(gamma),
-    "logistic": lambda gamma: density_logistic(gamma),
-    "constant": lambda: density_constant(),
-    "power_decay": lambda s: density_power_decay(s),
-    "exp_decay": lambda delta, gamma, kappa: density_exp_decay(delta, gamma, kappa),
+    "husler_reiss": HuslerReiss,
+    "logistic": density_logistic,
+    "constant": density_constant,
+    "power_decay": density_power_decay,
+    "exp_decay": density_exp_decay,
 }
 
 

@@ -56,7 +56,6 @@ class TestExponentMeasures:
         np.testing.assert_allclose(em.V1_unit(w), -upper, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(em.V_unit(w), upper + lower / w, rtol=1e-12)
         np.testing.assert_allclose(em.one_minus_V_unit(w), -s / w, rtol=1e-12)
-        np.testing.assert_allclose(em._dV_unit(w), -lower / (w * w), rtol=1e-12)
 
     def test_density_moment_validation(self):
         with pytest.raises(ValidationError):
@@ -78,11 +77,12 @@ class TestExponentMeasures:
             em.V1(1.0, 0.0)
 
     def test_v1_matches_difference_quotient(self):
-        em = kernels.HuslerReiss(1.3)
-        for (x, y) in [(1.0, 1.0), (2.0, 0.7), (0.4, 1.9)]:
-            h = 1e-6 * x
-            fd = (em.V(x + h, y) - em.V(x - h, y)) / (2.0 * h)
-            assert em.V1(x, y) == pytest.approx(fd, rel=1e-5)
+        # V1 comes from V1_unit by homogeneity, V from one_minus_V_unit
+        for em in (kernels.HuslerReiss(1.3), kernels.density_constant()):
+            for (x, y) in [(1.0, 1.0), (2.0, 0.7), (0.4, 1.9)]:
+                h = 1e-6 * x
+                fd = (em.V(x + h, y) - em.V(x - h, y)) / (2.0 * h)
+                assert em.V1(x, y) == pytest.approx(fd, rel=1e-5), em.name
 
     def test_power_decay_family_constructs(self):
         # s near 0 puts a cusp (s > 0) or a jump (s = 0) at the origin
