@@ -253,10 +253,11 @@ def _write_table(path, header, rows):
 
 def _run_simulate(config, out_dir, workers):
     start = config["init"]
-    if not isinstance(start, dict) or set(start) not in ({"x0"}, {"u"}):
+    if set(start) not in ({"x0"}, {"u"}):
         raise ValidationError(
             "init must be a mapping with exactly one key, 'x0' (fixed start) or "
             f"'u' (exceedance threshold); got {start!r}")
+    _check_values(start)
     chunks = _run_tasks(_task_simulate_chunk,
                         [(config, c) for c in range(_N_CHUNKS)], workers)
     path = os.path.join(out_dir, "paths.csv")
@@ -339,8 +340,41 @@ _KINDS = {
 }
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _grid(v):
+    return isinstance(v, list) and len(v) > 0 and all(map(_number, v))
+
+
+_COUNT = (lambda v: _number(v) and isinstance(v, int), "an integer")
+_REAL = (_number, "a number")
+_MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+
+# config key -> (check, what its value must be), for the top-level keys of
+# every kind and the keys of "init"
+_VALUES = {
+    **dict.fromkeys(("seed", "n_paths", "horizon", "t"), _COUNT),
+    **dict.fromkeys(("x0", "u", "gamma", "phi", "rho", "atom_cut"), _REAL),
+    **dict.fromkeys(("kernel", "scheme", "limit_law", "init", "params"), _MAPPING),
+    "v_grid": (_grid, "a non-empty list of numbers"),
+    "u_grid": (lambda v: _grid(v) and all(0.0 < u < 1.0 for u in v),
+               "a non-empty list of numbers inside (0, 1)"),
+    "example": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_values(config):
+    for key, value in config.items():
+        check, want = _VALUES.get(key, (None, None))
+        if check is not None and not check(value):
+            raise ValidationError(f"config key '{key}' must be {want}; got {value!r}")
+
+
 def _check_keys(config):
-    """The runner of the config's kind, once its top-level keys are checked."""
+    """The runner of the config's kind, once its top-level keys and the
+    types of their values are checked."""
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(
@@ -356,6 +390,7 @@ def _check_keys(config):
         if key not in required + optional:
             raise ValidationError(
                 f"{kind} config has unknown key '{key}' (allowed: {allowed})")
+    _check_values(config)
     return runner
 
 
@@ -386,8 +421,6 @@ def run_experiment(config, out_dir, workers=1):
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     runner = _check_keys(config)
-    if isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
-        raise ValidationError("seed must be an integer")
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     outputs = runner(config, out_dir, workers)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import margins
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -42,16 +43,19 @@ class FixedX0:
 
 @dataclass
 class Exceedance:
-    """Start from ``law`` above ``u`` by exact inverse-CDF conditioning:
-    X_0 = law.ppf(F(u) + (1 - F(u)) U)."""
+    """Start from ``law`` above ``u`` by exact inverse-survival conditioning:
+    X_0 = law.isf(S(u) (1 - U)), in full relative precision however deep u
+    sits."""
 
     u: float
 
     def draw(self, law, n, rng):
-        pu = float(law.cdf(self.u))
-        if not pu < 1.0:
-            raise DomainError(f"threshold {self.u} beyond the law's numeric range")
-        return law.ppf(pu + (1.0 - pu) * rng.uniform(size=n))
+        su = float(law.sf(self.u))
+        # 1 - U >= 2^-53, so no draw's probability reaches the quantile clamp
+        if not su * 2.0 ** -53 >= margins._P_LO:
+            raise DomainError(f"threshold {self.u} beyond the law's numeric range "
+                              f"(P(X > u) = {su:.3g})")
+        return law.isf(su * (1.0 - rng.uniform(size=n)))
 
 
 def conditional_forward_sim(kernel, law, init, T, n, rng):

@@ -32,17 +32,14 @@ def _binom2(t):
     return t * (t - 1) / 2.0
 
 
-@dataclass
 class NormingScheme:
     """Time-indexed location/scale norming pair with one-step base maps and
     the update functions of the tail-chain recursion
     M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t."""
 
-    scheme_id: str
-    params: dict
-    scale: str                      # marginal scale the scheme lives on
-    scale_only: bool = False        # Theorem-2 regime (no location norming)
-    alternating: bool = False       # Theorem-3 regime (sign-alternating)
+    scheme_id = None
+    scale = "exponential"           # marginal scale the scheme lives on
+    scale_only = False              # Theorem-2 regime (no location norming)
 
     def a(self, t, v):
         raise NotImplementedError
@@ -70,15 +67,16 @@ class HtCanonicalScheme(NormingScheme):
     beta in (0,1)) where b_t(v) = v**(beta**t).
     """
 
-    def __init__(self, alpha, beta, scale="exponential"):
+    scheme_id = "ht_canonical"
+
+    def __init__(self, alpha, beta):
         ok = (0.0 <= alpha <= 1.0) and (0.0 <= beta < 1.0) and (alpha, beta) != (0.0, 0.0)
         if not ok:
             raise ValidationError(
                 "(alpha, beta) must lie in [0,1] x [0,1) and not be (0, 0)")
         if alpha == 1.0 and beta != 0.0:
             raise ValidationError("alpha = 1 requires beta = 0")
-        super().__init__("ht_canonical", {"alpha": alpha, "beta": beta}, scale,
-                         scale_only=(alpha == 0.0))
+        self.scale_only = alpha == 0.0
         self.alpha = float(alpha)
         self.beta = float(beta)
 
@@ -115,10 +113,11 @@ class HuslerReissScheme(NormingScheme):
     stated limit law (checked numerically in the test suite).
     """
 
+    scheme_id = "husler_reiss"
+
     def __init__(self, gamma):
         if gamma <= 0.0:
             raise ValidationError("gamma must be positive")
-        super().__init__("husler_reiss", {"gamma": gamma}, "exponential")
         self.gamma = float(gamma)
 
     def a(self, t, v):
@@ -154,12 +153,11 @@ class DensityDecayScheme(NormingScheme):
     -(t/gamma^2) log kappa.
     """
 
+    scheme_id = "density_decay"
+
     def __init__(self, kappa, gamma, delta):
         if kappa <= 0.0 or gamma <= 0.0:
             raise ValidationError("kappa and gamma must be positive")
-        super().__init__("density_decay",
-                         {"kappa": kappa, "gamma": gamma, "delta": delta},
-                         "exponential")
         self.kappa = float(kappa)
         self.gamma = float(gamma)
         self.delta = float(delta)
@@ -193,16 +191,15 @@ class DensityDecayScheme(NormingScheme):
 class NegativeHtScheme(NormingScheme):
     """Alternating canonical norming for negatively dependent chains."""
 
+    scheme_id = "negative_ht"
+    scale = "laplace"
+
     def __init__(self, alpha_minus, alpha_plus, beta):
         for nm, a in (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus)):
             if not -1.0 < a < 0.0:
                 raise ValidationError(f"{nm} must lie in (-1, 0)")
         if not 0.0 <= beta < 1.0:
             raise ValidationError("beta must lie in [0, 1)")
-        super().__init__("negative_ht",
-                         {"alpha_minus": alpha_minus, "alpha_plus": alpha_plus,
-                          "beta": beta},
-                         "laplace", alternating=True)
         self.alpha_minus = float(alpha_minus)
         self.alpha_plus = float(alpha_plus)
         self.beta = float(beta)
@@ -236,11 +233,12 @@ class NegativeHtScheme(NormingScheme):
 class AlternatingGaussianScheme(NormingScheme):
     """Negatively dependent Gaussian copula chain on Laplace margins."""
 
+    scheme_id = "alternating_gaussian"
+    scale = "laplace"
+
     def __init__(self, rho):
         if not -1.0 < rho < 0.0:
             raise ValidationError("rho must lie in (-1, 0)")
-        super().__init__("alternating_gaussian", {"rho": rho}, "laplace",
-                         alternating=True)
         self.rho = float(rho)
 
     def a(self, t, v):
@@ -365,42 +363,36 @@ def _law_inverted_bev_logistic(gamma):
                     ppf=ppf, support=(0.0, np.inf))
 
 
+def _exp_exponential_law(c, rate, name):
+    """K(x) = 1 - exp(-c exp(rate x)), the limit law of the inverted
+    max-stable chains under their location norming."""
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            return -np.expm1(-c * np.exp(rate * x))
+
+    def ppf(p):
+        p = np.asarray(p, dtype=float)
+        return np.log(-np.log1p(-p) / c) / rate
+
+    return LimitLaw(name=name, cdf=cdf, ppf=ppf)
+
+
 def _law_husler_reiss(gamma):
     """K(x) = 1 - exp(-(8 pi)^{-1/2} gamma exp(sqrt(2) x / gamma))."""
     if gamma <= 0.0:
         raise ValidationError("gamma must be positive")
-    theta = gamma / math.sqrt(8.0 * math.pi)
-    rate = math.sqrt(2.0) / gamma
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return -np.expm1(-theta * np.exp(rate * x))
-
-    def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return np.log(-np.log1p(-p) / theta) / rate
-
-    return LimitLaw(name=f"husler_reiss(gamma={gamma})", cdf=cdf, ppf=ppf)
+    return _exp_exponential_law(gamma / math.sqrt(8.0 * math.pi),
+                                math.sqrt(2.0) / gamma, f"husler_reiss(gamma={gamma})")
 
 
 def _law_density_decay(c=None, gamma=None, delta=None):
     """K(x) = 1 - exp(-c exp(gamma x)); c may be given or derived from delta."""
-    if c is None:
+    if c is None and None not in (gamma, delta):
         c = delta + 2.0 * (1.0 + gamma)
-    if c <= 0.0 or gamma is None or gamma <= 0.0:
-        raise ValidationError("need c > 0 and gamma > 0")
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return -np.expm1(-c * np.exp(gamma * x))
-
-    def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return np.log(-np.log1p(-p) / c) / gamma
-
-    return LimitLaw(name=f"density_decay(c={c}, gamma={gamma})", cdf=cdf, ppf=ppf)
+    if c is None or c <= 0.0 or gamma is None or gamma <= 0.0:
+        raise ValidationError("need gamma > 0 and c > 0, given or derived from delta")
+    return _exp_exponential_law(c, gamma, f"density_decay(c={c}, gamma={gamma})")
 
 
 def _law_asym_logistic_g1(phi1, phi2, nu):

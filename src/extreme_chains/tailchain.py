@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, margins
+from . import kernels, margins, norming, numerics
 from .errors import RegimeError, ValidationError
 
 __all__ = [
@@ -119,7 +119,7 @@ def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
     return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
 
 
-def hidden_asym_logistic(phi1, phi2, nu, T, n, rng, kernel=None):
+def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
     """Hidden tail chain of the asymmetric-logistic chain.
 
     Before the first zero of the latent Bernoulli(phi1) sequence the chain is
@@ -128,10 +128,8 @@ def hidden_asym_logistic(phi1, phi2, nu, T, n, rng, kernel=None):
     by the original transition kernel.
     """
     _check_horizon(T, n)
-    from . import norming as _norming
-    g1 = _norming.limit_law("asym_logistic_g1", phi1=phi1, phi2=phi2, nu=nu)
-    if kernel is None:
-        kernel = kernels.AsymmetricLogisticKernel(phi1, phi2, nu)
+    g1 = norming.limit_law("asym_logistic_g1", phi1=phi1, phi2=phi2, nu=nu)
+    kernel = kernels.AsymmetricLogisticKernel(phi1, phi2, nu)
     B = rng.uniform(size=(n, T)) < phi1
     M = np.empty((n, T))
     regime = np.empty((n, T), dtype=np.int8)
@@ -275,7 +273,7 @@ def hidden_rootzen_smith(T, n, rng, p=0.5):
     return HiddenChainPaths(M, regime, cp, example="rootzen_smith")
 
 
-def hidden_arch(theta0, theta1, T, n, rng, kappa=None):
+def hidden_arch(theta0, theta1, T, n, rng):
     """Hidden tail chain of the volatility chain on Laplace margins.
 
     Signed random walk M_{t+1} = s_{t+1} M_t + eps_{t+1} whose sign flips
@@ -284,12 +282,9 @@ def hidden_arch(theta0, theta1, T, n, rng, kappa=None):
     the parity of the change-point count.
     """
     _check_horizon(T, n)
-    from . import norming as _norming
-    from . import numerics as _numerics
-    if kappa is None:
-        kappa = _numerics.arch_tail_index(theta1)
-    gp = _norming.limit_law("arch_g_plus", theta1=theta1, kappa=kappa)
-    gm = _norming.limit_law("arch_g_minus", theta1=theta1, kappa=kappa)
+    kappa = numerics.arch_tail_index(theta1)
+    gp = norming.limit_law("arch_g_plus", theta1=theta1, kappa=kappa)
+    gm = norming.limit_law("arch_g_minus", theta1=theta1, kappa=kappa)
     B = rng.uniform(size=(n, T)) < 0.5
     cp = _flip_changepoints(B)
     k_count = np.cumsum(cp, axis=1)

@@ -283,6 +283,39 @@ class TestErrors:
         assert says in err["error"]
         assert not err["error"].startswith('"')       # no KeyError quoting
 
+    @pytest.mark.parametrize("key,change", [
+        ("n_paths", {"n_paths": "100"}),
+        ("n_paths", {"n_paths": 100.5}),
+        ("horizon", {"horizon": True}),
+        ("init", {"init": [5.0]}),
+        ("u", {"init": {"u": "5"}}),
+        ("kernel", {"kernel": "bev_logistic"}),
+        ("v_grid", {"kind": "converge", "seed": 1, "v_grid": 6.0, "n_paths": 10,
+                    "kernel": {"id": "gaussian_copula", "rho": 0.8},
+                    "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+                    "limit_law": {"id": "gaussian_exponential", "rho": 0.8}}),
+        ("u_grid", {"kind": "chi", "seed": 1, "u_grid": [1.0], "n_paths": 10,
+                    "kernel": {"id": "gaussian_copula", "rho": 0.8}}),
+        ("u_grid", {"kind": "chi", "seed": 1, "u_grid": [], "n_paths": 10,
+                    "kernel": {"id": "gaussian_copula", "rho": 0.8}}),
+        ("x0", {"kind": "figure1", "seed": 1, "n_paths": 10, "x0": "10"}),
+        ("example", {"kind": "hidden", "seed": 1, "example": ["arch"],
+                     "horizon": 2, "n_paths": 16}),
+    ])
+    def test_wrongly_typed_value_exits_2_naming_key(self, tmp_path, capsys, key,
+                                                    change):
+        config = {"kind": "simulate", "seed": 1,
+                  "kernel": {"id": "bev_logistic", "gamma": 0.2},
+                  "init": {"u": 5.0}, "horizon": 1, "n_paths": 10}
+        if "kind" not in change:
+            change = dict(config, **change)
+        cfg = write_config(tmp_path, "bad.json", change)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert f"config key '{key}' must be" in err["error"]
+
     @pytest.mark.parametrize("example,params", [
         ("arch", {"thetaa1": 0.7}),                       # misspelt key
         ("asym_logistic", {"phi1": 0.5, "nuu": 0.152}),

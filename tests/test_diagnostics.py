@@ -6,7 +6,7 @@ import pytest
 from extreme_chains import diagnostics, kernels, margins, norming, tailchain
 from extreme_chains.errors import DomainError
 
-from _oracles import ks_statistic
+from _oracles import dkw_bound, ks_statistic
 
 np.seterr(all="ignore")
 
@@ -36,6 +36,18 @@ class TestConditionalForwardSim:
         se = 1.2533 * X[:, 1].std() / math.sqrt(X.shape[0])
         # finite-level bias is positive and of order log(v)-ish / sqrt(v)
         assert abs(med - 6.4) < 3.0 * se + 1.0
+
+    @pytest.mark.parametrize("law", [margins.EXPONENTIAL, margins.LAPLACE],
+                             ids=["exponential", "laplace"])
+    @pytest.mark.parametrize("u", [30.0, 40.0])
+    def test_deep_exceedance_start(self, law, u, rng):
+        # above u > 0 both laws have an exactly unit exponential excess; the
+        # start keeps every draw distinct and above u however deep u sits
+        n = 100_000
+        x0 = diagnostics.Exceedance(u).draw(law, n, rng)
+        assert np.all(x0 > u)
+        assert np.unique(x0).size == n
+        assert ks_statistic(x0 - u, margins.EXPONENTIAL.cdf) < dkw_bound(n)
 
     def test_threshold_beyond_range(self, rng):
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")

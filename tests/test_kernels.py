@@ -171,6 +171,53 @@ class TestKernelCdf:
                 assert np.all((vals >= 0.0) & (vals <= 1.0)), k.name
 
 
+# one spec per catalogue id (a new kernel needs one here); the session
+# fixtures stand in for the kernels that solve a stationary law
+CONTRACT_SPECS = {
+    "arch_laplace": "arch_kernel_07",
+    "asymmetric_logistic": {"phi1": 0.4, "phi2": 0.7, "nu": 0.3},
+    "bev_logistic": {"gamma": 0.3},
+    "expar": "expar_kernel",
+    "gaussian_copula": {"rho": 0.6, "margin": "exponential"},
+    "ht_mixture": {"lam": 0.5,
+                   "k1": {"id": "gaussian_copula", "rho": 0.95,
+                          "margin": "exponential"},
+                   "k2": {"id": "inverted_bev_logistic", "gamma": 0.9}},
+    "inverted_bev_logistic": {"gamma": 0.3},
+    "inverted_max_stable": {"family": "husler_reiss", "gamma": 1.0},
+    "rootzen_smith": {},
+}
+
+
+@pytest.mark.parametrize("kernel_id", kernels.KERNEL_IDS)
+def test_kernel_contract(kernel_id, request):
+    spec = CONTRACT_SPECS[kernel_id]
+    k = (request.getfixturevalue(spec) if isinstance(spec, str)
+         else kernels.make_kernel(kernel_id, **spec))
+    lo = k.support_lo
+    assert lo == k.stationary_law.support[0]
+    # cdf: 0 at and below the support floor, inside [0, 1] above it
+    ys = np.array([1e-9, 0.3, 2.0, 9.0, 40.0])
+    if lo == 0.0:
+        below = np.array([-3.0, -0.0, 0.0])
+    else:
+        below, ys = np.array([-np.inf]), np.concatenate([-ys[::-1], ys])
+    vals = k.cdf(np.full(below.size + ys.size, 2.0), np.concatenate([below, ys]))
+    np.testing.assert_array_equal(vals[:below.size], 0.0)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    # a state at or below an exponential floor is outside the domain
+    if lo == 0.0:
+        for x in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                k.cdf(x, 1.0)
+            with pytest.raises(DomainError):
+                k.sample(x, np.random.default_rng(0))
+    # a scalar state draws a float, an array of states keeps its shape
+    rng = np.random.default_rng(6)
+    assert type(k.sample(2.0, rng)) is float
+    assert k.sample(np.full((2, 3), 2.0), rng).shape == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

@@ -308,6 +308,17 @@ class TestLimitLaws:
         with pytest.raises(RegimeError):
             k1.sample(10, rng)
 
+    @pytest.mark.parametrize("params", [{"gamma": 1.0}, {"c": 4.0},
+                                        {"delta": 0.0}, {"c": -1.0, "gamma": 1.0}])
+    def test_density_decay_law_needs_gamma_and_c(self, params):
+        # c is given or derived from delta; either missing is a config error
+        with pytest.raises(ValidationError):
+            norming.limit_law("density_decay", **params)
+
+    def test_density_decay_law_derives_c_from_delta(self):
+        law = norming.limit_law("density_decay", gamma=1.0, delta=0.0)
+        assert law.name == "density_decay(c=4.0, gamma=1.0)"
+
     def test_expar_limit_unknown(self):
         with pytest.raises(UnsupportedLawError):
             norming.limit_law("expar")
