@@ -72,16 +72,46 @@ def _chunk_size(n, chunk):
     return n // _N_CHUNKS + (1 if chunk < n % _N_CHUNKS else 0)
 
 
+def _first_path(n, chunk):
+    """Id of the first path in ``chunk``: the paths of the chunks before it."""
+    return sum(_chunk_size(n, c) for c in range(chunk))
+
+
+def _format_paths(first_path, t0, values, *int_columns):
+    """CSV text of long-format path rows ``path,t,value[,int columns]`` and
+    their count.
+
+    ``values`` and each int column are arrays of shape (paths, steps); path
+    ids count from ``first_path`` and t from ``t0``.  The bytes are those
+    ``csv.writer`` gives for ``[pid, t, repr(float(v)), int(c), ...]``: no
+    field needs quoting and every line ends in ``\r\n``.  Each path is one
+    ``str.format`` call on a template built once, with arguments
+    ``pid, *values, *ints...``.
+    """
+    values = np.asarray(values, dtype=float)
+    steps = values.shape[1]
+    template = "".join(
+        f"{{0}},{t0 + t},{{{1 + t}!r}}"
+        + "".join(f",{{{1 + k * steps + t}}}" for k in range(1, len(int_columns) + 1))
+        + "\r\n" for t in range(steps)).format
+    columns = [values.tolist()]
+    columns += [np.asarray(c, dtype=np.int64).tolist() for c in int_columns]
+    text = "".join([template(pid, *chain.from_iterable(cells))
+                    for pid, cells in enumerate(zip(*columns), first_path)])
+    return text, values.size
+
+
 def _task_simulate_chunk(args):
     config, chunk = args
     kern = _build_kernel(config["kernel"])
     rng = _rng_for(config["seed"], 1, chunk)
     init = (diagnostics.FixedX0(config["init"]["x0"]) if "x0" in config["init"]
             else diagnostics.Exceedance(config["init"]["u"]))
+    n = config["n_paths"]
     X = diagnostics.conditional_forward_sim(
         kern, kern.stationary_law, init, config["horizon"],
-        _chunk_size(config["n_paths"], chunk), rng)
-    return X
+        _chunk_size(n, chunk), rng)
+    return _format_paths(_first_path(n, chunk), 0, X)
 
 
 def _task_converge_row(args):
@@ -165,13 +195,13 @@ _HIDDEN_EXAMPLES = {
 def _task_hidden_chunk(args):
     config, chunk = args
     example = config["example"]
-    if example not in _HIDDEN_EXAMPLES:
-        raise ValidationError(f"unknown hidden example '{example}'")
     rng = _rng_for(config["seed"], 4, chunk)
-    m = _chunk_size(config["n_paths"], chunk)
-    builder = partial(_HIDDEN_EXAMPLES[example], config["horizon"], m, rng)
-    return call_checked(f"hidden example '{example}'", builder,
-                        config.get("params", {}))
+    n = config["n_paths"]
+    builder = partial(_HIDDEN_EXAMPLES[example], config["horizon"],
+                      _chunk_size(n, chunk), rng)
+    h = call_checked(f"hidden example '{example}'", builder,
+                     config.get("params", {}))
+    return _format_paths(_first_path(n, chunk), 1, h.M, h.regime, h.is_changepoint)
 
 
 def _task_chi_row(args):
@@ -206,40 +236,32 @@ def _task_negdep(args):
 # ---------------------------------------------------------------------------
 
 def _run_tasks(fn, arglist, workers):
+    """Yield ``fn(a)`` for each ``a`` of ``arglist``, in order, as each is done."""
     if workers <= 1 or len(arglist) <= 1:
-        return [fn(a) for a in arglist]
+        yield from map(fn, arglist)
+        return
     with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
-        return list(pool.map(fn, arglist))
+        yield from pool.map(fn, arglist)
 
 
-def _write_paths_csv(path, header, chunks, t0=0):
-    """Write long-format path rows ``path,t,value[,int columns]``; returns rows.
+def _write_paths_csv(task, config, workers, path, header):
+    """Run ``task`` on every non-empty path chunk and write the CSV text each
+    returns under ``header``, in chunk order; returns ``[(path, rows)]``.
 
-    Each chunk is ``(values, *int_columns)``, arrays of shape (paths, steps),
-    and t counts from ``t0``.  The bytes are those ``csv.writer`` gives for
-    ``[pid, t, repr(float(v)), int(c), ...]``: no field needs quoting and
-    every line ends in ``\r\n``.  Each path is one ``str.format`` call on a
-    template built once per chunk, with arguments ``pid, *values, *ints...``.
+    A chunk's index keys its seed, so a path keeps its chunk, and its bytes,
+    whatever the path count of the other chunks.
     """
+    n = config["n_paths"]
+    if n < 1:
+        raise ValidationError(f"config key 'n_paths' must be at least 1; got {n}")
     rows = 0
-    pid = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for values, *int_columns in chunks:
-            values = np.asarray(values, dtype=float)
-            steps = values.shape[1]
-            n_int = len(int_columns)
-            template = "".join(
-                f"{{0}},{t0 + t},{{{1 + t}!r}}"
-                + "".join(f",{{{1 + k * steps + t}}}" for k in range(1, n_int + 1))
-                + "\r\n" for t in range(steps)).format
-            columns = [values.tolist()]
-            columns += [np.asarray(c, dtype=np.int64).tolist() for c in int_columns]
-            for cells in zip(*columns):
-                fh.write(template(pid, *chain.from_iterable(cells)))
-                pid += 1
-            rows += values.size
-    return rows
+        for text, m in _run_tasks(
+                task, [(config, c) for c in range(min(n, _N_CHUNKS))], workers):
+            fh.write(text)
+            rows += m
+    return [(path, rows)]
 
 
 def _write_table(path, header, rows):
@@ -258,17 +280,15 @@ def _run_simulate(config, out_dir, workers):
             "init must be a mapping with exactly one key, 'x0' (fixed start) or "
             f"'u' (exceedance threshold); got {start!r}")
     _check_values(start)
-    chunks = _run_tasks(_task_simulate_chunk,
-                        [(config, c) for c in range(_N_CHUNKS)], workers)
-    path = os.path.join(out_dir, "paths.csv")
-    rows = _write_paths_csv(path, ("path", "t", "value"), [(X,) for X in chunks])
-    return [(path, rows)]
+    return _write_paths_csv(_task_simulate_chunk, config, workers,
+                            os.path.join(out_dir, "paths.csv"),
+                            ("path", "t", "value"))
 
 
 def _run_converge(config, out_dir, workers):
-    rows = _run_tasks(_task_converge_row,
-                      [(config, j) for j in range(len(config["v_grid"]))],
-                      workers)
+    rows = list(_run_tasks(_task_converge_row,
+                           [(config, j) for j in range(len(config["v_grid"]))],
+                           workers))
     path = os.path.join(out_dir, "convergence.csv")
     table = diagnostics.ConvergenceTable(
         config["kernel"]["id"], config["scheme"]["id"], config.get("t", 1), rows)
@@ -300,17 +320,17 @@ def _run_figure1(config, out_dir, workers):
 
 
 def _run_hidden(config, out_dir, workers):
-    chunks = _run_tasks(_task_hidden_chunk,
-                        [(config, c) for c in range(_N_CHUNKS)], workers)
-    path = os.path.join(out_dir, "hidden_paths.csv")
-    rows = _write_paths_csv(
-        path, ("path", "t", "value", "regime", "is_changepoint"),
-        [(h.M, h.regime, h.is_changepoint) for h in chunks], t0=1)
-    return [(path, rows)]
+    example = config["example"]
+    if example not in _HIDDEN_EXAMPLES:
+        raise ValidationError(f"unknown hidden example '{example}'; known: "
+                              f"{', '.join(_HIDDEN_EXAMPLES)}")
+    return _write_paths_csv(_task_hidden_chunk, config, workers,
+                            os.path.join(out_dir, "hidden_paths.csv"),
+                            ("path", "t", "value", "regime", "is_changepoint"))
 
 
 def _run_negdep(config, out_dir, workers):
-    rows = _run_tasks(_task_negdep, [(config, 0)], workers)[0]
+    rows = _task_negdep((config, 0))
     path = os.path.join(out_dir, "negdep_signs.csv")
     return [(path, _write_table(path, ["t", "sign_match_freq"],
                                 [[t, repr(frac)] for t, frac in rows]))]

@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the parameter check that
-turns a misspelt config key into a ValidationError."""
+turns a misspelt or wrongly typed config key into a ValidationError."""
 
 import inspect
+from collections.abc import Mapping
+from numbers import Real
 
 
 class ExtremeChainsError(Exception):
@@ -52,13 +54,37 @@ class SamplingError(ExtremeChainsError):
         self.u = u
 
 
+# parameters that are themselves specs: the components of a mixture
+_SPEC_PARAMETERS = ("k1", "k2", "g1", "g2")
+
+
 def call_checked(what, builder, params):
-    """``builder(**params)``; a parameter it does not take is a ValidationError."""
+    """``builder(**params)``; a parameter it does not take, or a value of the
+    wrong type, is a ValidationError.
+
+    A value must be a mapping for a component spec (``k1``, ``k2``, ``g1``,
+    ``g2``), a string where the builder's default is one, and a real number
+    (not a bool) otherwise.  Values caught by a ``**`` parameter are left to
+    the builder that takes them.
+    """
     signature = inspect.signature(builder)
     try:
-        signature.bind(**params)
+        bound = signature.bind(**params)
     except TypeError as exc:
         raise ValidationError(
             f"{what}: {exc} (takes: "
             f"{', '.join(signature.parameters) or 'no parameters'})") from None
+    for name, value in bound.arguments.items():
+        parameter = signature.parameters[name]
+        if parameter.kind is parameter.VAR_KEYWORD:
+            continue
+        if name in _SPEC_PARAMETERS:
+            want, ok = "a mapping", isinstance(value, Mapping)
+        elif isinstance(parameter.default, str):
+            want, ok = "a string", isinstance(value, str)
+        else:
+            want, ok = "a number", isinstance(value, Real) and not isinstance(value, bool)
+        if not ok:
+            raise ValidationError(
+                f"{what}: parameter '{name}' must be {want}; got {value!r}")
     return builder(**params)

@@ -817,12 +817,10 @@ def _build_inverted_max_stable(family="husler_reiss", **params):
         f"exponent family '{family}'", _EXPONENT_FAMILIES[family], params))
 
 
-def _component(k):
-    if not isinstance(k, dict):
-        return k
-    if "id" not in k:
+def _component(spec):
+    if "id" not in spec:
         raise ValidationError("mixture component spec needs an 'id'")
-    spec = dict(k)
+    spec = dict(spec)
     return make_kernel(spec.pop("id"), **spec)
 
 
@@ -849,7 +847,7 @@ def make_kernel(kernel_id, **params):
     """Construct a validated kernel from its catalogue id and parameters."""
     try:
         builder = _KERNEL_BUILDERS[kernel_id]
-    except KeyError:
+    except (KeyError, TypeError):      # TypeError: an unhashable id
         raise ValidationError(
             f"unknown kernel id '{kernel_id}'; known: {', '.join(KERNEL_IDS)}")
     return call_checked(f"kernel '{kernel_id}'", builder, params)

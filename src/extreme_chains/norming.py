@@ -269,7 +269,7 @@ def make_norming(scheme_id, **params):
     """Construct a validated norming scheme from the catalogue."""
     try:
         builder = _SCHEME_BUILDERS[scheme_id]
-    except KeyError:
+    except (KeyError, TypeError):      # TypeError: an unhashable id
         raise UnsupportedSchemeError(
             f"unknown norming scheme '{scheme_id}'; known: {', '.join(SCHEME_IDS)}")
     return call_checked(f"norming scheme '{scheme_id}'", builder, params)
@@ -501,7 +501,7 @@ def limit_law(law_id, **params):
     """Construct a catalogued limit law; unknown ids raise UnsupportedLawError."""
     try:
         builder = _LAW_BUILDERS[law_id]
-    except KeyError:
+    except (KeyError, TypeError):      # TypeError: an unhashable id
         raise UnsupportedLawError(
             f"unknown limit law '{law_id}'; known: {', '.join(LIMIT_LAW_IDS)}")
     return call_checked(f"limit law '{law_id}'", builder, params)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -127,34 +128,38 @@ class TestRunExperiment:
         assert len(rlines) == 1 + 4
 
 
+def csv_writer_rows(first_path, t0, chunks):
+    """The reference: ``csv.writer`` on ``[pid, t, repr(float(v)), int(c), ...]``
+    for chunks ``(values, *int_columns)`` whose path ids continue from
+    ``first_path``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    pid = first_path
+    for values, *ints in chunks:
+        for i in range(values.shape[0]):
+            for t in range(values.shape[1]):
+                writer.writerow([pid, t + t0, repr(float(values[i, t]))]
+                                + [int(c[i, t]) for c in ints])
+            pid += 1
+    return buf.getvalue()
+
+
 class TestPathsCsv:
 
-    def test_bytes_match_csv_writer(self, tmp_path):
+    def test_bytes_match_csv_writer(self):
         values = np.array([[-1.5, 1e-300, 1e300, 3.0],
                            [0.0, -2.0, 7.25e-12, 12345678.0]])
         regime = np.array([[0, 1, 2, -1], [3, 0, 1, 2]])
         change = np.array([[True, False, False, True], [False] * 4])
-        for t0, ints in ((0, ()), (1, (regime, change))):
-            header = ["path", "t", "value", "regime", "is_changepoint"][:3 + len(ints)]
-            ref = tmp_path / f"ref{t0}.csv"
-            with open(ref, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                pid = 0
-                for _ in range(2):          # two chunks continue the path ids
-                    for i in range(values.shape[0]):
-                        for t in range(values.shape[1]):
-                            writer.writerow([pid, t + t0, repr(float(values[i, t]))]
-                                            + [int(c[i, t]) for c in ints])
-                        pid += 1
-            new = tmp_path / f"new{t0}.csv"
-            rows = cli._write_paths_csv(new, header, [(values, *ints)] * 2, t0=t0)
-            assert read(new) == read(ref)
-            assert rows == 2 * values.size
+        for first_path in (0, 1250):
+            for t0, ints in ((0, ()), (1, (regime, change)), (1, ()), (0, (regime,))):
+                text, rows = cli._format_paths(first_path, t0, values, *ints)
+                assert text == csv_writer_rows(first_path, t0, [(values, *ints)])
+                assert rows == values.size
 
-    def test_bytes_match_csv_writer_on_unequal_chunks(self, tmp_path):
-        # the docstring's contract, on chunks of 3 and 1 paths and on values
-        # whose repr is signed zero, subnormal or in exponent form
+    def test_bytes_match_csv_writer_on_unequal_chunks(self):
+        # chunks of 3 and 1 paths, the second starting where the first ends,
+        # on values whose repr is signed zero, subnormal or in exponent form
         values = [np.array([[-0.0, 5e-324, 1e-5], [0.1, 1e16, -2.5e20],
                             [1e-5, -0.0, 0.1]]),
                   np.array([[-2.5e20, 1e16, 5e-324]])]
@@ -162,23 +167,34 @@ class TestPathsCsv:
         change = [v > 0.0 for v in values]
         for t0, n_int in ((0, 0), (1, 0), (0, 2), (1, 2)):
             chunks = [(v, r, c)[:1 + n_int] for v, r, c in zip(values, regime, change)]
-            header = ["path", "t", "value", "regime", "is_changepoint"][:3 + n_int]
-            ref = tmp_path / f"ref{t0}{n_int}.csv"
-            with open(ref, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                pid = 0
-                for v, *ints in chunks:
-                    for i in range(v.shape[0]):
-                        for t in range(v.shape[1]):
-                            writer.writerow([pid, t + t0, repr(float(v[i, t]))]
-                                            + [int(c[i, t]) for c in ints])
-                        pid += 1
-            new = tmp_path / f"new{t0}{n_int}.csv"
-            rows = cli._write_paths_csv(new, header, chunks, t0=t0)
-            assert read(new) == read(ref)
-            assert rows == 12
-            assert b",-0.0" in read(new) and b",5e-324" in read(new)
+            first, second = (cli._format_paths(pid, t0, *chunk)
+                             for pid, chunk in ((7, chunks[0]), (10, chunks[1])))
+            text = first[0] + second[0]
+            assert text == csv_writer_rows(7, t0, chunks)
+            assert first[1] + second[1] == 12
+            assert ",-0.0" in text and ",5e-324" in text
+
+
+@pytest.mark.parametrize("n", [1, 5, 13])
+@pytest.mark.parametrize("config, name, steps", [
+    ({"kind": "simulate", "seed": 9, "kernel": {"id": "bev_logistic", "gamma": 0.2},
+      "init": {"u": 5.0}, "horizon": 2}, "paths.csv", 3),
+    ({"kind": "hidden", "seed": 9, "example": "rootzen_smith", "horizon": 2},
+     "hidden_paths.csv", 2),
+], ids=["simulate", "hidden"])
+def test_small_path_counts(tmp_path, config, name, steps, n):
+    # fewer paths than chunks: only the non-empty chunks run; a simulate path
+    # has steps t = 0..T, a hidden one t = 1..T
+    cfg = write_config(tmp_path, "p.json", dict(config, n_paths=n))
+    for w in ("1", "2"):
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / w),
+                         "--workers", w]) == 0
+    text = read(tmp_path / "1" / name)
+    assert text == read(tmp_path / "2" / name)
+    rows = text.decode().splitlines()[1:]
+    assert len(rows) == n * steps
+    assert [int(r.split(",")[0]) for r in rows] == [
+        pid for pid in range(n) for _ in range(steps)]
 
 
 class TestErrors:
@@ -266,7 +282,11 @@ class TestErrors:
         ({"limit_law": {"id": "gaussian_exponential", "rh0": 0.8}}, "takes"),
         ({"scheme": {"id": "ht_canonicl", "alpha": 0.64, "beta": 0.5}}, "unknown"),
         ({"limit_law": {"id": "gaussian_exponentail", "rho": 0.8}}, "unknown"),
-    ], ids=["scheme_key", "limit_law_key", "scheme_id", "limit_law_id"])
+        ({"kernel": {"id": ["gaussian_copula"], "rho": 0.8}}, "unknown kernel id"),
+        ({"scheme": {"id": ["ht_canonical"], "alpha": 0.64, "beta": 0.5}}, "unknown"),
+        ({"limit_law": {"id": ["gaussian_exponential"], "rho": 0.8}}, "unknown"),
+    ], ids=["scheme_key", "limit_law_key", "scheme_id", "limit_law_id",
+            "kernel_id_list", "scheme_id_list", "limit_law_id_list"])
     def test_bad_converge_config_exits_2_with_json_line(self, tmp_path, capsys,
                                                          change, says):
         config = {"kind": "converge", "seed": 1,
@@ -315,6 +335,42 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
         assert f"config key '{key}' must be" in err["error"]
+
+    @pytest.mark.parametrize("change,says", [
+        ({"kind": "simulate", "kernel": {"id": "bev_logistic", "gamma": "0.2"},
+          "init": {"u": 5.0}, "horizon": 1},
+         "kernel 'bev_logistic': parameter 'gamma' must be a number; got '0.2'"),
+        ({"kind": "simulate", "init": {"u": 5.0}, "horizon": 1,
+          "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": 1}},
+         "parameter 'margin' must be a string"),
+        ({"kind": "simulate", "init": {"u": 5.0}, "horizon": 1,
+          "kernel": {"id": "ht_mixture", "lam": 0.5, "k1": "expar",
+                     "k2": {"id": "expar", "phi": 0.5}}},
+         "parameter 'k1' must be a mapping"),
+        ({"kind": "converge", "v_grid": [6.0],
+          "kernel": {"id": "gaussian_copula", "rho": 0.8},
+          "scheme": {"id": "ht_canonical", "alpha": True, "beta": 0.5},
+          "limit_law": {"id": "gaussian_exponential", "rho": 0.8}},
+         "norming scheme 'ht_canonical': parameter 'alpha' must be a number"),
+        ({"kind": "converge", "v_grid": [6.0],
+          "kernel": {"id": "gaussian_copula", "rho": 0.8},
+          "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+          "limit_law": {"id": "gaussian_exponential", "rho": None}},
+         "limit law 'gaussian_exponential': parameter 'rho' must be a number"),
+        ({"kind": "hidden", "example": "arch", "horizon": 2,
+          "params": {"theta1": [0.7]}},
+         "hidden example 'arch': parameter 'theta1' must be a number"),
+    ], ids=["kernel", "kernel_string", "kernel_component", "scheme", "limit_law",
+            "hidden_params"])
+    def test_wrongly_typed_spec_parameter_exits_2_naming_it(self, tmp_path, capsys,
+                                                            change, says):
+        cfg = write_config(tmp_path, "bad.json",
+                           dict({"seed": 1, "n_paths": 10}, **change))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert says in err["error"]
 
     @pytest.mark.parametrize("example,params", [
         ("arch", {"thetaa1": 0.7}),                       # misspelt key
@@ -379,3 +435,26 @@ def test_figure1_run_leaves_out_scipy_optimize_interpolate_and_linalg(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_paths_run_leaves_parent_without_scipy_optimize_and_interpolate(tmp_path):
+    # the pool workers build the ARCH kernel and format their own rows; the
+    # parent only writes them, so it never solves the stationary law
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    config = {"kind": "simulate", "seed": 3,
+              "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+              "init": {"u": 5.0}, "horizon": 2, "n_paths": 64}
+    cfg = write_config(tmp_path, "arch.json", config)
+    code = "\n".join([
+        "import sys",
+        "from extreme_chains import cli",
+        f"rc = cli.main(['run', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--workers', '2'])",
+        "print(rc, [m for m in ('scipy.optimize', 'scipy.interpolate')",
+        "           if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert len(read(tmp_path / "out" / "paths.csv").splitlines()) == 1 + 64 * 3
