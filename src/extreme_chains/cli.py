@@ -10,6 +10,7 @@ assembled in task order.
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -252,8 +253,6 @@ def _write_paths_csv(task, config, workers, path, header):
     whatever the path count of the other chunks.
     """
     n = config["n_paths"]
-    if n < 1:
-        raise ValidationError(f"config key 'n_paths' must be at least 1; got {n}")
     rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -368,14 +367,19 @@ def _grid(v):
     return isinstance(v, list) and len(v) > 0 and all(map(_number, v))
 
 
-_COUNT = (lambda v: _number(v) and isinstance(v, int), "an integer")
+def _count(least):
+    return (lambda v: _number(v) and isinstance(v, int) and v >= least,
+            f"an integer >= {least}")
+
+
 _REAL = (_number, "a number")
 _MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 
 # config key -> (check, what its value must be), for the top-level keys of
 # every kind and the keys of "init"
 _VALUES = {
-    **dict.fromkeys(("seed", "n_paths", "horizon", "t"), _COUNT),
+    **dict.fromkeys(("seed", "horizon"), _count(0)),
+    **dict.fromkeys(("n_paths", "t"), _count(1)),
     **dict.fromkeys(("x0", "u", "gamma", "phi", "rho", "atom_cut"), _REAL),
     **dict.fromkeys(("kernel", "scheme", "limit_law", "init", "params"), _MAPPING),
     "v_grid": (_grid, "a non-empty list of numbers"),
@@ -467,6 +471,8 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "category": "config"}),
               file=sys.stderr)
         return EXIT_CONFIG
+    # the imports live until exit: no collection here or in a worker walks them
+    gc.freeze()
     try:
         run_experiment(config, args.out, workers=args.workers)
     except ValidationError as exc:

@@ -182,12 +182,13 @@ def quantile_envelope(paths, source="actual", t_start=0):
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     n = paths.shape[0]
     ts = np.arange(t_start, t_start + paths.shape[1])
+    q025, q975 = np.quantile(paths, [0.025, 0.975], axis=0)
     return QuantileEnvelope(
         source=source,
         t=ts,
-        q025=np.quantile(paths, 0.025, axis=0),
+        q025=q025,
         mean=paths.mean(axis=0),
-        q975=np.quantile(paths, 0.975, axis=0),
+        q975=q975,
         n_paths=n,
         precision_warning=n < 100,
     )

@@ -247,6 +247,18 @@ class TestErrors:
         {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 100, "tt": 3,
          "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}},
         {"init": {"x0": 5.0, "u": 5.0}},                     # both x0 and u
+        # counts below their least value, on every kind that reads them
+        {"kind": "figure1", "seed": 1, "n_paths": 0},
+        {"kind": "negdep", "seed": 1, "n_paths": 0},
+        {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 0,
+         "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}},
+        {"kind": "converge", "seed": 1, "v_grid": [6.0], "n_paths": 0,
+         "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"},
+         "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+         "limit_law": {"id": "gaussian_exponential", "rho": 0.8}},
+        {"horizon": -1},
+        {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 100, "t": 0,
+         "kernel": {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}},
     ])
     def test_bad_config_exits_2_with_json_line(self, tmp_path, capsys, change):
         config = {"kind": "simulate", "seed": 1,
@@ -321,6 +333,12 @@ class TestErrors:
         ("x0", {"kind": "figure1", "seed": 1, "n_paths": 10, "x0": "10"}),
         ("example", {"kind": "hidden", "seed": 1, "example": ["arch"],
                      "horizon": 2, "n_paths": 16}),
+        # counts below their least value
+        ("horizon", {"horizon": -1}),
+        ("n_paths", {"n_paths": 0}),
+        ("seed", {"seed": -1}),
+        ("t", {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 10, "t": 0,
+               "kernel": {"id": "gaussian_copula", "rho": 0.8}}),
     ])
     def test_wrongly_typed_value_exits_2_naming_key(self, tmp_path, capsys, key,
                                                     change):
@@ -420,41 +438,45 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
 
 def test_figure1_run_leaves_out_scipy_optimize_interpolate_and_linalg(tmp_path):
     # no figure-1 kernel finds a root or tabulates a law; the ARCH kernel
-    # still builds afterwards, through the imports it makes on first use
+    # still builds afterwards, through the imports it makes on first use.
+    # Library callers keep the normal collector: only main freezes
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "\n".join([
-        "import sys",
+        "import gc, sys",
         "from extreme_chains import cli, kernels",
         f"cli.run_experiment({FIG1_CONFIG!r}, {str(tmp_path / 'fig')!r})",
         "print([m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg')",
         "       if m in sys.modules])",
+        "print(gc.get_freeze_count())",
         "k = kernels.make_kernel('arch_laplace', theta0=1.0, theta1=0.7)",
         "print(k.law.kappa > 0.0, 'scipy.optimize' in sys.modules)",
     ])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+    assert out.stdout.split("\n")[:3] == ["[]", "0", "True True"]
 
 
 def test_paths_run_leaves_parent_without_scipy_optimize_and_interpolate(tmp_path):
     # the pool workers build the ARCH kernel and format their own rows; the
-    # parent only writes them, so it never solves the stationary law
+    # parent only writes them, so it never solves the stationary law.  main
+    # freezes the import graph out of the collector before the run
     src = os.path.dirname(os.path.dirname(cli.__file__))
     config = {"kind": "simulate", "seed": 3,
               "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
               "init": {"u": 5.0}, "horizon": 2, "n_paths": 64}
     cfg = write_config(tmp_path, "arch.json", config)
     code = "\n".join([
-        "import sys",
+        "import gc, sys",
         "from extreme_chains import cli",
         f"rc = cli.main(['run', '--config', {cfg!r}, '--out', "
         f"{str(tmp_path / 'out')!r}, '--workers', '2'])",
         "print(rc, [m for m in ('scipy.optimize', 'scipy.interpolate')",
         "           if m in sys.modules])",
+        "print(gc.get_freeze_count() > 0)",
     ])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.split("\n")[:2] == ["0 []", "True"]
     assert len(read(tmp_path / "out" / "paths.csv").splitlines()) == 1 + 64 * 3

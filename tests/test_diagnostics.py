@@ -160,6 +160,16 @@ class TestQuantileEnvelope:
         env = diagnostics.quantile_envelope(np.zeros((50, 3)))
         assert env.precision_warning
 
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    def test_bands_equal_their_single_quantiles(self, rng, n):
+        # both bands come from one call; each must equal its own np.quantile,
+        # also on rounded (tied) values and on a single path
+        for paths in (rng.standard_normal((n, 5)),
+                      np.round(rng.standard_normal((n, 5)), 1)):
+            env = diagnostics.quantile_envelope(paths)
+            assert np.array_equal(env.q025, np.quantile(paths, 0.025, axis=0))
+            assert np.array_equal(env.q975, np.quantile(paths, 0.975, axis=0))
+
     def test_bev_chain_envelope_tight(self, rng):
         # asymptotically dependent chain stays within +-3 of the start
         k = kernels.make_kernel("bev_logistic", gamma=0.152)
