@@ -376,10 +376,10 @@ _REAL = (_number, "a number")
 _MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 
 # config key -> (check, what its value must be), for the top-level keys of
-# every kind and the keys of "init"
+# every kind and the keys of "init"; only a simulate run may have horizon 0
 _VALUES = {
-    **dict.fromkeys(("seed", "horizon"), _count(0)),
-    **dict.fromkeys(("n_paths", "t"), _count(1)),
+    "seed": _count(0),
+    **dict.fromkeys(("n_paths", "t", "horizon"), _count(1)),
     **dict.fromkeys(("x0", "u", "gamma", "phi", "rho", "atom_cut"), _REAL),
     **dict.fromkeys(("kernel", "scheme", "limit_law", "init", "params"), _MAPPING),
     "v_grid": (_grid, "a non-empty list of numbers"),
@@ -390,8 +390,9 @@ _VALUES = {
 
 
 def _check_values(config):
+    values = dict(_VALUES, horizon=_count(0)) if config.get("kind") == "simulate" else _VALUES
     for key, value in config.items():
-        check, want = _VALUES.get(key, (None, None))
+        check, want = values.get(key, (None, None))
         if check is not None and not check(value):
             raise ValidationError(f"config key '{key}' must be {want}; got {value!r}")
 

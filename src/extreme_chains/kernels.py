@@ -656,53 +656,23 @@ class InvertedMaxStableKernel(_Kernel):
 
 
 class ExpARKernel(_Kernel):
-    """Exponential autoregressive chain with constant slowly varying norming.
-
-    Built from the solved stationary law of ``V' = phi V + (E - 1)``:
-    ``U(y) = F_V^{<-}(1 - e^{-y}) + 1/(1-phi)`` (the shift puts U on the
-    nonnegative scale so the kernel is exactly
-    ``(1 - exp(-[U(y) - phi U(x)]))_+``), and the chain preserves unit
-    exponential margins by construction.
-    """
+    """Exponential autoregression S' = phi S + E, with constant slowly varying norming, on
+    margins Y = Lambda(S) (numerics.ExpARLaw): ``1 - exp(-[L^-1(y) - phi L^-1(x)]_+)``."""
 
     def __init__(self, phi):
-        if not 0.0 < phi < 1.0:
-            raise ValidationError("phi must lie in (0, 1)")
+        self.law = numerics.ExpARLaw(phi)
         self.phi = float(phi)
-        self.fv = numerics.solve_Fv_fixed_point(phi)
         self.name = f"expar(phi={phi})"
         self.ht_alpha_beta = (phi, 0.0)
-        self._shift = 1.0 / (1.0 - phi)
-        xs = self.fv.grid.xs
-        log_sf = self.fv.log_sf
-        keep = np.concatenate([[True], np.diff(log_sf) < 0.0])
-        self._dec_x = xs[keep]
-        self._dec_logsf = log_sf[keep]
-        self._log_tail_c = math.log(self.fv.tail_const)
-
-    def U(self, y):
-        """Shifted transform: nonnegative, U(y) ~ y + log(C) + shift as y grows."""
-        y = np.asarray(y, dtype=float)
-        target = -y  # want the v with log sf_V(v) = log(e^{-y}) = -y
-        v = np.interp(target, self._dec_logsf[::-1], self._dec_x[::-1])
-        beyond = target < self._dec_logsf[-1]
-        v = np.where(beyond, self._log_tail_c + y, v)
-        return v + self._shift
-
-    def U_inverse(self, v):
-        """Back to the exponential scale: y = -log sf_V(v - shift)."""
-        v = np.asarray(v, dtype=float) - self._shift
-        logsf = np.interp(v, self._dec_x, self._dec_logsf)
-        beyond = v > self._dec_x[-1]
-        logsf = np.where(beyond, self._log_tail_c - v, logsf)
-        return -np.where(v <= self._dec_x[0], 0.0, logsf)
 
     @_conditional_cdf
     def cdf(self, x, y):
-        return -np.expm1(-np.maximum(self.U(y) - self.phi * self.U(x), 0.0))
+        s = self.law.inverse_cumhaz
+        return -np.expm1(-np.maximum(s(y) - self.phi * s(x), 0.0))
 
     def _draw(self, x, rng):
-        return self.U_inverse(self.phi * self.U(x) + rng.exponential(size=x.shape))
+        law = self.law
+        return law.cumhaz(self.phi * law.inverse_cumhaz(x) + rng.exponential(size=x.shape))
 
 
 class HtMixtureKernel(_Kernel):

@@ -1,12 +1,10 @@
 """The bespoke solves the example chains need: the stationary law of the
-centred exponential autoregression, and the tail index and stationary law of
-the squared-volatility (ARCH(1)) recursion.  The ARCH law is solved, not
-simulated: its stationarity equation, integrated by parts, is a linear
-Fredholm equation that one Nystrom linear solve discretises.
+exponential autoregression (its series, and its pantograph equation on
+Chebyshev panels), and the tail index and stationary law of the ARCH(1)
+recursion, from one Nystrom solve of its stationarity equation by parts.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -14,33 +12,7 @@ from scipy.special import gammaln, ndtr
 from . import margins
 from .errors import ConvergenceError, ValidationError
 
-__all__ = [
-    "GridFunction",
-    "arch_tail_index",
-    "arch_stationary_fit",
-    "solve_Fv_fixed_point",
-    "FvSolution",
-    "fv_residual",
-]
-
-
-@dataclass
-class GridFunction:
-    """Function carried on a strictly increasing grid, linear in between."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.asarray(self.ys, dtype=float)
-        if self.xs.ndim != 1 or self.xs.shape != self.ys.shape:
-            raise ValidationError("GridFunction needs matching 1-d arrays")
-        if np.any(np.diff(self.xs) <= 0.0):
-            raise ValidationError("GridFunction abscissae must be strictly increasing")
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
+__all__ = ["ExpARLaw", "arch_tail_index", "arch_stationary_fit"]
 
 
 def arch_tail_index(theta1):
@@ -216,115 +188,170 @@ def arch_stationary_fit(theta0, theta1):
     return law
 
 
-@dataclass
-class FvSolution:
-    """Solved stationary law of the centred exponential autoregression.
+_EXPAR_FLAT = 2.0 ** -60          # a panel that moves G by less ends the integration
+_EXPAR_FLOOR = 2.0 ** -52         # the Lambda below which the law is linear in s
+_EXPAR_PHI_MAX = 0.99
 
-    ``grid`` carries the CDF; ``log_sf`` the log survival function on the same
-    abscissae (kept separately because the kernel built from this law needs
-    survival precision far below machine epsilon of the CDF); ``tail_const``
-    continues the survival function as ``C * exp(-y)`` beyond the grid.
+
+def _product_error(a, b):
+    """The rounding error of ``a * b``, exactly (Dekker's two-product)."""
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))   # 2^27 + 1
+    al, bl = a - ah, b - bh
+    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
+
+
+def _chebval(coef, p, x):
+    """numpy's ``chebval(x, coef[:, p], tensor=False)`` bit for bit, one row at a time."""
+    x2, c0, c1 = 2.0 * x, coef[-2].take(p), coef[-1].take(p)
+    for row in coef[-3::-1]:
+        c0, c1 = row.take(p) - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+class ExpARLaw:
+    """Stationary law of S = sum_k phi^k E_k = V + 1/(1 - phi), V the state of
+    ``V' = phi V + (E - 1)``: Lambda(s) = -log G(s), G(s) = P(S > s), and its
+    inverse.  G = sum_k a_k exp(-s phi^-k), a_k = (-1)^k phi^(k(k+1)/2) /
+    ((phi; phi)_k (phi; phi)_inf), is summed from R, the first 1/(1 - phi)
+    phi^-j where it is well conditioned; beyond ``tail`` Lambda = s - log a_0.
+    Below R, G solves G'(s) = G(s/phi) - G(s) (a pantograph equation, Kato and
+    McLeod 1971) on panels of ratio phi^(1/m) >= 0.7 with the same Chebyshev
+    points, so the lag of a node is the node m panels up: in H = e^s G while
+    G < e^-5, then in G by sums of positive terms, until G = 1 fixes the
+    scale.  Lambda and its inverse are Chebyshev series on each panel, in s
+    and in log Lambda, linear below 2^-52.  phi above 0.99 is refused: a_0 ~
+    exp(pi^2 / (6 (1 - phi))) and the panels grow without bound as phi -> 1.
     """
 
-    phi: float
-    grid: GridFunction
-    log_sf: np.ndarray
-    tail_const: float
-    residual: float
-    iterations: int
+    def __init__(self, phi):
+        if not 0.0 < phi <= _EXPAR_PHI_MAX:
+            raise ValidationError(f"ExpAR phi must lie in (0, {_EXPAR_PHI_MAX}]; got {phi}")
+        self.phi = phi = float(phi)
+        # n Chebyshev points; node values -> series, and the integrals of the
+        # interpolant from -1 to each node, to 1 and from each node to 1
+        cheb, n = np.polynomial.chebyshev, 16
+        x = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        vinv = cheb.chebvander(x, n - 1).T * np.where(np.arange(n) > 0, 2.0, 1.0)[:, None] / n
+        anti = cheb.chebint(np.eye(n), lbnd=-1, axis=0) @ vinv
+        below = cheb.chebvander(x, n) @ anti
+        w = anti.sum(axis=0)
+        q = w - below
 
-    def sf(self, y):
+        # the series over a_0: log|a_k / a_0|, signs and rates phi^-k - 1
+        log_phi = math.log(phi)
+        k = np.arange(2 + int(math.log1p(2000.0 * (1.0 - phi)) / -log_phi))
+        log_ratio = np.cumsum(k * log_phi - np.log1p(-phi ** np.maximum(k, 1)) * (k > 0))
+        sign, rate = 1.0 - 2.0 * (k % 2), np.expm1(-log_phi * k)
+
+        def terms(s):
+            return sign * np.exp(log_ratio - np.asarray(s)[..., None] * rate)
+
+        top = 1.0 / (1.0 - phi)
+        while np.abs(t := terms(top)).sum() > 2.0 * abs(t.sum()):
+            top /= phi
+        keep = log_ratio - top * rate > -60.0       # and smaller further up
+        log_ratio, sign, rate = log_ratio[keep], sign[keep], rate[keep]
+        m = max(1, math.ceil(log_phi / math.log(0.7)))
+        self._step = step = -log_phi / m
+        # beyond tail every k >= 1 term is below 2^-60 ~ e^-41.6 of the first
+        beyond = np.max((log_ratio[1:] + 41.6) / rate[1:], initial=top)
+        up = max(m, math.ceil(math.log(beyond / top) / step))
+        self.tail = top * math.exp(up * step)
+
+        # panel p spans edges[p + 1] .. edges[p], edges[p] = tail e^(-p step);
+        # on the first up of them H / a_0 and H' / a_0 come from the series
+        edges = self.tail * np.exp(-step * np.arange(up + 1))
+        nodes = edges[1:, None] - 0.5 * np.diff(edges)[:, None] * (x + 1.0)
+        h, dh = list(terms(nodes).sum(axis=-1)), list(-(terms(nodes) * rate).sum(axis=-1))
+        h_top = float(terms(edges[up]).sum())
+        gaps = np.zeros((up, n))
+
+        def more():
+            nonlocal edges, nodes, gaps
+            start, count = edges.size, 64
+            edges = np.append(edges, self.tail * np.exp(-step * np.arange(start, start + count)))
+            half = -0.5 * np.diff(edges[start - 1:])[:, None]
+            new = edges[start:, None] + half * (x + 1.0)
+            nodes = np.concatenate([nodes, new])
+            # s/phi: the node m panels up plus a rounding gap (ignored, an error in 1 - phi)
+            above = nodes[start - 1 - m:-m]
+            gaps = np.concatenate([gaps, (new - phi * above - _product_error(phi, above)) / phi])
+
+        # explicit steps of H while G <= a_0 e^-s < e^-5
+        switch = 5.0 - np.log1p(-phi ** np.arange(1, 2 + int(40.0 / -log_phi))).sum()
+        p = up
+        while edges[p] > switch:
+            if p == len(nodes):
+                more()
+            dh.append(np.exp((phi - 1.0) / phi * nodes[p]) * (h[p - m] + gaps[p] * dh[p - m]))
+            half = 0.5 * (edges[p] - edges[p + 1])
+            h.append(h_top - half * (q @ dh[p]))
+            h_top -= half * (w @ dh[p])
+            p += 1
+        # then G / G(b) through sums of positive terms, so that 1 - G keeps its
+        # precision: f = G - G(s/phi), c = G(panel bottom) - G, panel rises
+        b, first, f, c, rise, total = edges[p], p, [None] * p, [None] * p, [0.0] * p, 1.0
+        while p == first or rise[-1] >= _EXPAR_FLAT * total:
+            if p == len(nodes):
+                more()
+            j = p - m                   # lag = G(edges[p]) - G(s/phi)
+            if j < first:
+                lag = total - np.exp(b - nodes[j]) * (h[j] + gaps[p] * (dh[j] - h[j])) / h_top
+            else:
+                lag = sum(rise[j + 1:p]) + c[j] + gaps[p] * f[j]
+            # G - G(top) = int_s^top e^(t - s) lag(t) dt, as G' = -(G - G(top) + lag)
+            half = 0.5 * (edges[p] - edges[p + 1])
+            decay = np.exp(nodes[p] - edges[p])
+            f.append(half * (q @ (decay * lag)) / decay + lag)
+            c.append(half * (below @ f[p]))
+            rise.append(half * (w @ f[p]))
+            total += rise[p]
+            p += 1
+        # G = 1 at the last edge fixes the scale; the table holds -log(H / a_0) =
+        # Lambda - s + log a_0 where H was stepped (small, exact digits), else Lambda
+        self.log_a0 = b - math.log(h_top) - math.log(total)
+        self._edges, self._s_lo, nodes = edges[:p + 1], edges[p], nodes[:p]   # s_lo for now
+        self._linear = np.arange(p) < first
+        rise, c = np.array(rise[first:]), np.array(c[first:])
+        sf = (1.0 + np.cumsum(rise)[:, None] - c) / total
+        cdf = (np.append(np.cumsum(rise[:0:-1])[::-1], 0.0)[:, None] + c) / total
+        lam = np.concatenate([-np.log(h), np.where(cdf < 0.5, -np.log1p(-cdf), -np.log(sf))])
+        self._coef = vinv @ lam.T
+
+        # the inverse in u = log Lambda on equal panels, and the floor's s
+        lam = (lam + self._linear[:, None] * (nodes - self.log_a0))[::-1]
+        inside = lam >= _EXPAR_FLOOR / 16.0
+        known, nodes = np.log(lam[inside]), nodes[::-1][inside]        # ascending
+        u_lo = math.log(_EXPAR_FLOOR)
+        count = math.ceil(math.log(self.tail - self.log_a0) - u_lo)
+        u = np.append(u_lo + np.arange(count)[:, None] + 0.5 * (x + 1.0), u_lo)
+        s = np.interp(u, known, nodes)
+        for _ in range(5):                      # Lambda' = 1 - G(s/phi) / G(s)
+            lam = self.cumhaz(s)
+            slope = -np.expm1(lam - self.cumhaz(s / phi))
+            s = np.maximum(s - (np.log(lam) - u) * lam / slope, nodes[0])
+        self._s_lo = float(s[-1])
+        s = s[:-1].reshape(count, n)          # s[:, 0] out of the sums, its rounding
+        self._icoef = vinv @ (s - s[:, :1]).T    # not spread over every coefficient
+        self._icoef[0] += s[:, 0]
+
+    def cumhaz(self, s):
+        """Lambda(s) = -log P(S > s); 0 at and below s = 0."""
+        s = np.asarray(s, dtype=float)
+        inside = np.clip(s, self._s_lo, self.tail)
+        p = np.clip((np.log(self.tail / inside) / self._step).astype(int), 0, self._edges.size - 2)
+        lo, hi = self._edges[p + 1], self._edges[p]
+        x = ((inside - lo) + (inside - hi)) / (hi - lo)
+        lam = _chebval(self._coef, p, x) + self._linear[p] * (inside - self.log_a0)
+        low = _EXPAR_FLOOR / self._s_lo * np.maximum(s, 0.0)
+        return np.where(s >= self.tail, s - self.log_a0, np.where(s > self._s_lo, lam, low))
+
+    def inverse_cumhaz(self, y):
+        """The s with Lambda(s) = y, for y >= 0."""
         y = np.asarray(y, dtype=float)
-        xs = self.grid.xs
-        out = np.exp(np.interp(y, xs, self.log_sf))
-        out = np.where(y <= xs[0], 1.0, out)
-        beyond = y > xs[-1]
-        if np.any(beyond):
-            out = np.where(beyond, self.tail_const * np.exp(-y), out)
-        return out
-
-    def cdf(self, y):
-        return 1.0 - self.sf(y)
-
-
-def _fv_grid(phi, grid_size):
-    lo = -1.0 / (1.0 - phi)
-    split = min(12.0, 0.75 * 45.0)
-    n_core = int(grid_size * 0.75)
-    core = np.linspace(lo, split, n_core)
-    tail = split * np.exp(np.linspace(0.0, np.log(45.0 / split), grid_size - n_core + 1))[1:]
-    return np.concatenate([core, tail])
-
-
-def _fv_apply(phi, ys, sf):
-    """One application of the survival-form stationarity map.
-
-    S_new(y) = exp(phi*l - (y+1)) + phi exp(-(y+1)) * int_l^{(y+1)/phi} e^{phi x} S(x) dx,
-    with the integral continued analytically beyond the grid using the
-    exponential tail S(x) ~ C e^{-x}.
-    """
-    lo = ys[0]
-    g = np.exp(phi * ys) * sf
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(ys))])
-    b = (ys + 1.0) / phi
-    ymax = ys[-1]
-    integral = np.interp(np.minimum(b, ymax), ys, cum)
-    tail_c = sf[-1] * np.exp(ymax)
-    beyond = b > ymax
-    if np.any(beyond):
-        extra = tail_c / (phi - 1.0) * (
-            np.exp((phi - 1.0) * b[beyond]) - np.exp((phi - 1.0) * ymax))
-        integral = integral.copy()
-        integral[beyond] += extra
-    return np.exp(phi * lo - (ys + 1.0)) + phi * np.exp(-(ys + 1.0)) * integral
-
-
-def _solve_fv(phi, grid_size=2048, tol=1e-9, max_iter=2000):
-    ys = _fv_grid(phi, grid_size)
-    sd = 1.0 / math.sqrt(1.0 - phi * phi)
-    sf = ndtr(-(ys / sd))
-    sf[0] = 1.0
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        new = _fv_apply(phi, ys, sf)
-        residual = float(np.max(np.abs(new - sf)))
-        # damped update keeps the iteration stable for phi close to 1
-        sf = 0.5 * sf + 0.5 * new
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point not reached: residual {residual} after {max_iter} iterations")
-    sf = np.maximum(sf, 1e-320)
-    cdfv = np.clip(1.0 - sf, 0.0, 1.0)
-    cdfv[0] = 0.0
-    cdfv = np.maximum.accumulate(cdfv)
-    grid = GridFunction(ys, cdfv)
-    tail_const = float(sf[-1] * np.exp(ys[-1]))
-    return FvSolution(phi, grid, np.log(sf), tail_const, residual, it)
-
-
-def solve_Fv_fixed_point(phi, grid_size=2048, tol=1e-9, max_iter=2000):
-    """Stationary CDF of ``V' = phi V + (E - 1)`` with unit exponential ``E``.
-
-    Damped fixed-point iteration of the survival-form stationarity map on a
-    ``grid_size``-point grid spanning the support from ``-1/(1-phi)``; the
-    returned :class:`FvSolution` (CDF grid and survival data) has fixed-point
-    residual below ``tol``.
-    """
-    if not 0.0 < phi < 1.0:
-        raise ValidationError("phi must lie in (0, 1)")
-    return _solve_fv(phi, grid_size=grid_size, tol=tol, max_iter=max_iter)
-
-
-def fv_residual(sol, refine=2):
-    """Independent residual check on a ``refine``-times finer grid."""
-    xs = sol.grid.xs
-    pieces = [xs]
-    for j in range(1, refine):
-        pieces.append(xs[:-1] + (j / refine) * np.diff(xs))
-    fine = np.unique(np.concatenate(pieces))
-    sf_fine = sol.sf(fine)
-    new = _fv_apply(sol.phi, fine, sf_fine)
-    return float(np.max(np.abs(new - sf_fine)))
+        u = np.log(np.clip(y, _EXPAR_FLOOR, self.tail - self.log_a0) / _EXPAR_FLOOR)
+        j = np.minimum(u.astype(int), self._icoef.shape[1] - 1)
+        s = _chebval(self._icoef, j, 2.0 * (u - j) - 1.0)
+        low = self._s_lo / _EXPAR_FLOOR * np.clip(y, 0.0, _EXPAR_FLOOR)
+        return np.where(y >= self.tail - self.log_a0, y + self.log_a0,
+                        np.where(y > _EXPAR_FLOOR, s, low))

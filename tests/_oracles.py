@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's own code paths: the normal quantile
 comes from bisecting math.erf, the tail-index oracle is a Hill estimator on
-freshly simulated states, and the brute-force simulators below are written
-directly against the defining recursions.
+freshly simulated states, the exponential-autoregression law is its
+alternating series summed in mpmath, and the brute-force simulators below are
+written directly against the defining recursions.
 """
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
@@ -67,6 +70,44 @@ def simulate_centered_expar(phi, n, steps, seed):
     for _ in range(steps):
         v = phi * v + rng.exponential(size=n) - 1.0
     return v
+
+
+def expar_series(phi, s_values):
+    """Lambda(s) = -log P(S > s) and P(S <= s), rounded from mpmath, for
+    S = sum_k phi^k E_k, by the series P(S > s) = sum_k a_k exp(-s phi^-k),
+    a_k = (-1)^k phi^(k(k+1)/2) / ((phi; phi)_k (phi; phi)_inf).
+
+    The terms reach max_k |a_k| while P(S > s) <= 1, so that many digits
+    cancel; the sum carries 40 more, and at least 120 for phi >= 0.95.
+    """
+    log_a, log_top = 0.0, 0.0
+    for k in itertools.count(1):
+        log_a += k * math.log(phi) - math.log1p(-phi ** k)
+        log_top = max(log_top, log_a)
+        if log_a < log_top - 50.0:
+            break
+    log_a0 = -math.fsum(math.log1p(-phi ** j) for j in range(1, 100_000))
+    dps = 40 + int((log_a0 + log_top) / math.log(10.0))
+    if phi >= 0.95:
+        dps = max(dps, 120)
+    lam, cdf = [], []
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(phi)
+        a0 = 1 / mpmath.qp(q, q)
+        tiny = mpmath.mpf(10) ** -dps
+        for s in s_values:
+            s = mpmath.mpf(float(s))
+            a, rate, sf = a0, mpmath.mpf(1), a0 * mpmath.exp(-s)
+            for k in itertools.count(1):
+                rate /= q
+                a *= -q ** k / (1 - q ** k)
+                term = a * mpmath.exp(-s * rate)
+                sf += term
+                if s * rate > 10 and abs(term) < tiny * abs(sf):
+                    break
+            lam.append(float(-mpmath.log(sf)))
+            cdf.append(float(1 - sf))
+    return np.array(lam), np.array(cdf)
 
 
 def trapezoid_mean_from_cdf(xs, cdf_vals):

@@ -333,12 +333,16 @@ class TestErrors:
         ("x0", {"kind": "figure1", "seed": 1, "n_paths": 10, "x0": "10"}),
         ("example", {"kind": "hidden", "seed": 1, "example": ["arch"],
                      "horizon": 2, "n_paths": 16}),
-        # counts below their least value
+        # counts below their least value; only simulate takes horizon 0
         ("horizon", {"horizon": -1}),
         ("n_paths", {"n_paths": 0}),
         ("seed", {"seed": -1}),
         ("t", {"kind": "chi", "seed": 1, "u_grid": [0.9], "n_paths": 10, "t": 0,
                "kernel": {"id": "gaussian_copula", "rho": 0.8}}),
+        ("horizon", {"kind": "figure1", "seed": 1, "n_paths": 10, "horizon": 0}),
+        ("horizon", {"kind": "hidden", "seed": 1, "example": "rootzen_smith",
+                     "horizon": 0, "n_paths": 16}),
+        ("horizon", {"kind": "negdep", "seed": 1, "horizon": 0}),
     ])
     def test_wrongly_typed_value_exits_2_naming_key(self, tmp_path, capsys, key,
                                                     change):
@@ -414,7 +418,9 @@ class TestErrors:
       "init": {"u": 5.0}, "horizon": 4, "n_paths": 400}, "paths.csv"),
     ({"kind": "hidden", "seed": 12, "example": "asym_logistic",
       "horizon": 4, "n_paths": 64}, "hidden_paths.csv"),
-], ids=["arch_simulate", "asym_logistic_hidden"])
+    ({"kind": "simulate", "seed": 13, "kernel": {"id": "expar", "phi": 0.99},
+      "init": {"u": 5.0}, "horizon": 4, "n_paths": 400}, "paths.csv"),
+], ids=["arch_simulate", "asym_logistic_hidden", "expar_0_99_simulate"])
 def test_paths_outputs_worker_invariant(tmp_path, config, name):
     # pool workers build their own kernels and import scipy.optimize
     # themselves; the bytes must not depend on it
@@ -423,6 +429,25 @@ def test_paths_outputs_worker_invariant(tmp_path, config, name):
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / w),
                          "--workers", w]) == 0
     assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
+
+
+def test_simulate_takes_horizon_0(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {
+        "kind": "simulate", "seed": 1, "kernel": {"id": "bev_logistic", "gamma": 0.2},
+        "init": {"u": 5.0}, "horizon": 0, "n_paths": 10})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 0
+    assert len(read(tmp_path / "o" / "paths.csv").splitlines()) == 1 + 10
+
+
+def test_figure1_at_phi_0_99(tmp_path):
+    # the exponential autoregression's law is exact up to phi = 0.99
+    cfg = write_config(tmp_path, "f.json", dict(FIG1_CONFIG, phi=0.99, n_paths=200))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 0
+    with open(tmp_path / "o" / "chain_iii.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(r[1]) for r in rows] == list(range(1, FIG1_CONFIG["horizon"] + 1))
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():

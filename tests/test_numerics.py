@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from extreme_chains import numerics
 from extreme_chains.errors import ConvergenceError, ValidationError
 
-from _oracles import (dkw_bound, ks_statistic, simulate_arch_states,
+from _oracles import (dkw_bound, expar_series, ks_statistic, simulate_arch_states,
                       simulate_centered_expar, trapezoid_mean_from_cdf)
 
 
@@ -122,60 +124,105 @@ class TestArchStationaryFit:
             numerics.arch_stationary_fit(1.0, 1.0)
 
 
+EXPAR_PHIS = [0.1, 0.5, 0.8, 0.9, 0.95, 0.99]
+
+
 @pytest.fixture(scope="module")
-def sol():
-    return numerics.solve_Fv_fixed_point(0.8)
+def expar_law_08():
+    return numerics.ExpARLaw(0.8)
 
 
 class TestFvFixedPoint:
+    """The stationary law of V' = phi V + (E - 1), the fixed point of its
+    distribution map, as :class:`numerics.ExpARLaw` gives it for
+    S = V + 1/(1 - phi)."""
 
-    def test_lower_endpoint(self, sol):
-        assert sol.grid.xs[0] == pytest.approx(-5.0)
-        assert sol.grid.ys[0] == 0.0
+    @pytest.mark.parametrize("phi", EXPAR_PHIS)
+    def test_matches_the_series(self, phi):
+        # oracle: the alternating series in mpmath, from below the linear
+        # floor up to past the tail point
+        law = numerics.ExpARLaw(phi)
+        s = np.unique(np.concatenate([
+            law.inverse_cumhaz(np.geomspace(1e-25, 30.0, 60)),
+            np.geomspace(1.0, 1.5, 6) * law.tail]))
+        lam_ex, cdf_ex = expar_series(phi, s)
+        lam = law.cumhaz(s)
+        body = cdf_ex >= 1e-3
+        assert body.sum() >= 10 and (~body).sum() >= 10
+        assert np.max(np.abs(np.expm1(lam_ex - lam))[body]) <= 1e-12
+        assert np.max(np.abs(-np.expm1(-lam) - cdf_ex)) <= 1e-14
 
-    def test_residual_below_tol(self, sol):
-        assert sol.residual < 1e-8
+    @pytest.mark.parametrize("phi", EXPAR_PHIS)
+    def test_inverse_round_trip(self, phi):
+        law = numerics.ExpARLaw(phi)
+        y = np.concatenate([np.geomspace(1e-12, 700.0, 400), np.linspace(1e-3, 50.0, 400)])
+        err = np.abs(law.cumhaz(law.inverse_cumhaz(y)) - y)
+        assert np.all(err <= 1e-12 * np.maximum(y, 1e-3))
 
-    def test_residual_reverified_at_double_resolution(self, sol):
-        # independent pass: fresh solve at twice the grid size, plus the
-        # quadrature-map residual of the interpolated solution
-        sol2 = numerics.solve_Fv_fixed_point(0.8, grid_size=4096)
-        assert sol2.residual < 1e-8
-        xs = sol.grid.xs
-        assert np.max(np.abs(sol2.cdf(xs) - sol.grid.ys)) < 1e-4
-        assert numerics.fv_residual(sol, refine=2) < 1e-4
+    def test_row_wise_chebval_is_numpys(self):
+        rng = np.random.default_rng(3)
+        coef = rng.standard_normal((16, 50)) * 0.5 ** np.arange(16)[:, None]
+        p, x = rng.integers(0, 50, 1000), rng.uniform(-1.0, 1.0, 1000)
+        assert np.array_equal(numerics._chebval(coef, p, x),
+                              np.polynomial.chebyshev.chebval(x, coef[:, p], tensor=False))
 
-    def test_monotone_cdf(self, sol):
-        assert np.all(np.diff(sol.grid.ys) >= 0.0)
-        assert sol.grid.ys[-1] == pytest.approx(1.0, abs=1e-10)
+    def test_log_a0_is_the_euler_product(self):
+        # a_0 = 1 / (phi; phi)_inf, never summed by the law itself
+        for phi in EXPAR_PHIS:
+            exact = -math.fsum(math.log1p(-phi ** j) for j in range(1, 100_000))
+            assert numerics.ExpARLaw(phi).log_a0 == pytest.approx(exact, rel=1e-14)
 
-    def test_mean_matches_direct_simulation(self, sol):
-        # oracle: direct simulation of V' = phi V + (E - 1)
-        v = simulate_centered_expar(0.8, 200_000, 250, seed=42)
-        se = v.std() / math.sqrt(v.size)
-        grid_mean = trapezoid_mean_from_cdf(sol.grid.xs, sol.grid.ys)
-        assert abs(grid_mean - v.mean()) < 3.0 * se + 5e-3
+    def test_lower_endpoint(self, expar_law_08):
+        # V >= -1/(1 - phi), so S >= 0
+        assert expar_law_08.cumhaz(0.0) == 0.0 and expar_law_08.cumhaz(-1.0) == 0.0
+        assert expar_law_08.inverse_cumhaz(0.0) == 0.0
 
-    def test_distribution_matches_direct_simulation(self, sol):
-        v = simulate_centered_expar(0.8, 100_000, 250, seed=7)
-        from _oracles import ks_statistic
-        assert ks_statistic(v, sol.cdf) < 0.01
-
-    def test_phi_validation(self):
-        with pytest.raises(ValidationError):
-            numerics.solve_Fv_fixed_point(1.2)
+    def test_monotone_cdf(self, expar_law_08):
+        cdf = -np.expm1(-expar_law_08.cumhaz(np.linspace(0.0, 60.0, 6001)))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-20)
 
     def test_other_phis_converge(self):
-        for phi in (0.3, 0.6, 0.9):
-            s = numerics.solve_Fv_fixed_point(phi, grid_size=1024)
-            assert s.residual < 1e-8
-            assert s.grid.xs[0] == pytest.approx(-1.0 / (1.0 - phi))
+        # builds without a fixed-point iteration up to phi = 0.99
+        for phi in (0.3, 0.6, 0.9, 0.99):
+            law = numerics.ExpARLaw(phi)
+            assert law.cumhaz(law.inverse_cumhaz(1.0)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_mean_matches_direct_simulation(self, expar_law_08):
+        # oracle: direct simulation of V' = phi V + (E - 1); S = V + 1/(1 - phi)
+        v = simulate_centered_expar(0.8, 200_000, 250, seed=42) + 5.0
+        se = v.std() / math.sqrt(v.size)
+        s = np.linspace(0.0, 80.0, 40_001)
+        law_mean = trapezoid_mean_from_cdf(s, -np.expm1(-expar_law_08.cumhaz(s)))
+        assert law_mean == pytest.approx(5.0, abs=1e-8)
+        assert abs(law_mean - v.mean()) < 3.0 * se
+
+    def test_distribution_matches_direct_simulation(self, expar_law_08):
+        v = simulate_centered_expar(0.8, 100_000, 250, seed=7) + 5.0
+        assert ks_statistic(v, lambda s: -np.expm1(-expar_law_08.cumhaz(s))) < 0.01
+
+    def test_phi_validation(self):
+        # beyond 0.99 the law is refused, naming the range, not approximated
+        for phi in (0.0, -0.1, 0.9900001, 0.995, 1.0, 1.2):
+            with pytest.raises(ValidationError, match=r"\(0, 0\.99\]"):
+                numerics.ExpARLaw(phi)
 
 
-class TestGridFunction:
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            numerics.GridFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-        with pytest.raises(ValidationError):
-            numerics.GridFunction(np.arange(3.0), np.zeros(4))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(phi=st.floats(0.05, 0.99),
+       ys=st.lists(st.floats(1e-12, 700.0), min_size=1, max_size=16))
+def test_expar_law_properties(phi, ys):
+    law = numerics.ExpARLaw(phi)
+    s = np.unique(np.concatenate([
+        law.inverse_cumhaz(np.geomspace(1e-30, 700.0, 300)),
+        np.geomspace(1e-8, 2.0 * law.tail, 300)]))
+    assert np.all(np.diff(law.cumhaz(s)) > 0.0)
+    y = np.unique(np.concatenate([[1e-12, 700.0], ys, np.geomspace(1e-12, 700.0, 300)]))
+    inv = law.inverse_cumhaz(y)
+    assert np.all(np.diff(inv) >= 0.0)
+    assert np.all(np.abs(law.cumhaz(inv) - y) <= 1e-12 * np.maximum(y, 1e-3))
+    beyond = law.tail * np.array([1.0, 1.5, 10.0])
+    assert np.array_equal(law.cumhaz(beyond), beyond - law.log_a0)
+    # the panels meet the tail formula
+    below = law.tail * (1.0 - 1e-9)
+    assert law.cumhaz(below) == pytest.approx(below - law.log_a0, rel=1e-13)
