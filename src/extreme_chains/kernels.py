@@ -737,20 +737,18 @@ class RootzenSmithKernel(_Kernel):
 class ArchLaplaceKernel(_Kernel):
     """Squared-volatility recursion Y' = sqrt(theta0 + theta1 Y^2) W on
     standard Laplace margins, through the stationary law of Y that
-    :func:`numerics.arch_stationary_fit` solves; ``law`` reuses a solved law
-    instead of solving one."""
+    :func:`numerics.arch_stationary_fit` solves."""
 
     stationary_law = margins.LAPLACE
 
-    def __init__(self, theta0, theta1, law=None):
+    def __init__(self, theta0, theta1):
         if theta0 <= 0.0:
             raise ValidationError("theta0 must be positive")
         if not 0.0 < theta1 < 1.0:
             raise ValidationError("theta1 must lie in (0, 1)")
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
-        self.law = law if law is not None else numerics.arch_stationary_fit(
-            theta0, theta1)
+        self.law = numerics.arch_stationary_fit(theta0, theta1)
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
 
     def _volatility(self, x):
@@ -807,7 +805,7 @@ _KERNEL_BUILDERS = {
     "expar": ExpARKernel,
     "ht_mixture": _build_ht_mixture,
     "rootzen_smith": RootzenSmithKernel,
-    "arch_laplace": lambda theta0, theta1: ArchLaplaceKernel(theta0, theta1),
+    "arch_laplace": ArchLaplaceKernel,
 }
 
 KERNEL_IDS = tuple(sorted(_KERNEL_BUILDERS))

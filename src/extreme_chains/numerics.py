@@ -1,49 +1,107 @@
 """The bespoke solves the example chains need: the stationary law of the
 exponential autoregression (its series, and its pantograph equation on
 Chebyshev panels), and the tail index and stationary law of the ARCH(1)
-recursion, from one Nystrom solve of its stationarity equation by parts.
+recursion (a Newton root of its moment equation, and one Nystrom solve of its
+stationarity equation by parts, tabulated on Chebyshev panels).  Everything
+here runs on numpy and ``scipy.special``.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln, ndtr, psi
 
 from . import margins
 from .errors import ConvergenceError, ValidationError
 
-__all__ = ["ExpARLaw", "arch_tail_index", "arch_stationary_fit"]
+__all__ = ["ExpARLaw", "ArchStationaryLaw", "arch_tail_index", "arch_stationary_fit"]
+
+# 1/2 log(pi), as a double and the rounding error of that double
+_HALF_LOG_PI = 0.5723649429247001
+_HALF_LOG_PI_LO = 5.132975581353913e-18
+
+
+def _product_error(a, b):
+    """The rounding error of ``a * b``, exactly (Dekker's two-product)."""
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))   # 2^27 + 1
+    al, bl = a - ah, b - bh
+    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
+
+
+def _chebval(coef, p, x):
+    """numpy's ``chebval(x, coef[:, p], tensor=False)`` bit for bit, one row at a time."""
+    x2, c0, c1 = 2.0 * x, coef[-2].take(p), coef[-1].take(p)
+    for row in coef[-3::-1]:
+        c0, c1 = row.take(p) - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebyshev(n):
+    """n Chebyshev points on [-1, 1] and the matrix from values there to the
+    coefficients of their Chebyshev series."""
+    x = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    vinv = (np.polynomial.chebyshev.chebvander(x, n - 1).T
+            * np.where(np.arange(n) > 0, 2.0, 1.0)[:, None] / n)
+    return x, vinv
+
+
+def _cheb_fit(vinv, values):
+    """Chebyshev series of node values given one row per panel: coefficients
+    (one column per panel) of the values less the panel's first value, and the
+    first values, to be added last so that their rounding is not spread over
+    every coefficient."""
+    return vinv @ (values - values[:, :1]).T, values[:, 0]
+
+
+def _series(table, p, x):
+    """The series of :func:`_cheb_fit` on panel p at x."""
+    coef, first = table
+    return first[p] + _chebval(coef, p, x)
+
+
+def _panel(edges, z):
+    """The panel between ascending ``edges`` that holds z (the first or last one
+    beyond them), and z mapped onto [-1, 1] there."""
+    p = np.searchsorted(edges[1:-1], z, side="right")
+    lo, hi = edges[p], edges[p + 1]
+    return p, ((z - lo) + (z - hi)) / (hi - lo)
 
 
 def arch_tail_index(theta1):
     """Tail index kappa of the stationary volatility recursion.
 
-    Solves ``E[(theta1 * W^2)^u] = 1`` for the positive root, i.e.
-    ``(2 theta1)^u Gamma(u + 1/2) / sqrt(pi) = 1``, and returns ``kappa = 2u``.
-    ``theta1 = 1`` gives exactly 2 since ``E[W^2] = 1``.
+    Solves ``E[(theta1 * W^2)^u] = 1`` for the positive root, i.e. the root of
+    the convex ``g(u) = u log(2 theta1) + log Gamma(u + 1/2) - log(pi) / 2``,
+    and returns ``kappa = 2u``.  g(0) = 0 and g(1) = log theta1 < 0, so Newton's
+    method from the first doubling of u with g(u) >= 0 decreases to the root;
+    it stops when an iterate no longer decreases.  g is evaluated with the
+    rounding errors of ``u log(2 theta1)``, of ``u + 1/2``, of the sum and of
+    ``log(pi) / 2`` added back.  ``theta1 = 1`` gives exactly 2 since
+    ``E[W^2] = 1``.
     """
     if not 0.0 < theta1 <= 1.0:
         raise ValidationError("theta1 must lie in (0, 1]")
     if theta1 == 1.0:
         return 2.0
-    # imported on first use: only the volatility chain solves for kappa
-    from scipy.optimize import brentq
+    log_2t = math.log(2.0 * theta1)
 
     def g(u):
-        return u * math.log(2.0 * theta1) + gammaln(u + 0.5) - 0.5 * math.log(math.pi)
+        a = u + 0.5
+        a_err = 0.5 - (a - u)           # u >= 1, so u + 1/2 = a + a_err exactly
+        p, lg = u * log_2t, float(gammaln(a))
+        s = p + lg
+        b = s - p
+        s_err = (p - (s - b)) + (lg - b)        # p + lg = s + s_err exactly
+        return (s - _HALF_LOG_PI) + (s_err + _product_error(u, log_2t)
+                                     + float(psi(a)) * a_err - _HALF_LOG_PI_LO)
 
-    # g(0) = 0 and g is first decreasing, so bracket the positive root from a
-    # point where g < 0 out to a sign change.
-    lo = 1e-6
-    if g(lo) >= 0.0:
-        lo = 0.05
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
+    u = 1.0
+    while g(u) < 0.0:
+        u *= 2.0
+        if u > 1e6:
             raise ConvergenceError("no positive root found for the moment equation")
-    # brentq's default xtol (2e-12) can leave kappa ~1000 ulp off the root
-    u = brentq(g, lo, hi, xtol=1e-15)
+    while (step := u - g(u) / (log_2t + float(psi(u + 0.5)))) < u:
+        u = step
     return 2.0 * u
 
 
@@ -56,9 +114,13 @@ _ARCH_R = 1e5
 _ARCH_TAIL_SPAN = 24.0
 _ARCH_PANELS = (8, 24, 24)
 _ARCH_GAUSS = 16
-# Knots of the tabulated law (linear / log-spaced, as the panels) and the
-# largest relative table error it may carry at their midpoints.
-_ARCH_KNOTS = (512, 2048)
+# The tabulated law: Chebyshev panels of _ARCH_CHEB points, linear in s on
+# [0, _ARCH_SPLIT] and geometric from there to _ARCH_R, the Newton steps that
+# place the quantile's nodes, and the largest relative table error the law may
+# carry between the nodes.
+_ARCH_TABLE_PANELS = (16, 24)
+_ARCH_CHEB = 16
+_ARCH_NEWTON = 3
 _ARCH_TABLE_TOL = 1e-8
 # Kernel evaluations go in row blocks of at most this many elements (2 MB).
 _BLOCK_ELEMS = 1 << 18
@@ -145,18 +207,94 @@ class _ArchNystrom:
         return sf, density
 
 
+class ArchStationaryLaw:
+    """Stationary law of the squared-volatility recursion, from a solved table.
+
+    The law is symmetric, so it is carried by the law of |Y| at theta0 = 1,
+    s = |Y| / sqrt(theta0), on the Chebyshev panels between ``edges``:
+    log P(|Y| > s) = ``log_sf[p]`` + (s - ``edges[p]``) times a series in s on
+    panel p, so that it is exact at every edge, and the quantile against
+    m = -log P(|Y| > s) is a series in m (in log s on the panels beyond
+    ``_ARCH_SPLIT``) on the panels between the edges' images.  Beyond
+    ``blend_x`` (R = 1e5 sqrt(theta0)) the tail is exactly Pareto:
+    ``P(Y > x) = c * x**(-kappa)``.  ``P(Y > x) = P(|Y| > |x|) / 2``, so
+    ``cdf(-x) == sf(x)``.
+    """
+
+    name = "arch_stationary"
+    support = (-np.inf, np.inf)
+
+    def __init__(self, theta0, theta1, kappa, edges, log_sf, slope, quantile):
+        self.theta0 = float(theta0)
+        self.theta1 = float(theta1)
+        self.kappa = float(kappa)
+        self._scale = math.sqrt(self.theta0)
+        self._edges, self._log_sf = edges, log_sf
+        self._slope, self._quantile = slope, quantile
+        self._m_edges = -log_sf
+        self._log_s = edges[:-1] >= _ARCH_SPLIT
+        self.blend_x = self._scale * float(edges[-1])
+        self._log_sf_blend = float(log_sf[-1])
+        # P(Y > x) = exp(log_sf_blend - log 2) (x / blend_x)^-kappa beyond blend_x
+        self.c = float(np.exp(self._log_sf_blend - math.log(2.0)
+                              + self.kappa * math.log(self.blend_x)))
+
+    def _abs_sf(self, x):
+        # P(|Y| > x) for x >= 0
+        s = np.asarray(x, dtype=float) / self._scale
+        inner = np.minimum(s, self._edges[-1])
+        p, z = _panel(self._edges, inner)
+        log_sf = self._log_sf[p] + (inner - self._edges[p]) * _series(self._slope, p, z)
+        pareto = self._log_sf_blend - self.kappa * np.log(
+            np.maximum(s, self._edges[-1]) / self._edges[-1])
+        return np.exp(np.where(s <= self._edges[-1],
+                               np.maximum(log_sf, self._log_sf_blend), pareto))
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        half = 0.5 * self._abs_sf(np.abs(x))
+        return np.where(x < 0.0, half, 1.0 - half)
+
+    def sf(self, x):
+        return self.cdf(-np.asarray(x, dtype=float))
+
+    def _upper_isf(self, s):
+        # |Y| quantile at P(Y > x) = s for s in (0, 1/2]
+        m = -np.log(2.0 * s)
+        top = -self._log_sf_blend
+        p, z = _panel(self._m_edges, np.minimum(m, top))
+        v = _series(self._quantile, p, z)
+        inner = np.minimum(np.maximum(np.where(self._log_s[p], np.exp(v), v), 0.0),
+                           self._edges[-1])
+        pareto = self._edges[-1] * np.exp((np.maximum(m, top) - top) / self.kappa)
+        return self._scale * np.where(m <= top, inner, pareto)
+
+    def ppf(self, p):
+        p = np.clip(margins._check_p(p), margins._P_LO, margins._P_HI)
+        q = self._upper_isf(np.minimum(p, 1.0 - p))
+        return np.where(p < 0.5, -q, q)
+
+    def isf(self, s):
+        return -self.ppf(s)
+
+
 def arch_stationary_fit(theta0, theta1):
     """Solve the stationary marginal law of the volatility recursion.
 
     ``Y' = sqrt(theta0 + theta1 Y^2) W`` scales with ``sqrt(theta0)``, so the
     law of |Y| is solved at theta0 = 1 (:class:`_ArchNystrom`: one linear
-    solve, Pareto beyond R = 1e5 with the exact tail index), tabulated with its
-    density at 2560 knots and scaled.  The returned
-    :class:`margins.ArchStationaryLaw` records in ``residual`` the largest
-    difference between its table and the Nystrom formula at the knot
-    midpoints: relative in sf, and in the quantile relative to
-    max(|x|, sqrt(theta0)).  Above 1e-8 this raises ConvergenceError, as does
-    a tail too light for doubles at R (theta1 below about 0.038).
+    solve, Pareto beyond R = 1e5 with the exact tail index) and tabulated as
+    an :class:`ArchStationaryLaw`: log P(|Y| > s) from the Nystrom formula at
+    the Chebyshev points of 16 linear panels on [0, 8] and 24 geometric ones
+    up to R, and the quantile at the Chebyshev points in m = -log P(|Y| > s) of
+    the panels' images, each placed by Newton steps on the formula's slope
+    from a linear interpolation of the values already known.  The law records
+    in ``residual`` the largest difference between its table and the Nystrom
+    formula at the panel edges and halfway between neighbouring nodes:
+    relative in sf, and in the quantile relative to max(|x|, sqrt(theta0)).
+    Above 1e-8 this raises ConvergenceError, as do a solved sf that is not
+    decreasing and a tail too light for doubles at R (theta1 below about
+    0.038).
     """
     if theta0 <= 0.0:
         raise ValidationError("theta0 must be positive")
@@ -168,18 +306,42 @@ def arch_stationary_fit(theta0, theta1):
         raise ConvergenceError(
             f"P(|Y| > {_ARCH_R:g} sqrt(theta0)) = {sol.sf_R:.3g} is too small for "
             f"doubles at theta1 = {theta1}")
-    lin, log = _ARCH_KNOTS
-    knots = np.concatenate([np.linspace(0.0, _ARCH_SPLIT, lin + 1)[:-1],
-                            np.geomspace(_ARCH_SPLIT, _ARCH_R, log)])
+    x, vinv = _chebyshev(_ARCH_CHEB)
+    lin, log = _ARCH_TABLE_PANELS
+    edges = np.concatenate([np.linspace(0.0, _ARCH_SPLIT, lin + 1),
+                            np.geomspace(_ARCH_SPLIT, _ARCH_R, log + 1)[1:]])
+    lo = edges[:-1, None]
+    nodes = lo + 0.5 * (edges[1:, None] - lo) * (x + 1.0)
+    check = np.sort(np.concatenate([edges, 0.5 * (nodes[:, 1:] + nodes[:, :-1]).ravel()]))
+    known = np.concatenate([nodes.ravel(), check])
+    sf, density = sol.evaluate(known)
+    order = np.argsort(known)
+    m = -np.log(sf)
+    if not (np.all(np.diff(m[order]) > 0.0) and np.all(density > 0.0)):
+        raise ConvergenceError(f"the solved law of |Y| at theta1 = {theta1} is not "
+                               "a decreasing survival function with a density")
+    m_nodes, m_check = m[:nodes.size].reshape(nodes.shape), m[nodes.size:]
+    m_edges = m_check[np.searchsorted(check, edges)]
+    slope = (m_edges[:-1, None] - m_nodes) / (nodes - lo)
+
+    # the quantile's nodes: the Chebyshev points in m of the edges' images
+    m_lo = m_edges[:-1, None]
+    target = (m_lo + 0.5 * (m_edges[1:, None] - m_lo) * (x + 1.0)).ravel()
+    s = np.interp(target, m[order], known[order])
+    for _ in range(_ARCH_NEWTON):           # dm/ds = density / sf
+        sf_s, density_s = sol.evaluate(s)
+        s = s + (np.log(sf_s) + target) * sf_s / density_s
+    s = s.reshape(nodes.shape)
+    s = np.where(edges[:-1, None] >= _ARCH_SPLIT, np.log(s), s)
+    law = ArchStationaryLaw(theta0, theta1, kappa, edges, -m_edges,
+                            _cheb_fit(vinv, slope), _cheb_fit(vinv, s))
+
     scale = math.sqrt(theta0)
-    sf, density = sol.evaluate(knots)
-    law = margins.ArchStationaryLaw(theta0, theta1, kappa, scale * knots, sf,
-                                    density / scale)
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    exact = sol.evaluate(mid)[0]
+    exact = sf[nodes.size:]
     residual = max(
-        float(np.max(np.abs(law.sf(scale * mid) / (0.5 * exact) - 1.0))),
-        float(np.max(np.abs(law.isf(0.5 * exact) / scale - mid) / np.maximum(mid, 1.0))))
+        float(np.max(np.abs(law.sf(scale * check) / (0.5 * exact) - 1.0))),
+        float(np.max(np.abs(law.isf(0.5 * exact) / scale - check)
+                     / np.maximum(check, 1.0))))
     if not residual <= _ARCH_TABLE_TOL:
         raise ConvergenceError(
             f"ARCH law table misses the Nystrom formula by {residual:.3g} "
@@ -191,21 +353,6 @@ def arch_stationary_fit(theta0, theta1):
 _EXPAR_FLAT = 2.0 ** -60          # a panel that moves G by less ends the integration
 _EXPAR_FLOOR = 2.0 ** -52         # the Lambda below which the law is linear in s
 _EXPAR_PHI_MAX = 0.99
-
-
-def _product_error(a, b):
-    """The rounding error of ``a * b``, exactly (Dekker's two-product)."""
-    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))   # 2^27 + 1
-    al, bl = a - ah, b - bh
-    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
-
-
-def _chebval(coef, p, x):
-    """numpy's ``chebval(x, coef[:, p], tensor=False)`` bit for bit, one row at a time."""
-    x2, c0, c1 = 2.0 * x, coef[-2].take(p), coef[-1].take(p)
-    for row in coef[-3::-1]:
-        c0, c1 = row.take(p) - c1, c0 + c1 * x2
-    return c0 + c1 * x
 
 
 class ExpARLaw:
@@ -230,8 +377,7 @@ class ExpARLaw:
         # n Chebyshev points; node values -> series, and the integrals of the
         # interpolant from -1 to each node, to 1 and from each node to 1
         cheb, n = np.polynomial.chebyshev, 16
-        x = -np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        vinv = cheb.chebvander(x, n - 1).T * np.where(np.arange(n) > 0, 2.0, 1.0)[:, None] / n
+        x, vinv = _chebyshev(n)
         anti = cheb.chebint(np.eye(n), lbnd=-1, axis=0) @ vinv
         below = cheb.chebvander(x, n) @ anti
         w = anti.sum(axis=0)
@@ -331,9 +477,8 @@ class ExpARLaw:
             slope = -np.expm1(lam - self.cumhaz(s / phi))
             s = np.maximum(s - (np.log(lam) - u) * lam / slope, nodes[0])
         self._s_lo = float(s[-1])
-        s = s[:-1].reshape(count, n)          # s[:, 0] out of the sums, its rounding
-        self._icoef = vinv @ (s - s[:, :1]).T    # not spread over every coefficient
-        self._icoef[0] += s[:, 0]
+        self._icoef, first = _cheb_fit(vinv, s[:-1].reshape(count, n))
+        self._icoef[0] += first
 
     def cumhaz(self, s):
         """Lambda(s) = -log P(S > s); 0 at and below s = 0."""

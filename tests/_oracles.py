@@ -1,10 +1,11 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the package's own code paths: the normal quantile
-comes from bisecting math.erf, the tail-index oracle is a Hill estimator on
-freshly simulated states, the exponential-autoregression law is its
-alternating series summed in mpmath, and the brute-force simulators below are
-written directly against the defining recursions.
+comes from bisecting math.erf, the tail-index oracles are a Hill estimator on
+freshly simulated states and the root of the moment equation in mpmath, the
+exponential-autoregression law is its alternating series summed in mpmath,
+and the brute-force simulators below are written directly against the
+defining recursions.
 """
 
 import itertools
@@ -61,6 +62,26 @@ def hill_tail_index(sample_abs, k=5000):
     a = np.sort(np.asarray(sample_abs, dtype=float))
     tail = a[a.size - k:]
     return 1.0 / float(np.mean(np.log(tail[1:]) - math.log(tail[0])))
+
+
+def arch_tail_index_mp(theta1, dps=40):
+    """kappa = 2u for the positive root u of (2 theta1)^u Gamma(u + 1/2) =
+    sqrt(pi), by bisection in mpmath at ``dps`` digits (theta1 < 1)."""
+    with mpmath.workdps(dps):
+        log_2t = mpmath.log(2 * mpmath.mpf(theta1))
+        half_log_pi = mpmath.log(mpmath.pi) / 2
+
+        def g(u):
+            return u * log_2t + mpmath.loggamma(u + mpmath.mpf(0.5)) - half_log_pi
+
+        # g(0) = 0, g(1) = log theta1 < 0 and g is convex: the root lies past 1
+        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+        while g(hi) < 0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > hi * mpmath.mpf(10) ** (5 - dps):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        return lo + hi                  # 2u at the midpoint
 
 
 def simulate_centered_expar(phi, n, steps, seed):

@@ -11,8 +11,8 @@ def arch_law_07():
 
 
 @pytest.fixture(scope="session")
-def arch_kernel_07(arch_law_07):
-    return kernels.ArchLaplaceKernel(1.0, 0.7, law=arch_law_07)
+def arch_kernel_07():
+    return kernels.ArchLaplaceKernel(1.0, 0.7)
 
 
 @pytest.fixture(scope="session")

@@ -461,25 +461,52 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
+# scipy modules that neither a figure-1 run nor the volatility chain loads
+HEAVY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.linalg", "scipy.sparse")
+
+
 def test_figure1_run_leaves_out_scipy_optimize_interpolate_and_linalg(tmp_path):
-    # no figure-1 kernel finds a root or tabulates a law; the ARCH kernel
-    # still builds afterwards, through the imports it makes on first use.
+    # no figure-1 kernel finds a root or tabulates a law, and the ARCH kernel
+    # solves and tabulates its law on numpy and scipy.special alone.
     # Library callers keep the normal collector: only main freezes
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "\n".join([
         "import gc, sys",
         "from extreme_chains import cli, kernels",
         f"cli.run_experiment({FIG1_CONFIG!r}, {str(tmp_path / 'fig')!r})",
-        "print([m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg')",
-        "       if m in sys.modules])",
+        f"print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])",
         "print(gc.get_freeze_count())",
         "k = kernels.make_kernel('arch_laplace', theta0=1.0, theta1=0.7)",
-        "print(k.law.kappa > 0.0, 'scipy.optimize' in sys.modules)",
+        f"print(k.law.kappa > 0.0, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])",
     ])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "0", "True True"]
+    assert out.stdout.split("\n")[:3] == ["[]", "0", "True []"]
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "simulate", "seed": 3,
+     "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+     "init": {"u": 5.0}, "horizon": 2, "n_paths": 64},
+    {"kind": "hidden", "seed": 4, "example": "arch", "horizon": 3, "n_paths": 64,
+     "params": {"theta0": 1.0, "theta1": 0.7}},
+], ids=["arch_simulate", "arch_hidden"])
+def test_arch_runs_leave_out_scipy_optimize_interpolate_and_linalg(tmp_path, config):
+    # in one process, so the run's own imports are the ones counted
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cfg = write_config(tmp_path, "arch.json", config)
+    code = "\n".join([
+        "import sys",
+        "from extreme_chains import cli",
+        f"rc = cli.main(['run', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--workers', '1'])",
+        f"print(rc, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.split("\n")[0] == "0 []"
 
 
 def test_paths_run_leaves_parent_without_scipy_optimize_and_interpolate(tmp_path):

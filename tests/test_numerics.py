@@ -11,8 +11,9 @@ from scipy.integrate import quad
 from extreme_chains import numerics
 from extreme_chains.errors import ConvergenceError, ValidationError
 
-from _oracles import (dkw_bound, expar_series, ks_statistic, simulate_arch_states,
-                      simulate_centered_expar, trapezoid_mean_from_cdf)
+from _oracles import (arch_tail_index_mp, dkw_bound, expar_series, ks_statistic,
+                      simulate_arch_states, simulate_centered_expar,
+                      trapezoid_mean_from_cdf)
 
 
 class TestArchTailIndex:
@@ -33,6 +34,15 @@ class TestArchTailIndex:
     def test_correctly_rounded_at_theta1_0_7(self):
         # mpmath (40 digits) puts the root at kappa = 3.17204255418913786...
         assert numerics.arch_tail_index(0.7) == 3.172042554189138
+
+    def test_within_8_ulp_of_the_mpmath_root(self):
+        # the theta1 range whose law the fit can tabulate (kappa from 2 to ~75)
+        worst = 0.0
+        for t1 in np.linspace(0.038, 0.999, 300):
+            root = arch_tail_index_mp(float(t1))
+            kappa = numerics.arch_tail_index(float(t1))
+            worst = max(worst, float(abs(kappa - root)) / math.ulp(float(root)))
+        assert worst <= 8.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
