@@ -289,9 +289,10 @@ def _run_converge(config, out_dir, workers):
                            [(config, j) for j in range(len(config["v_grid"]))],
                            workers))
     path = os.path.join(out_dir, "convergence.csv")
-    table = diagnostics.ConvergenceTable(
-        config["kernel"]["id"], config["scheme"]["id"], config.get("t", 1), rows)
-    table.to_csv(path)
+    header = ["kernel", "scheme", "t", "v", "n", "ks", "atom_lo", "atom_hi", "seed"]
+    ids = (config["kernel"]["id"], config["scheme"]["id"], config.get("t", 1))
+    _write_table(path, header, [[*ids, repr(r.v), r.n, repr(r.ks), repr(r.mass_lo),
+                                 repr(r.mass_hi), r.seed] for r in rows])
     # jointly report the norming remainder decay on the same threshold grid
     scheme = _build_scheme(config["scheme"])
     r_rows = norming.remainder_table(scheme, [config.get("t", 1)],
@@ -309,12 +310,11 @@ def _run_figure1(config, out_dir, workers):
     outputs = []
     for tag, env_actual, env_tc in results:
         path = os.path.join(out_dir, f"chain_{tag}.csv")
-        env_actual.to_csv(path, mode="w", header=True)
-        rows = len(env_actual.t)
-        if env_tc is not None:
-            env_tc.to_csv(path, mode="a", header=False)
-            rows += len(env_tc.t)
-        outputs.append((path, rows))
+        rows = [[env.source, int(t), repr(float(lo)), repr(float(mean)), repr(float(hi))]
+                for env in (env_actual, env_tc) if env is not None
+                for t, lo, mean, hi in zip(env.t, env.q025, env.mean, env.q975)]
+        header = ["source", "t", "q025", "mean", "q975"]
+        outputs.append((path, _write_table(path, header, rows)))
     return outputs
 
 

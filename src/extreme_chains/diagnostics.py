@@ -4,7 +4,6 @@ change-point law checks.  Every routine takes an explicit generator and
 records seeds/sample sizes in its outputs so runs reproduce exactly.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +125,6 @@ class ConvergenceTable:
     def ks_values(self):
         return np.array([r.ks for r in self.rows])
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kernel", "scheme", "t", "v", "n", "ks",
-                             "atom_lo", "atom_hi", "seed"])
-            for r in self.rows:
-                writer.writerow([self.kernel_id, self.scheme_id, self.t,
-                                 repr(r.v), r.n, repr(r.ks), repr(r.mass_lo),
-                                 repr(r.mass_hi), r.seed])
-
 
 def convergence_table(kernel, scheme, K, t, v_grid, n, seed, atom_cut=20.0):
     """One KS row per threshold v, with escaped-mass columns for atom laws."""
@@ -161,17 +150,6 @@ class QuantileEnvelope:
     q975: np.ndarray
     n_paths: int = 0
     precision_warning: bool = False
-
-    def to_csv(self, path, mode="w", header=True):
-        with open(path, mode, newline="") as fh:
-            writer = csv.writer(fh)
-            if header:
-                writer.writerow(["source", "t", "q025", "mean", "q975"])
-            for i in range(len(self.t)):
-                writer.writerow([self.source, int(self.t[i]),
-                                 repr(float(self.q025[i])),
-                                 repr(float(self.mean[i])),
-                                 repr(float(self.q975[i]))])
 
 
 def quantile_envelope(paths, source="actual", t_start=0):

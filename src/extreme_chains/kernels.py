@@ -737,7 +737,8 @@ class RootzenSmithKernel(_Kernel):
 class ArchLaplaceKernel(_Kernel):
     """Squared-volatility recursion Y' = sqrt(theta0 + theta1 Y^2) W on
     standard Laplace margins, through the stationary law of Y that
-    :func:`numerics.arch_stationary_fit` solves."""
+    :func:`numerics.arch_stationary_fit` solves: a Laplace state x is
+    Y = sign(x) Lambda^-1(|x|), Lambda(s) = -log P(|Y| > s)."""
 
     stationary_law = margins.LAPLACE
 
@@ -748,21 +749,25 @@ class ArchLaplaceKernel(_Kernel):
             raise ValidationError("theta1 must lie in (0, 1)")
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
+        self._sqrt_theta = math.sqrt(self.theta0), math.sqrt(self.theta1)
         self.law = numerics.arch_stationary_fit(theta0, theta1)
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
 
+    def _state(self, x):
+        """The volatility-chain state Y of Laplace state x."""
+        return np.copysign(self.law.inverse_cumhaz(np.abs(x)), x)
+
     def _volatility(self, x):
-        z = margins.transform(x, margins.LAPLACE, self.law)
-        return np.sqrt(self.theta0 + self.theta1 * z * z)
+        # sqrt(theta0 + theta1 Y^2) without forming Y^2, which overflows deep out
+        return np.hypot(self._sqrt_theta[0], self._sqrt_theta[1] * self._state(x))
 
     @_conditional_cdf
     def cdf(self, x, y):
-        zy = margins.transform(y, margins.LAPLACE, self.law)
-        return ndtr(zy / self._volatility(x))
+        return ndtr(self._state(y) / self._volatility(x))
 
     def _draw(self, x, rng):
         z = self._volatility(x) * rng.standard_normal(x.shape)
-        return margins.transform(z, self.law, margins.LAPLACE)
+        return np.copysign(self.law.cumhaz(np.abs(z)), z)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 exponential autoregression (its series, and its pantograph equation on
 Chebyshev panels), and the tail index and stationary law of the ARCH(1)
 recursion (a Newton root of its moment equation, and one Nystrom solve of its
-stationarity equation by parts, tabulated on Chebyshev panels).  Everything
-here runs on numpy and ``scipy.special``.
+stationarity equation by parts, tabulated on Chebyshev panels).  Both laws
+are given as a cumulative hazard Lambda(s) = -log P(S > s) and its inverse
+(for ARCH, of S = |Y|), which map the kernels' exponential and Laplace states
+straight onto each chain's own scale.  Everything here runs on numpy and
+``scipy.special``.
 """
 
 import math
@@ -11,7 +14,6 @@ import math
 import numpy as np
 from scipy.special import gammaln, ndtr, psi
 
-from . import margins
 from .errors import ConvergenceError, ValidationError
 
 __all__ = ["ExpARLaw", "ArchStationaryLaw", "arch_tail_index", "arch_stationary_fit"]
@@ -210,72 +212,46 @@ class _ArchNystrom:
 class ArchStationaryLaw:
     """Stationary law of the squared-volatility recursion, from a solved table.
 
-    The law is symmetric, so it is carried by the law of |Y| at theta0 = 1,
-    s = |Y| / sqrt(theta0), on the Chebyshev panels between ``edges``:
-    log P(|Y| > s) = ``log_sf[p]`` + (s - ``edges[p]``) times a series in s on
-    panel p, so that it is exact at every edge, and the quantile against
-    m = -log P(|Y| > s) is a series in m (in log s on the panels beyond
-    ``_ARCH_SPLIT``) on the panels between the edges' images.  Beyond
-    ``blend_x`` (R = 1e5 sqrt(theta0)) the tail is exactly Pareto:
-    ``P(Y > x) = c * x**(-kappa)``.  ``P(Y > x) = P(|Y| > |x|) / 2``, so
-    ``cdf(-x) == sf(x)``.
+    The law is symmetric, so it is carried by the cumulative hazard of |Y|,
+    Lambda(s) = -log P(|Y| > s), and its inverse: a standard Laplace state x
+    is Y = sign(x) Lambda^-1(|x|).  Y scales with sqrt(theta0), so the table
+    is of s = |Y| / sqrt(theta0).  On the Chebyshev panel p between ``edges``,
+    Lambda is ``m_edges[p]`` + (s - ``edges[p]``) times a series in s, so that
+    it is exact at every edge (0 at 0); on the panels between the edges'
+    images Lambda^-1 is a series in m (in log s beyond ``_ARCH_SPLIT``), and
+    0 at 0.  Beyond ``tail`` (1e5 sqrt(theta0)) the tail is exactly Pareto:
+    Lambda(s) = Lambda(tail) + kappa log(s / tail).
     """
 
-    name = "arch_stationary"
-    support = (-np.inf, np.inf)
-
-    def __init__(self, theta0, theta1, kappa, edges, log_sf, slope, quantile):
+    def __init__(self, theta0, theta1, kappa, edges, m_edges, slope, quantile):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self.kappa = float(kappa)
         self._scale = math.sqrt(self.theta0)
-        self._edges, self._log_sf = edges, log_sf
+        self._edges, self._m_edges = edges, m_edges
         self._slope, self._quantile = slope, quantile
-        self._m_edges = -log_sf
         self._log_s = edges[:-1] >= _ARCH_SPLIT
-        self.blend_x = self._scale * float(edges[-1])
-        self._log_sf_blend = float(log_sf[-1])
-        # P(Y > x) = exp(log_sf_blend - log 2) (x / blend_x)^-kappa beyond blend_x
-        self.c = float(np.exp(self._log_sf_blend - math.log(2.0)
-                              + self.kappa * math.log(self.blend_x)))
+        self.tail = self._scale * float(edges[-1])
 
-    def _abs_sf(self, x):
-        # P(|Y| > x) for x >= 0
-        s = np.asarray(x, dtype=float) / self._scale
-        inner = np.minimum(s, self._edges[-1])
+    def cumhaz(self, s):
+        """Lambda(s) = -log P(|Y| > s), for s >= 0."""
+        t = np.asarray(s, dtype=float) / self._scale
+        top, m_top = self._edges[-1], self._m_edges[-1]
+        inner = np.minimum(t, top)
         p, z = _panel(self._edges, inner)
-        log_sf = self._log_sf[p] + (inner - self._edges[p]) * _series(self._slope, p, z)
-        pareto = self._log_sf_blend - self.kappa * np.log(
-            np.maximum(s, self._edges[-1]) / self._edges[-1])
-        return np.exp(np.where(s <= self._edges[-1],
-                               np.maximum(log_sf, self._log_sf_blend), pareto))
+        lam = self._m_edges[p] + (inner - self._edges[p]) * _series(self._slope, p, z)
+        pareto = m_top + self.kappa * np.log(np.maximum(t, top) / top)
+        return np.where(t <= top, np.minimum(lam, m_top), pareto)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        half = 0.5 * self._abs_sf(np.abs(x))
-        return np.where(x < 0.0, half, 1.0 - half)
-
-    def sf(self, x):
-        return self.cdf(-np.asarray(x, dtype=float))
-
-    def _upper_isf(self, s):
-        # |Y| quantile at P(Y > x) = s for s in (0, 1/2]
-        m = -np.log(2.0 * s)
-        top = -self._log_sf_blend
-        p, z = _panel(self._m_edges, np.minimum(m, top))
+    def inverse_cumhaz(self, m):
+        """The s >= 0 with Lambda(s) = m, for m >= 0; exactly 0 at m = 0."""
+        m = np.asarray(m, dtype=float)
+        top, m_top = self._edges[-1], self._m_edges[-1]
+        p, z = _panel(self._m_edges, np.minimum(m, m_top))
         v = _series(self._quantile, p, z)
-        inner = np.minimum(np.maximum(np.where(self._log_s[p], np.exp(v), v), 0.0),
-                           self._edges[-1])
-        pareto = self._edges[-1] * np.exp((np.maximum(m, top) - top) / self.kappa)
-        return self._scale * np.where(m <= top, inner, pareto)
-
-    def ppf(self, p):
-        p = np.clip(margins._check_p(p), margins._P_LO, margins._P_HI)
-        q = self._upper_isf(np.minimum(p, 1.0 - p))
-        return np.where(p < 0.5, -q, q)
-
-    def isf(self, s):
-        return -self.ppf(s)
+        s = np.clip(np.where(self._log_s[p], np.exp(v), v), 0.0, top)
+        pareto = top * np.exp((np.maximum(m, m_top) - m_top) / self.kappa)
+        return self._scale * np.where(m > m_top, pareto, np.where(m > 0.0, s, 0.0))
 
 
 def arch_stationary_fit(theta0, theta1):
@@ -284,17 +260,16 @@ def arch_stationary_fit(theta0, theta1):
     ``Y' = sqrt(theta0 + theta1 Y^2) W`` scales with ``sqrt(theta0)``, so the
     law of |Y| is solved at theta0 = 1 (:class:`_ArchNystrom`: one linear
     solve, Pareto beyond R = 1e5 with the exact tail index) and tabulated as
-    an :class:`ArchStationaryLaw`: log P(|Y| > s) from the Nystrom formula at
-    the Chebyshev points of 16 linear panels on [0, 8] and 24 geometric ones
-    up to R, and the quantile at the Chebyshev points in m = -log P(|Y| > s) of
+    an :class:`ArchStationaryLaw`: m = -log P(|Y| > s) from the Nystrom
+    formula at the Chebyshev points of 16 linear panels on [0, 8] and 24
+    geometric ones up to R, and its inverse at the Chebyshev points in m of
     the panels' images, each placed by Newton steps on the formula's slope
     from a linear interpolation of the values already known.  The law records
     in ``residual`` the largest difference between its table and the Nystrom
-    formula at the panel edges and halfway between neighbouring nodes:
-    relative in sf, and in the quantile relative to max(|x|, sqrt(theta0)).
-    Above 1e-8 this raises ConvergenceError, as do a solved sf that is not
-    decreasing and a tail too light for doubles at R (theta1 below about
-    0.038).
+    formula at the panel edges and halfway between neighbouring nodes: in m,
+    and in s relative to max(s, 1).  Above 1e-8 this raises
+    ConvergenceError, as do a solved sf that is not decreasing and a tail too
+    light for doubles at R (theta1 below about 0.038).
     """
     if theta0 <= 0.0:
         raise ValidationError("theta0 must be positive")
@@ -322,9 +297,9 @@ def arch_stationary_fit(theta0, theta1):
                                "a decreasing survival function with a density")
     m_nodes, m_check = m[:nodes.size].reshape(nodes.shape), m[nodes.size:]
     m_edges = m_check[np.searchsorted(check, edges)]
-    slope = (m_edges[:-1, None] - m_nodes) / (nodes - lo)
+    slope = (m_nodes - m_edges[:-1, None]) / (nodes - lo)
 
-    # the quantile's nodes: the Chebyshev points in m of the edges' images
+    # the inverse's nodes: the Chebyshev points in m of the edges' images
     m_lo = m_edges[:-1, None]
     target = (m_lo + 0.5 * (m_edges[1:, None] - m_lo) * (x + 1.0)).ravel()
     s = np.interp(target, m[order], known[order])
@@ -333,14 +308,13 @@ def arch_stationary_fit(theta0, theta1):
         s = s + (np.log(sf_s) + target) * sf_s / density_s
     s = s.reshape(nodes.shape)
     s = np.where(edges[:-1, None] >= _ARCH_SPLIT, np.log(s), s)
-    law = ArchStationaryLaw(theta0, theta1, kappa, edges, -m_edges,
+    law = ArchStationaryLaw(theta0, theta1, kappa, edges, m_edges,
                             _cheb_fit(vinv, slope), _cheb_fit(vinv, s))
 
     scale = math.sqrt(theta0)
-    exact = sf[nodes.size:]
     residual = max(
-        float(np.max(np.abs(law.sf(scale * check) / (0.5 * exact) - 1.0))),
-        float(np.max(np.abs(law.isf(0.5 * exact) / scale - check)
+        float(np.max(np.abs(law.cumhaz(scale * check) - m_check))),
+        float(np.max(np.abs(law.inverse_cumhaz(m_check) / scale - check)
                      / np.maximum(check, 1.0))))
     if not residual <= _ARCH_TABLE_TOL:
         raise ConvergenceError(

@@ -42,6 +42,17 @@ def ks_statistic(sample, cdf):
                      np.max(np.abs(F - np.arange(0, n) / n))))
 
 
+def symmetric_cdf(cumhaz):
+    """The cdf of a law symmetric about 0 from the cumulative hazard of its
+    absolute value, Lambda(s) = -log P(|Y| > s): P(Y <= y) is
+    exp(-Lambda(|y|)) / 2 below 0 and one less that above."""
+    def cdf(y):
+        y = np.asarray(y, dtype=float)
+        half = 0.5 * np.exp(-cumhaz(np.abs(y)))
+        return np.where(y < 0.0, half, 1.0 - half)
+    return cdf
+
+
 def simulate_arch_states(theta0, theta1, n_draws, seed, lanes=50_000, burn=1500):
     """Stationary states of Y' = sqrt(theta0 + theta1 Y^2) W, by direct recursion."""
     rng = np.random.default_rng(seed)

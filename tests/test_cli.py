@@ -121,6 +121,7 @@ class TestRunExperiment:
         out = tmp_path / "conv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "kernel,scheme,t,v,n,ks,atom_lo,atom_hi,seed"
         assert len(lines) == 3
         rlines = (out / "remainders.csv").read_text().splitlines()
         assert rlines[0] == "t,v,x,r_a,r_b"

@@ -136,17 +136,6 @@ class TestConvergenceTable:
         assert abs(row.mass_lo - 0.5) < 0.03
         assert row.ks < 0.02
 
-    def test_csv_schema(self, tmp_path):
-        k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
-        s = norming.make_norming("ht_canonical", alpha=0.64, beta=0.5)
-        K = norming.limit_law("gaussian_exponential", rho=0.8)
-        table = diagnostics.convergence_table(k, s, K, 1, [6.0], 2_000, seed=3)
-        p = tmp_path / "conv.csv"
-        table.to_csv(p)
-        header = p.read_text().splitlines()[0]
-        assert header == "kernel,scheme,t,v,n,ks,atom_lo,atom_hi,seed"
-
-
 class TestQuantileEnvelope:
 
     def test_constant_paths(self):

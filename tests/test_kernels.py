@@ -403,6 +403,28 @@ class TestDeepAsymmetricLogistic:
                                            rtol=0.0, atol=1e-12)
 
 
+class TestDeepArchStates:
+    """Laplace states beyond 690, where P(|Y| > s) = e^-x is below 1e-300,
+    map to distinct volatility-chain states."""
+
+    xs = np.array([680.0, 690.0, 691.0, 700.0, 1000.0])
+
+    def test_state_map_is_finite_increasing_and_odd(self, arch_kernel_07):
+        y = arch_kernel_07._state(self.xs)
+        assert np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0) and y[0] > 0.0
+        assert np.array_equal(arch_kernel_07._state(-self.xs), -y)
+        assert arch_kernel_07._state(0.0) == 0.0
+
+    def test_cdf_tells_deep_states_apart(self, arch_kernel_07):
+        lo, hi = arch_kernel_07.cdf(695.0, np.array([700.0, 720.0]))
+        assert lo < hi
+
+    def test_draws_are_finite(self, arch_kernel_07):
+        rng = np.random.default_rng(5)
+        for x in self.xs:
+            assert np.all(np.isfinite(arch_kernel_07.sample(np.full(1000, x), rng)))
+
+
 # ---------------------------------------------------------------------------
 # construction & validation
 # ---------------------------------------------------------------------------

@@ -102,57 +102,21 @@ def test_quantile_cdf_inverse_on_interior():
         assert err.max() < 1e-10, law.name
 
 
-@pytest.fixture(scope="module")
-def law():
-    return numerics.arch_stationary_fit(1.0, 0.7)
-
-
-class TestArchStationary:
-
-    def test_symmetry_at_zero(self, law):
-        assert law.cdf(0.0) == 0.5
-
-    def test_symmetry_identity(self, law):
-        xs = np.linspace(-8.0, 8.0, 81)
-        assert np.max(np.abs(law.cdf(xs) + law.cdf(-xs) - 1.0)) < 1e-15
-
-    def test_tail_formula_beyond_blend(self, law):
-        x = 3.0 * law.blend_x
-        assert law.cdf(x) == pytest.approx(1.0 - law.c * x ** (-law.kappa), rel=1e-12)
-
-    def test_tail_slope_matches_kappa(self, law):
-        # beyond blend_x the tail is exactly Pareto with the solved kappa
-        xs = np.geomspace(law.blend_x * 1.05, law.blend_x * 8.0, 40)
-        slope = np.polyfit(np.log(xs), np.log(law.sf(xs)), 1)[0]
-        assert abs(-slope - law.kappa) / law.kappa < 1e-9
-
-    def test_quantile_round_trip(self, law):
-        ps = np.linspace(1e-5, 1.0 - 1e-5, 301)
-        xs = law.ppf(ps)
-        assert np.all(np.diff(xs) >= 0.0)
-        back = law.cdf(xs)
-        assert np.max(np.abs(back - ps)) < 1e-9   # table interpolation error
-
-    def test_theta1_one_has_kappa_two(self):
-        assert numerics.arch_tail_index(1.0) == 2.0
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(theta0=st.floats(0.1, 5.0), theta1=st.floats(0.05, 0.99))
 def test_arch_law_over_parameter_box(theta0, theta1):
+    # the volatility chain's law maps Laplace states through Lambda(s) =
+    # -log P(|Y| > s) and its inverse, P(|Y| > s) = exp(-Lambda(s))
     start = time.perf_counter()
     law = numerics.arch_stationary_fit(theta0, theta1)
     assert time.perf_counter() - start < 1.0
-    a = math.sqrt(theta0) * np.geomspace(1e-6, 1e9, 400)
-    xs = np.concatenate([-a[::-1], [0.0], a])
-    assert np.all(law.cdf(xs) + law.sf(xs) == 1.0)
-    assert np.all(law.cdf(-xs) == law.sf(xs))
-    top = 1.0 - 2.0 ** -53
-    ps = np.concatenate([np.geomspace(1e-300, 0.5, 300), 1.0 - np.geomspace(2.0 ** -53, 0.5, 100)])
-    ps = np.sort(np.concatenate([ps, np.minimum(np.nextafter(ps, 1.0), top)]))
-    assert np.all(np.diff(law.ppf(ps)) >= 0.0)
-    upper = ps[ps <= 0.5]
-    np.testing.assert_allclose(law.sf(law.isf(upper)), upper, rtol=1e-9, atol=0.0)
-    edge = np.array([-700.0, 700.0])
-    for src, dst in ((margins.LAPLACE, law), (law, margins.LAPLACE)):
-        assert np.all(np.isfinite(margins.transform(edge, src, dst)))
+    s = np.concatenate([[0.0], math.sqrt(theta0) * np.geomspace(1e-6, 1e9, 400)])
+    lam = law.cumhaz(s)
+    assert lam[0] == 0.0 and np.all(np.diff(lam) > 0.0) and np.all(np.isfinite(lam))
+    ms = np.concatenate([[0.0], np.geomspace(1e-300, 700.0, 300), np.linspace(0.0, 700.0, 100)])
+    ms = np.sort(np.concatenate([ms, np.nextafter(ms, np.inf)]))
+    assert np.all(np.diff(law.inverse_cumhaz(ms)) >= 0.0)
+    upper = ms[ms <= -math.log(2e-300)]                 # P(|Y| > s) >= 2e-300
+    np.testing.assert_allclose(np.exp(-law.cumhaz(law.inverse_cumhaz(upper))),
+                               np.exp(-upper), rtol=1e-9, atol=0.0)
+    assert np.all(np.isfinite(law.inverse_cumhaz(np.array([700.0, 1000.0]))))
