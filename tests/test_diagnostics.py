@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -135,6 +137,29 @@ class TestConvergenceTable:
         row = table.rows[0]
         assert abs(row.mass_lo - 0.5) < 0.03
         assert row.ks < 0.02
+
+    def test_csv_schema(self, tmp_path):
+        # the table reaches disk through the CLI's converge run
+        from extreme_chains import cli
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kind": "converge", "seed": 3,
+            "kernel": {"id": "gaussian_copula", "rho": 0.8,
+                       "margin": "exponential"},
+            "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+            "limit_law": {"id": "gaussian_exponential", "rho": 0.8},
+            "v_grid": [6.0], "n_paths": 2_000, "t": 1}))
+        out = tmp_path / "conv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "convergence.csv", newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert ",".join(lines[0]) == "kernel,scheme,t,v,n,ks,atom_lo,atom_hi,seed"
+        assert len(lines) == 2
+        row = dict(zip(lines[0], lines[1]))
+        assert (row["kernel"], row["scheme"], row["t"]) == (
+            "gaussian_copula", "ht_canonical", "1")
+        assert float(row["v"]) == 6.0 and int(row["n"]) == 2_000
+        assert 0.0 < float(row["ks"]) < 1.0
 
 class TestQuantileEnvelope:
 
