@@ -13,9 +13,9 @@ import csv
 import gc
 import json
 import os
+import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -30,6 +30,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _N_CHUNKS = 8   # fixed path-partition count; independent of worker count
+_BLOCK_ROWS = 1 << 15   # path rows formatted at a time into a chunk's part file
 
 
 def _rng_for(seed, *key):
@@ -102,8 +103,24 @@ def _format_paths(first_path, t0, values, *int_columns):
     return text, values.size
 
 
+def _write_part(part, first_path, t0, values, *int_columns):
+    """Write the rows ``_format_paths`` gives for these paths to the file
+    ``part``, a block of paths at a time; returns ``(part, rows)``.
+
+    Only one block's text is held at once, so memory does not grow with the
+    chunk.
+    """
+    n, steps = values.shape
+    step = max(1, _BLOCK_ROWS // steps)
+    with open(part, "w", newline="") as fh:
+        for i in range(0, n, step):
+            fh.write(_format_paths(first_path + i, t0, values[i:i + step],
+                                   *(c[i:i + step] for c in int_columns))[0])
+    return part, values.size
+
+
 def _task_simulate_chunk(args):
-    config, chunk = args
+    config, chunk, part = args
     kern = _build_kernel(config["kernel"])
     rng = _rng_for(config["seed"], 1, chunk)
     init = (diagnostics.FixedX0(config["init"]["x0"]) if "x0" in config["init"]
@@ -112,7 +129,7 @@ def _task_simulate_chunk(args):
     X = diagnostics.conditional_forward_sim(
         kern, kern.stationary_law, init, config["horizon"],
         _chunk_size(n, chunk), rng)
-    return _format_paths(_first_path(n, chunk), 0, X)
+    return _write_part(part, _first_path(n, chunk), 0, X)
 
 
 def _task_converge_row(args):
@@ -194,7 +211,7 @@ _HIDDEN_EXAMPLES = {
 
 
 def _task_hidden_chunk(args):
-    config, chunk = args
+    config, chunk, part = args
     example = config["example"]
     rng = _rng_for(config["seed"], 4, chunk)
     n = config["n_paths"]
@@ -202,7 +219,8 @@ def _task_hidden_chunk(args):
                       _chunk_size(n, chunk), rng)
     h = call_checked(f"hidden example '{example}'", builder,
                      config.get("params", {}))
-    return _format_paths(_first_path(n, chunk), 1, h.M, h.regime, h.is_changepoint)
+    return _write_part(part, _first_path(n, chunk), 1, h.M, h.regime,
+                       h.is_changepoint)
 
 
 def _task_chi_row(args):
@@ -241,25 +259,38 @@ def _run_tasks(fn, arglist, workers):
     if workers <= 1 or len(arglist) <= 1:
         yield from map(fn, arglist)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
         yield from pool.map(fn, arglist)
 
 
 def _write_paths_csv(task, config, workers, path, header):
-    """Run ``task`` on every non-empty path chunk and write the CSV text each
-    returns under ``header``, in chunk order; returns ``[(path, rows)]``.
+    """Run ``task`` on every non-empty path chunk and write ``header`` and the
+    rows of each chunk to ``path``, in chunk order; returns ``[(path, rows)]``.
 
-    A chunk's index keys its seed, so a path keeps its chunk, and its bytes,
-    whatever the path count of the other chunks.
+    Chunk c writes its rows to the part file ``path.c.part``; the parent
+    appends each part to ``path`` as its chunk completes and deletes it, and
+    deletes any part a failed run leaves.  A chunk's index keys its seed, so
+    a path keeps its chunk, and its bytes, whatever the path count of the
+    other chunks.
     """
-    n = config["n_paths"]
+    parts = [f"{path}.{c}.part" for c in range(min(config["n_paths"], _N_CHUNKS))]
     rows = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for text, m in _run_tasks(
-                task, [(config, c) for c in range(min(n, _N_CHUNKS))], workers):
-            fh.write(text)
-            rows += m
+    results = _run_tasks(task, [(config, c, part) for c, part in enumerate(parts)],
+                         workers)
+    try:
+        with open(path, "wb") as out:
+            out.write((",".join(header) + "\r\n").encode())
+            for part, m in results:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
+                os.remove(part)
+                rows += m
+    finally:
+        results.close()   # a pool finishes its running chunks before this returns
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
     return [(path, rows)]
 
 

@@ -124,8 +124,9 @@ _ARCH_TABLE_PANELS = (16, 24)
 _ARCH_CHEB = 16
 _ARCH_NEWTON = 3
 _ARCH_TABLE_TOL = 1e-8
-# Kernel evaluations go in row blocks of at most this many elements (2 MB).
-_BLOCK_ELEMS = 1 << 18
+# Kernel evaluations go in row blocks of at most this many elements (256 KB),
+# small enough to stay in cache.
+_BLOCK_ELEMS = 1 << 15
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 

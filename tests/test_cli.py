@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from extreme_chains import cli
+from extreme_chains.errors import ConvergenceError
 
 
 def write_config(tmp_path, name, payload):
@@ -432,6 +433,76 @@ def test_paths_outputs_worker_invariant(tmp_path, config, name):
     assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("config, name", [
+    ({"kind": "simulate", "seed": 5, "kernel": {"id": "rootzen_smith"},
+      "init": {"u": 9.0}, "horizon": 3, "n_paths": 40}, "paths.csv"),
+    ({"kind": "hidden", "seed": 6, "example": "rootzen_smith", "horizon": 3,
+      "n_paths": 40}, "hidden_paths.csv"),
+], ids=["simulate", "hidden"])
+def test_paths_runs_leave_no_part_files(tmp_path, config, name, workers):
+    # each chunk's rows pass through a part file beside the CSV, which the
+    # parent deletes once it has appended it
+    cfg = write_config(tmp_path, "p.json", config)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 0
+    assert sorted(os.listdir(out)) == sorted([name, "manifest.json"])
+
+
+_simulate_chunk = cli._task_simulate_chunk
+
+
+def _fail_after_writing_chunk_3(args):
+    """The simulate chunk task, except that chunk 3 fails once its part file
+    is written (top-level, so a pool can pickle it)."""
+    part, rows = _simulate_chunk(args)
+    if args[1] == 3:
+        raise ConvergenceError(f"chunk 3 failed after writing {part}")
+    return part, rows
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_paths_run_leaves_no_part_files(tmp_path, monkeypatch, workers):
+    # the run fails as any numeric failure does; the CSV keeps the header and
+    # the chunks before the failed one, and no part file is left
+    monkeypatch.setattr(cli, "_task_simulate_chunk", _fail_after_writing_chunk_3)
+    cfg = write_config(tmp_path, "p.json", {
+        "kind": "simulate", "seed": 5, "kernel": {"id": "rootzen_smith"},
+        "init": {"u": 9.0}, "horizon": 2, "n_paths": 80})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == cli.EXIT_NUMERIC
+    assert os.listdir(out) == ["paths.csv"]
+    rows = read(out / "paths.csv").decode().splitlines()[1:]
+    assert len(rows) == 3 * 10 * 3
+    assert int(rows[-1].split(",")[0]) == 29
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_paths_run_peak_rss_does_not_grow_with_path_count(tmp_path):
+    # no process holds a chunk's text: workers format a block of rows at a
+    # time into part files that the parent splices.  os.wait4 gives the
+    # largest of the run and the pool workers it reaps
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    peaks = []
+    for n in (2_000, 40_000):
+        cfg = write_config(tmp_path, f"{n}.json", {
+            "kind": "simulate", "seed": 7,
+            "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+            "init": {"u": 5.0}, "horizon": 20, "n_paths": n})
+        proc = subprocess.Popen([sys.executable, "-m", "extreme_chains.cli", "run",
+                                 "--config", cfg, "--out", str(tmp_path / str(n)),
+                                 "--workers", "2"], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peaks.append(usage.ru_maxrss / 1024.0)
+    assert peaks[1] - peaks[0] < 3.0, peaks
+
+
 def test_simulate_takes_horizon_0(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "kind": "simulate", "seed": 1, "kernel": {"id": "bev_logistic", "gamma": 0.2},
@@ -484,6 +555,24 @@ def test_figure1_run_leaves_out_scipy_optimize_interpolate_and_linalg(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout.split("\n")[:3] == ["[]", "0", "True []"]
+
+
+def test_figure1_run_at_one_worker_leaves_out_multiprocessing(tmp_path):
+    # only a run that starts a process pool imports one
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cfg = write_config(tmp_path, "fig.json", FIG1_CONFIG)
+    code = "\n".join([
+        "import sys",
+        "from extreme_chains import cli",
+        f"rc = cli.main(['run', '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'fig')!r}, '--workers', '1'])",
+        "print(rc, [m for m in ('multiprocessing', 'concurrent.futures.process')",
+        "           if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.split("\n")[0] == "0 []"
 
 
 @pytest.mark.parametrize("config", [
