@@ -233,23 +233,6 @@ def _task_chi_row(args):
     return rows[0]
 
 
-def _task_negdep(args):
-    config, _ = args
-    rho = config.get("rho", -0.8)
-    kern = _build_kernel({"id": "gaussian_copula", "rho": rho, "margin": "laplace"})
-    x0 = config.get("x0", 20.0)
-    T = config.get("horizon", 3)
-    n = config.get("n_paths", 100_000)
-    rng = _rng_for(config["seed"], 6, 0)
-    X = diagnostics.conditional_forward_sim(
-        kern, kern.stationary_law, diagnostics.FixedX0(x0), T, n, rng)
-    rows = []
-    for t in range(1, T + 1):
-        frac = float(np.mean(np.sign(X[:, t]) == (-1.0) ** t))
-        rows.append((t, frac))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
@@ -360,10 +343,16 @@ def _run_hidden(config, out_dir, workers):
 
 
 def _run_negdep(config, out_dir, workers):
-    rows = _task_negdep((config, 0))
+    rho = config.get("rho", -0.8)
+    kern = _build_kernel({"id": "gaussian_copula", "rho": rho, "margin": "laplace"})
+    T = config.get("horizon", 3)
+    X = diagnostics.conditional_forward_sim(
+        kern, kern.stationary_law, diagnostics.FixedX0(config.get("x0", 20.0)), T,
+        config.get("n_paths", 100_000), _rng_for(config["seed"], 6, 0))
     path = os.path.join(out_dir, "negdep_signs.csv")
-    return [(path, _write_table(path, ["t", "sign_match_freq"],
-                                [[t, repr(frac)] for t, frac in rows]))]
+    rows = [[t, repr(float(np.mean(np.sign(X[:, t]) == (-1.0) ** t)))]
+            for t in range(1, T + 1)]
+    return [(path, _write_table(path, ["t", "sign_match_freq"], rows))]
 
 
 def _run_chi(config, out_dir, workers):

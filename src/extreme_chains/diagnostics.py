@@ -42,19 +42,27 @@ class FixedX0:
 
 @dataclass
 class Exceedance:
-    """Start from ``law`` above ``u`` by exact inverse-survival conditioning:
-    X_0 = law.isf(S(u) (1 - U)), in full relative precision however deep u
-    sits."""
+    """Start from ``law`` above ``u`` by exact conditioning on the Laplace
+    scale, with l_u = law.to_laplace(u) and one uniform U per path.  Above the
+    median the Laplace excess is exactly unit exponential, so X_0 =
+    law.from_laplace(l_u - log(1 - U)); below it X_0 =
+    law.from_laplace(LAPLACE.isf(LAPLACE.sf(l_u) (1 - U))).  Every draw keeps
+    full relative precision however deep u sits.  A threshold at or below
+    the support floor draws from the whole law; one whose Laplace value is
+    +inf or NaN raises DomainError."""
 
     u: float
 
     def draw(self, law, n, rng):
-        su = float(law.sf(self.u))
-        # 1 - U >= 2^-53, so no draw's probability reaches the quantile clamp
-        if not su * 2.0 ** -53 >= margins._P_LO:
+        lu = float(law.to_laplace(self.u))
+        if not lu < np.inf:
             raise DomainError(f"threshold {self.u} beyond the law's numeric range "
-                              f"(P(X > u) = {su:.3g})")
-        return law.isf(su * (1.0 - rng.uniform(size=n)))
+                              f"(Laplace value {lu})")
+        U = rng.uniform(size=n)
+        if lu >= 0.0:
+            return law.from_laplace(lu - np.log1p(-U))
+        lap = margins.LAPLACE
+        return law.from_laplace(lap.isf(lap.sf(lu) * (1.0 - U)))
 
 
 def conditional_forward_sim(kernel, law, init, T, n, rng):

@@ -501,13 +501,9 @@ class GaussianCopulaKernel(_Kernel):
                 self.ht_alpha_beta = (rho * rho, 0.5)
 
     def _to_z(self, x):
-        if self.stationary_law is margins.GAUSSIAN:
-            return x
         return margins.transform(x, self.stationary_law, margins.GAUSSIAN)
 
     def _from_z(self, z):
-        if self.stationary_law is margins.GAUSSIAN:
-            return z
         return margins.transform(z, margins.GAUSSIAN, self.stationary_law)
 
     @_conditional_cdf

@@ -70,7 +70,6 @@ class HiddenChainPaths:
     is_changepoint: np.ndarray          # (n, T) bool, True at T^B_k
     B: np.ndarray = None                # latent Bernoulli draws where used
     case: np.ndarray = None             # per-step update-case codes (mixture)
-    example: str = ""
 
     @property
     def horizon(self):
@@ -153,7 +152,7 @@ def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
             out[post] = kernel.sample(np.maximum(prev[post], 1e-12), rng)
         M[:, t - 1] = out
         regime[:, t - 1] = np.where(pre, REGIME_EXTREME, REGIME_BODY)
-    return HiddenChainPaths(M, regime, cp, B=B, example="asym_logistic")
+    return HiddenChainPaths(M, regime, cp, B=B)
 
 
 def _flip_changepoints(B):
@@ -244,7 +243,7 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
               np.where(row == MIX_CASE_A1_SCALE, a1 * prev, a2 * prev)))))
         M[:, i] = out
         case[:, i] = row
-    return HiddenChainPaths(M, regime, cp, B=B, case=case, example="ht_mixture")
+    return HiddenChainPaths(M, regime, cp, B=B, case=case)
 
 
 def hidden_rootzen_smith(T, n, rng, p=0.5):
@@ -270,7 +269,7 @@ def hidden_rootzen_smith(T, n, rng, p=0.5):
             nxt = kernel.sample(M[cont, t - 2], rng)
             M[cont, t - 1] = nxt
         regime[live, t - 1] = REGIME_BODY
-    return HiddenChainPaths(M, regime, cp, example="rootzen_smith")
+    return HiddenChainPaths(M, regime, cp)
 
 
 def hidden_arch(theta0, theta1, T, n, rng):
@@ -298,7 +297,7 @@ def hidden_arch(theta0, theta1, T, n, rng):
         eps = np.where(use_minus[:, i], gm.sample(n, rng), gp.sample(n, rng))
         s = np.where(cp[:, i], -1.0, 1.0)
         M[:, i] = s * M[:, i - 1] + eps
-    return HiddenChainPaths(M, regime, cp, B=B, example="arch")
+    return HiddenChainPaths(M, regime, cp, B=B)
 
 
 def reconstruct_paths(x0, scheme, M):

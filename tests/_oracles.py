@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the package's own code paths: the normal quantile
-comes from bisecting math.erf, the tail-index oracles are a Hill estimator on
+comes from bisecting math.erf, deep Gaussian scores are roots of mpmath's
+erfc, the tail-index oracles are a Hill estimator on
 freshly simulated states and the root of the moment equation in mpmath, the
 exponential-autoregression law is its alternating series summed in mpmath,
 and the brute-force simulators below are written directly against the
@@ -27,6 +28,18 @@ def norm_quantile(p, tol_iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def gaussian_score_mp(log_tail, dps=60):
+    """The standard normal score z >= 0 with P(Z > z) = exp(log_tail), for a
+    ``log_tail`` <= -log 2 given as a float or an mpmath number: the root of
+    log(erfc(z / sqrt 2) / 2) = log_tail in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        target = mpmath.mpf(log_tail)
+        root2 = mpmath.sqrt(2)
+        return float(mpmath.findroot(
+            lambda z: mpmath.log(mpmath.erfc(z / root2) / 2) - target,
+            mpmath.sqrt(-2 * target)))
 
 
 def dkw_bound(n, alpha=0.01):

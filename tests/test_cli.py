@@ -233,6 +233,22 @@ class TestErrors:
             "init": {"u": 1e310}, "horizon": 1, "n_paths": 10})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_deep_threshold_runs(self, tmp_path):
+        # P(X > 700) = e^-700 is below 1e-300; the start is drawn on the
+        # Laplace scale, so no probability is formed and every X_0 exceeds u
+        cfg = write_config(tmp_path, "deep.json", {
+            "kind": "simulate", "seed": 1,
+            "kernel": {"id": "gaussian_copula", "rho": 0.8,
+                       "margin": "exponential"},
+            "init": {"u": 700}, "horizon": 2, "n_paths": 40})
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--workers", "1"]) == 0
+        with open(out / "paths.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        x0 = [float(v) for _, t, v in rows if t == "0"]
+        assert len(x0) == 40 and min(x0) > 700.0
+
     @pytest.mark.parametrize("change", [
         {"kernel": {"id": "bev_logistic", "gama": 0.2}},     # misspelt key
         {"init": {}},                                        # no x0 or u

@@ -41,7 +41,7 @@ class TestConditionalForwardSim:
 
     @pytest.mark.parametrize("law", [margins.EXPONENTIAL, margins.LAPLACE],
                              ids=["exponential", "laplace"])
-    @pytest.mark.parametrize("u", [30.0, 40.0])
+    @pytest.mark.parametrize("u", [30.0, 40.0, 700.0, 2000.0])
     def test_deep_exceedance_start(self, law, u, rng):
         # above u > 0 both laws have an exactly unit exponential excess; the
         # start keeps every draw distinct and above u however deep u sits

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -8,7 +9,7 @@ from extreme_chains import kernels, margins, norming
 from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
                                    ValidationError)
 
-from _oracles import dkw_bound, ks_statistic
+from _oracles import dkw_bound, gaussian_score_mp, ks_statistic
 
 np.seterr(all="ignore")
 
@@ -423,6 +424,58 @@ class TestDeepArchStates:
         rng = np.random.default_rng(5)
         for x in self.xs:
             assert np.all(np.isfinite(arch_kernel_07.sample(np.full(1000, x), rng)))
+
+
+@pytest.mark.parametrize("margin", ["exponential", "laplace"])
+class TestDeepGaussianCopulaStates:
+    """States whose tail probability is below 1e-300 map to distinct Gaussian
+    scores: the copula reads exponential 700-2000 and Laplace 700-2000 as
+    themselves, not as the deepest state a clamped probability can reach."""
+
+    xs = np.array([700.0, 1000.0, 2000.0])
+    rho = 0.8
+
+    @staticmethod
+    def log_tail(margin, x):
+        # log P(X > x) on the margin's scale, in mpmath
+        x = mpmath.mpf(float(x))
+        return -x if margin == "exponential" else -x - mpmath.log(2)
+
+    def test_scores_increase(self, margin):
+        z = kernels.GaussianCopulaKernel(self.rho, margin)._to_z(self.xs)
+        assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0.0)
+
+    def test_same_seed_draws_differ(self, margin):
+        k = kernels.GaussianCopulaKernel(self.rho, margin)
+        draws = [k.sample(np.full(100, x), np.random.default_rng(3)) for x in self.xs]
+        assert all(np.all(np.isfinite(d)) for d in draws)
+        assert np.all(draws[0] < draws[1]) and np.all(draws[1] < draws[2])
+
+    def test_cdf_matches_mpmath_scores(self, margin):
+        k = kernels.GaussianCopulaKernel(self.rho, margin)
+        with mpmath.workdps(60):
+            for x in self.xs:
+                y = 0.64 * x
+                zx, zy = (gaussian_score_mp(self.log_tail(margin, v)) for v in (x, y))
+                want = norm.cdf((zy - self.rho * zx) / math.sqrt(1.0 - self.rho ** 2))
+                assert abs(k.cdf(x, y) - want) < 1e-12, (x, k.cdf(x, y), want)
+
+
+def test_negative_gaussian_copula_floors_at_least_positive_double():
+    # from x0 = 2000 at rho = -0.8 the next exponential state is about
+    # e^-1250, below every double: it floors at the least positive one, and
+    # the chain runs on from there; from x0 = 700 it is about e^-445
+    k = kernels.GaussianCopulaKernel(-0.8, "exponential")
+    first = {}
+    for x0 in (700.0, 2000.0):
+        x = np.full(1000, x0)
+        rng = np.random.default_rng(11)
+        for t in range(3):
+            x = k.sample(x, rng)
+            assert np.all(np.isfinite(x)) and np.all(x > 0.0), (x0, t)
+            first.setdefault(x0, x)
+    assert np.all(first[2000.0] == np.finfo(float).smallest_subnormal)
+    assert np.all(first[700.0] > 1e-250)
 
 
 # ---------------------------------------------------------------------------

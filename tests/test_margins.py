@@ -120,3 +120,27 @@ def test_arch_law_over_parameter_box(theta0, theta1):
     np.testing.assert_allclose(np.exp(-law.cumhaz(law.inverse_cumhaz(upper))),
                                np.exp(-upper), rtol=1e-9, atol=0.0)
     assert np.all(np.isfinite(law.inverse_cumhaz(np.array([700.0, 1000.0]))))
+
+
+@pytest.mark.parametrize("law, lo", [(margins.GAUSSIAN, -5000.0),
+                                     (margins.EXPONENTIAL, -700.0)],
+                         ids=["gaussian", "exponential"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_transform_exact_deep_in_both_tails(law, lo, data):
+    # Laplace values whose tail probability is far below the least double:
+    # the maps to and from ``law`` stay finite, strictly increasing and
+    # invertible, where a probability clamp would merge them
+    ls = np.unique(data.draw(st.lists(st.floats(lo, 5000.0), min_size=2, max_size=30)))
+    ls = ls[np.concatenate([[True], np.diff(ls) > 1e-6 * np.maximum(1.0, np.abs(ls[1:]))])]
+    chains = [(margins.LAPLACE, law)]
+    if law is margins.EXPONENTIAL:
+        chains.append((margins.EXPONENTIAL, margins.GAUSSIAN))
+    xs = ls
+    for src, dst in chains:
+        ys = margins.transform(xs, src, dst)
+        assert np.all(np.isfinite(ys)) and np.all(np.diff(ys) > 0.0), (src.name, dst.name)
+        back = margins.transform(ys, dst, src)
+        scale = np.abs(xs) if src is margins.EXPONENTIAL else np.maximum(1.0, np.abs(xs))
+        assert np.all(np.abs(back - xs) <= 1e-9 * scale), (src.name, dst.name)
+        xs = ys
