@@ -17,7 +17,7 @@ import shutil
 import sys
 import time
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -183,16 +183,20 @@ def _task_figure1_chain(args):
     x0 = config.get("x0", 10.0)
     T = config.get("horizon", 15)
     n = config.get("n_paths", 10_000)
-    rng = _rng_for(config["seed"], 3, idx, 0)
-    X = diagnostics.conditional_forward_sim(
-        kern, kern.stationary_law, diagnostics.FixedX0(x0), T, n, rng)
-    env_actual = diagnostics.quantile_envelope(X[:, 1:], source="actual", t_start=1)
+    # each envelope summarises one step's n states at a time; no path
+    # matrix is formed
+    states = diagnostics.forward_states(
+        kern, kern.stationary_law, diagnostics.FixedX0(x0), T, n,
+        _rng_for(config["seed"], 3, idx, 0))
+    env_actual = diagnostics.quantile_envelope(islice(states, 1, None),
+                                               source="actual", t_start=1)
     env_tc = None
     if law is not None:
-        rng_tc = _rng_for(config["seed"], 3, idx, 1)
-        paths = tailchain.simulate_tail_chain(scheme, law, T, n, rng_tc)
-        xtc = tailchain.reconstruct_paths(x0, scheme, paths.M)
-        env_tc = diagnostics.quantile_envelope(xtc, source="tailchain", t_start=1)
+        steps = tailchain.tail_chain_steps(scheme, law, T, n,
+                                           _rng_for(config["seed"], 3, idx, 1))
+        env_tc = diagnostics.quantile_envelope(
+            (scheme.a(t, x0) + scheme.b(t, x0) * m for t, m in enumerate(steps, 1)),
+            source="tailchain", t_start=1)
     return tag, env_actual, env_tc
 
 
@@ -345,13 +349,13 @@ def _run_hidden(config, out_dir, workers):
 def _run_negdep(config, out_dir, workers):
     rho = config.get("rho", -0.8)
     kern = _build_kernel({"id": "gaussian_copula", "rho": rho, "margin": "laplace"})
-    T = config.get("horizon", 3)
-    X = diagnostics.conditional_forward_sim(
-        kern, kern.stationary_law, diagnostics.FixedX0(config.get("x0", 20.0)), T,
-        config.get("n_paths", 100_000), _rng_for(config["seed"], 6, 0))
+    states = diagnostics.forward_states(
+        kern, kern.stationary_law, diagnostics.FixedX0(config.get("x0", 20.0)),
+        config.get("horizon", 3), config.get("n_paths", 100_000),
+        _rng_for(config["seed"], 6, 0))
     path = os.path.join(out_dir, "negdep_signs.csv")
-    rows = [[t, repr(float(np.mean(np.sign(X[:, t]) == (-1.0) ** t)))]
-            for t in range(1, T + 1)]
+    rows = [[t, repr(float(np.mean(np.sign(x) == (-1.0) ** t)))]
+            for t, x in enumerate(states) if t > 0]
     return [(path, _write_table(path, ["t", "sign_match_freq"], rows))]
 
 

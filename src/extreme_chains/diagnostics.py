@@ -14,6 +14,7 @@ from .errors import DomainError, ValidationError
 __all__ = [
     "FixedX0",
     "Exceedance",
+    "forward_states",
     "conditional_forward_sim",
     "normalized_samples",
     "ks_distance",
@@ -65,24 +66,48 @@ class Exceedance:
         return law.from_laplace(lap.isf(lap.sf(lu) * (1.0 - U)))
 
 
-def conditional_forward_sim(kernel, law, init, T, n, rng):
-    """Simulate n paths X_0..X_T; ``init`` (FixedX0 or Exceedance) draws X_0
-    from ``law``, then each step draws from ``kernel``."""
+def forward_states(kernel, law, init, T, n, rng):
+    """Yield X_0, ..., X_T of n paths, one n-vector per step: ``init``
+    (FixedX0 or Exceedance) draws X_0 from ``law``, then each step is one
+    ``kernel.sample`` of the step before.  Only the step just drawn is held,
+    so a consumer that summarises each step as it arrives runs in O(n)
+    memory whatever the horizon."""
     if n < 1 or T < 0:
         raise ValidationError("need n >= 1 and T >= 0")
+    x = init.draw(law, n, rng)
+    yield x
+    for _ in range(T):
+        x = kernel.sample(x, rng)
+        yield x
+
+
+def conditional_forward_sim(kernel, law, init, T, n, rng):
+    """The (n, T + 1) array of n paths X_0..X_T, filled step by step from
+    ``forward_states``, so the same generator gives the same paths.  A
+    consumer that reads one step at a time should iterate
+    ``forward_states`` instead: this array is O(n T)."""
+    states = forward_states(kernel, law, init, T, n, rng)
+    x0 = next(states)
     X = np.empty((n, T + 1))
-    X[:, 0] = init.draw(law, n, rng)
-    for t in range(1, T + 1):
-        X[:, t] = kernel.sample(X[:, t - 1], rng)
+    X[:, 0] = x0
+    for t, x in enumerate(states, 1):
+        X[:, t] = x
     return X
+
+
+def _state_at(kernel, law, init, t, n, rng):
+    """X_t of n paths from ``forward_states``, holding one step at a time."""
+    for x in forward_states(kernel, law, init, t, n, rng):
+        pass
+    return x
 
 
 def normalized_samples(kernel, v, scheme, t, n, rng):
     """n draws of (X_t - a_t(v)) / b_t(v) given X_0 = v (forward simulation)."""
     if t < 1:
         raise ValidationError("need t >= 1")
-    X = conditional_forward_sim(kernel, kernel.stationary_law, FixedX0(v), t, n, rng)
-    return (X[:, t] - scheme.a(t, v)) / scheme.b(t, v)
+    x = _state_at(kernel, kernel.stationary_law, FixedX0(v), t, n, rng)
+    return (x - scheme.a(t, v)) / scheme.b(t, v)
 
 
 def ks_distance(samples, cdf):
@@ -161,19 +186,28 @@ class QuantileEnvelope:
 
 
 def quantile_envelope(paths, source="actual", t_start=0):
-    """Columnwise envelope of a (n_paths, horizon) array.
+    """Per-step 2.5%/mean/97.5% envelope of a path bundle.
 
-    Fewer than 100 paths sets ``precision_warning`` on the result.
+    ``paths`` is an iterable of per-step vectors, the states of every path
+    at one step (as ``forward_states`` yields them).  Each step is summarised
+    as it arrives, by ``np.quantile`` and the vector's mean, so only one step
+    is held at a time.  A 2-D array of shape (n_paths, horizon) is read by
+    columns.  Fewer than 100 paths sets ``precision_warning`` on the result.
     """
-    paths = np.atleast_2d(np.asarray(paths, dtype=float))
-    n = paths.shape[0]
-    ts = np.arange(t_start, t_start + paths.shape[1])
-    q025, q975 = np.quantile(paths, [0.025, 0.975], axis=0)
+    if isinstance(paths, np.ndarray):
+        paths = np.atleast_2d(paths).T
+    rows, n = [], 0
+    for x in paths:
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        q025, q975 = np.quantile(x, [0.025, 0.975])
+        rows.append((q025, x.mean(), q975))
+    q025, mean, q975 = np.array(rows, dtype=float).reshape(-1, 3).T
     return QuantileEnvelope(
         source=source,
-        t=ts,
+        t=np.arange(t_start, t_start + len(rows)),
         q025=q025,
-        mean=paths.mean(axis=0),
+        mean=mean,
         q975=q975,
         n_paths=n,
         precision_warning=n < 100,
@@ -202,8 +236,7 @@ def chi_estimate(kernel, law, t, u_grid, n, seed, min_exceed=50):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=int(seed), spawn_key=(0xC1, j)))
         x_u = float(law.ppf(u))
-        X = conditional_forward_sim(kernel, law, Exceedance(x_u), t, n, rng)
-        hits = law.cdf(X[:, t]) > u
+        hits = law.cdf(_state_at(kernel, law, Exceedance(x_u), t, n, rng)) > u
         cnt = int(hits.sum())
         rows.append(ChiRow(float(u), float(hits.mean()), cnt, n, cnt < min_exceed))
     return rows

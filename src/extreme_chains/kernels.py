@@ -457,10 +457,17 @@ class _Kernel:
         return self.stationary_law.support[0]
 
     def _check_x(self, x):
+        """``x`` as a float array, once every state is finite and above the
+        support floor; NaN fails both comparisons."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= self.support_lo):
+        bad = ~((x > self.support_lo) & (x < np.inf))
+        if bad.any():
+            v = x[bad][0]
+            if not np.isfinite(v):
+                raise DomainError(f"{self.name}: conditioning state must be "
+                                  f"finite; got {v}")
             raise DomainError(f"{self.name}: conditioning state must exceed "
-                              f"the support floor {self.support_lo}")
+                              f"the support floor {self.support_lo}; got {v}")
         return x
 
     def cdf(self, x, y):

@@ -8,6 +8,7 @@ states carry integer regime codes instead and the values stay finite.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "SignChange",
     "ValueChange",
     "simulate_tail_chain",
+    "tail_chain_steps",
     "hidden_asym_logistic",
     "hidden_ht_mixture",
     "hidden_rootzen_smith",
@@ -89,16 +91,9 @@ def _check_horizon(T, n):
         raise ValidationError("need horizon >= 1 and at least one path")
 
 
-def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
-    """Tail chain M_1 ~ K, M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t.
-
-    The scheme carries the regime through its update functions: location and
-    scale (Theorem 1), scale only with psi_a = 0 (Theorem 2, which needs K on
-    (0, inf) with K({0}) = 0), or sign-alternating (Theorem 3).  ``K_plus``,
-    when given, is the law of the innovations that produce even steps (K_+ of
-    Theorem 3, ``K`` then being K_-); by default every innovation is drawn
-    from ``K``.  Neither law may carry mass at +-infinity.
-    """
+def _tail_chain(scheme, K, T, n, rng, K_plus):
+    """Yield E0, then M_1, ..., M_T, one n-vector each (see
+    ``simulate_tail_chain``); the checks run before E0 is drawn."""
     _check_horizon(T, n)
     K_plus = K if K_plus is None else K_plus
     for law in (K, K_plus):
@@ -108,13 +103,44 @@ def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
         if scheme.scale_only and (law.support[0] < 0.0 or law.cdf(0.0) > 0.0):
             raise RegimeError(
                 "scale-only regime needs K on (0, inf) with K({0}) = 0")
-    E0 = rng.exponential(size=n)
-    M = np.empty((n, T))
-    M[:, 0] = K.sample(n, rng)
+    yield rng.exponential(size=n)
+    m = K.sample(n, rng)
+    yield m
     for t in range(2, T + 1):
         eps = (K_plus if t % 2 == 0 else K).sample(n, rng)
-        prev = M[:, t - 2]
-        M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
+        m = scheme.psi_a(t, m) + scheme.psi_b(t, m) * eps
+        yield m
+
+
+def tail_chain_steps(scheme, K, T, n, rng, K_plus=None):
+    """The tail chain's M_1, ..., M_T of n paths, one n-vector per step.
+
+    The law and regime checks run and E0 is drawn before the first step,
+    so the draws are those of ``simulate_tail_chain`` with the same
+    generator; only the step just drawn is held.
+    """
+    return islice(_tail_chain(scheme, K, T, n, rng, K_plus), 1, None)
+
+
+def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
+    """Tail chain M_1 ~ K, M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t.
+
+    The scheme carries the regime through its update functions: location and
+    scale (Theorem 1), scale only with psi_a = 0 (Theorem 2, which needs K on
+    (0, inf) with K({0}) = 0), or sign-alternating (Theorem 3).  ``K_plus``,
+    when given, is the law of the innovations that produce even steps (K_+ of
+    Theorem 3, ``K`` then being K_-); by default every innovation is drawn
+    from ``K``.  Neither law may carry mass at +-infinity.
+
+    The paths are the steps of ``tail_chain_steps`` stacked into an (n, T)
+    array, with E0 beside them; a consumer that reads one step at a time
+    should iterate ``tail_chain_steps`` instead.
+    """
+    steps = _tail_chain(scheme, K, T, n, rng, K_plus)
+    E0 = next(steps)
+    M = np.empty((n, T))
+    for t, m in enumerate(steps):
+        M[:, t] = m
     return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
 
 

@@ -519,6 +519,27 @@ def test_paths_run_peak_rss_does_not_grow_with_path_count(tmp_path):
     assert peaks[1] - peaks[0] < 3.0, peaks
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_figure1_peak_rss_does_not_grow_with_horizon(tmp_path):
+    # each envelope summarises one step's states as they are drawn, so no
+    # process holds a path matrix of the actual chain or of its tail chain
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    peaks = []
+    for horizon in (5, 60):
+        cfg = write_config(tmp_path, f"{horizon}.json", dict(
+            FIG1_CONFIG, horizon=horizon, n_paths=10_000))
+        proc = subprocess.Popen([sys.executable, "-m", "extreme_chains.cli", "run",
+                                 "--config", cfg, "--out", str(tmp_path / str(horizon)),
+                                 "--workers", "1"], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peaks.append(usage.ru_maxrss / 1024.0)
+    assert peaks[1] - peaks[0] < 2.0, peaks
+
+
 def test_simulate_takes_horizon_0(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "kind": "simulate", "seed": 1, "kernel": {"id": "bev_logistic", "gamma": 0.2},

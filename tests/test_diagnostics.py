@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from extreme_chains import diagnostics, kernels, margins, norming, tailchain
-from extreme_chains.errors import DomainError
+from extreme_chains.errors import DomainError, ValidationError
 
 from _oracles import dkw_bound, ks_statistic
 
@@ -56,6 +56,50 @@ class TestConditionalForwardSim:
         with pytest.raises(DomainError):
             diagnostics.conditional_forward_sim(
                 k, margins.EXPONENTIAL, diagnostics.Exceedance(1e310), 1, 10, rng)
+
+
+def stacked_forward_sim(kernel, law, init, T, n, rng):
+    # reference: the path matrix filled column by column, each step drawn
+    # from a view of the column before
+    X = np.empty((n, T + 1))
+    X[:, 0] = init.draw(law, n, rng)
+    for t in range(1, T + 1):
+        X[:, t] = kernel.sample(X[:, t - 1], rng)
+    return X
+
+
+class TestForwardStates:
+
+    @pytest.mark.parametrize("kernel_id,params,init,n", [
+        ("bev_logistic", {"gamma": 0.152}, diagnostics.FixedX0(10.0), 2_000),
+        ("gaussian_copula", {"rho": 0.8, "margin": "exponential"},
+         diagnostics.FixedX0(10.0), 2_000),
+        ("arch_laplace", {"theta0": 1.0, "theta1": 0.7},
+         diagnostics.Exceedance(5.0), 2_000),
+        # finds its quantiles by root finding
+        ("asymmetric_logistic", {"phi1": 0.5, "phi2": 0.5, "nu": 0.152},
+         diagnostics.Exceedance(9.0), 40),
+    ])
+    def test_stream_equals_stack(self, kernel_id, params, init, n):
+        k = kernels.make_kernel(kernel_id, **params)
+        law, T = k.stationary_law, 4
+        states = list(diagnostics.forward_states(
+            k, law, init, T, n, np.random.default_rng(3)))
+        assert len(states) == T + 1
+        assert all(x.shape == (n,) for x in states)
+        X = np.column_stack(states)
+        assert np.array_equal(X, diagnostics.conditional_forward_sim(
+            k, law, init, T, n, np.random.default_rng(3)))
+        assert np.array_equal(X, stacked_forward_sim(
+            k, law, init, T, n, np.random.default_rng(3)))
+
+    def test_checks_before_the_first_state(self):
+        k = kernels.make_kernel("rootzen_smith")
+        for T, n in ((-1, 10), (2, 0)):
+            with pytest.raises(ValidationError):
+                next(diagnostics.forward_states(
+                    k, margins.LAPLACE, diagnostics.FixedX0(1.0), T, n,
+                    np.random.default_rng(0)))
 
 
 class TestNormalizedSamples:
@@ -183,6 +227,30 @@ class TestQuantileEnvelope:
             env = diagnostics.quantile_envelope(paths)
             assert np.array_equal(env.q025, np.quantile(paths, 0.025, axis=0))
             assert np.array_equal(env.q975, np.quantile(paths, 0.975, axis=0))
+
+    @pytest.mark.parametrize("kernel_id,params", [
+        ("bev_logistic", {"gamma": 0.152}),
+        ("gaussian_copula", {"rho": 0.8, "margin": "exponential"}),
+    ])
+    def test_streamed_envelope_equals_stacked(self, kernel_id, params):
+        # a step-by-step envelope has the bands of np.quantile over the path
+        # matrix exactly; its mean sums each step pairwise, so only the last
+        # digits of the sequential axis-0 sum may differ
+        k = kernels.make_kernel(kernel_id, **params)
+        init, T, n = diagnostics.FixedX0(10.0), 6, 5_000
+        X = diagnostics.conditional_forward_sim(
+            k, k.stationary_law, init, T, n, np.random.default_rng(8))[:, 1:]
+        states = diagnostics.forward_states(
+            k, k.stationary_law, init, T, n, np.random.default_rng(8))
+        next(states)
+        env = diagnostics.quantile_envelope(states, t_start=1)
+        q025, q975 = np.quantile(X, [0.025, 0.975], axis=0)
+        assert np.array_equal(env.q025, q025)
+        assert np.array_equal(env.q975, q975)
+        np.testing.assert_allclose(env.mean, X.mean(axis=0), rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(env.t, np.arange(1, T + 1))
+        assert env.n_paths == n and not env.precision_warning
+        assert np.array_equal(diagnostics.quantile_envelope(X).q025, q025)
 
     def test_bev_chain_envelope_tight(self, rng):
         # asymptotically dependent chain stays within +-3 of the start

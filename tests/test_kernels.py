@@ -219,6 +219,19 @@ def test_kernel_contract(kernel_id, request):
     assert k.sample(np.full((2, 3), 2.0), rng).shape == (2, 3)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel_id", kernels.KERNEL_IDS)
+def test_non_finite_state_is_refused(kernel_id, x, request):
+    # no kernel turns a NaN or infinite state into a draw or a probability
+    spec = CONTRACT_SPECS[kernel_id]
+    k = (request.getfixturevalue(spec) if isinstance(spec, str)
+         else kernels.make_kernel(kernel_id, **spec))
+    with pytest.raises(DomainError, match=str(x)):
+        k.cdf(x, 2.0)
+    with pytest.raises(DomainError, match=str(x)):
+        k.sample(np.array([2.0, x, 3.0]), np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

@@ -142,6 +142,57 @@ class TestTheoremThree:
         assert d < 0.01
 
 
+def stacked_tail_chain(scheme, K, T, n, rng, K_plus=None):
+    # reference: the (n, T) recursion on column views, E0 drawn first
+    K_plus = K if K_plus is None else K_plus
+    E0 = rng.exponential(size=n)
+    M = np.empty((n, T))
+    M[:, 0] = K.sample(n, rng)
+    for t in range(2, T + 1):
+        eps = (K_plus if t % 2 == 0 else K).sample(n, rng)
+        prev = M[:, t - 2]
+        M[:, t - 1] = scheme.psi_a(t, prev) + scheme.psi_b(t, prev) * eps
+    return E0, M
+
+
+class TestTailChainSteps:
+
+    CASES = [
+        (("ht_canonical", {"alpha": 1.0, "beta": 0.0}),
+         ("bev_logistic", {"gamma": 0.152}), None),
+        (("ht_canonical", {"alpha": 0.64, "beta": 0.5}),
+         ("gaussian_exponential", {"rho": 0.8}), None),
+        (("negative_ht", {"alpha_minus": -0.5, "alpha_plus": -0.5, "beta": 0.0}),
+         ("gaussian_exponential", {"rho": -0.8}),
+         ("density_decay", {"c": 4.0, "gamma": 1.0})),
+    ]
+
+    @pytest.mark.parametrize("sspec,kspec,kplus", CASES)
+    def test_steps_equal_the_stacked_paths(self, sspec, kspec, kplus):
+        scheme = norming.make_norming(sspec[0], **sspec[1])
+        K = norming.limit_law(kspec[0], **kspec[1])
+        K_plus = None if kplus is None else norming.limit_law(kplus[0], **kplus[1])
+        T, n = 5, 3_000
+        steps = list(tailchain.tail_chain_steps(
+            scheme, K, T, n, np.random.default_rng(4), K_plus=K_plus))
+        assert len(steps) == T and all(m.shape == (n,) for m in steps)
+        paths = tailchain.simulate_tail_chain(
+            scheme, K, T, n, np.random.default_rng(4), K_plus=K_plus)
+        assert np.array_equal(np.column_stack(steps), paths.M)
+        E0, M = stacked_tail_chain(scheme, K, T, n, np.random.default_rng(4),
+                                   K_plus=K_plus)
+        assert np.array_equal(paths.M, M)
+        assert np.array_equal(paths.E0, E0)
+
+    def test_checks_before_the_first_step(self, rng):
+        K1 = norming.limit_law("asym_logistic_k1", phi1=0.5, phi2=0.5, nu=0.152)
+        scheme = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
+        with pytest.raises(RegimeError):
+            next(tailchain.tail_chain_steps(scheme, K1, 3, 100, rng))
+        with pytest.raises(ValidationError):
+            next(tailchain.tail_chain_steps(scheme, K1, 0, 100, rng))
+
+
 @pytest.fixture(scope="module")
 def asym_paths():
     rng = np.random.default_rng(77)
