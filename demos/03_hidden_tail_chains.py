@@ -30,17 +30,17 @@ tv = diagnostics.changepoint_law_check(X, tailchain.RatioThreshold(0.5), 0.5)
 print(f"TV(first crossing of X_t <= X_t-1 / 2, Geometric(1/2)) = {tv:.4f}")
 
 h = tailchain.hidden_asym_logistic(0.5, 0.5, 0.152, 12, 30_000, rng)
-restart = [h.M[i, h.changepoints(i)[0] - 1] for i in range(h.n_paths)
-           if h.changepoints(i).size]
+first = tailchain.first_times(h.is_changepoint)
+has = first <= h.horizon
+restart = h.M[has, first[has] - 1]
 print(f"restart values vs Exp(1): KS = "
-      f"{diagnostics.ks_distance(np.array(restart), margins.EXPONENTIAL.cdf):.4f}\n")
+      f"{diagnostics.ks_distance(restart, margins.EXPONENTIAL.cdf):.4f}\n")
 
 print("=== 2. tail-switching chain ===")
 hr = tailchain.hidden_rootzen_smith(8, 30_000, rng)
 frozen = np.mean(hr.M[:, 0] == 0.0)
 print(f"P(still alternating after one step) = {frozen:.3f} (limit 0.5)")
-one = next(i for i in range(hr.n_paths)
-           if hr.changepoints(i).size and hr.changepoints(i)[0] == 4)
+one = np.flatnonzero(tailchain.first_times(hr.is_changepoint) == 4)[0]
 print(f"one path (M_t, frozen until the termination time 4): "
       f"{np.round(hr.M[one], 3).tolist()}\n")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import margins
+from . import margins, tailchain
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -252,18 +252,17 @@ def geometric_pmf_truncated(p, horizon):
 def changepoint_law_check(paths, rule, p, horizon=None):
     """Total-variation distance between the first-detection law and Geometric(p).
 
-    ``rule`` is a change-point rule from ``tailchain`` (``rule.times(path)``
-    gives the detections); ``paths`` holds X_0..X_T per row; detections
-    beyond the horizon land in a shared truncation bucket on both sides.
+    ``rule`` is a change-point rule from ``tailchain``: ``rule.detect(paths)``
+    is the (n, T) mask whose column t - 1 marks a detection at time t.
+    ``paths`` holds X_0..X_T per row; detections beyond the horizon land in a
+    shared truncation bucket on both sides.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     T = paths.shape[1] - 1
     horizon = T if horizon is None else min(horizon, T)
-    firsts = np.empty(paths.shape[0], dtype=int)
-    for i in range(paths.shape[0]):
-        times = rule.times(paths[i])
-        firsts[i] = times[0] if times.size and times[0] <= horizon else horizon + 1
-    emp = np.array([(firsts == t).mean() for t in range(1, horizon + 1)]
-                   + [(firsts == horizon + 1).mean()])
+    if horizon < 0:
+        raise ValidationError("horizon must be >= 0")
+    firsts = tailchain.first_times(rule.detect(paths)[:, :horizon])
+    emp = np.bincount(firsts, minlength=horizon + 2)[1:] / paths.shape[0]
     ref = geometric_pmf_truncated(p, horizon)
     return float(0.5 * np.abs(emp - ref).sum())

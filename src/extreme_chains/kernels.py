@@ -757,20 +757,31 @@ class ArchLaplaceKernel(_Kernel):
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
 
     def _state(self, x):
-        """The volatility-chain state Y of Laplace state x."""
-        return np.copysign(self.law.inverse_cumhaz(np.abs(x)), x)
+        """The volatility-chain state Y of Laplace state x (+-inf past doubles)."""
+        with np.errstate(over="ignore"):
+            return np.copysign(self.law.inverse_cumhaz(np.abs(x)), x)
 
     def _volatility(self, x):
         # sqrt(theta0 + theta1 Y^2) without forming Y^2, which overflows deep out
-        return np.hypot(self._sqrt_theta[0], self._sqrt_theta[1] * self._state(x))
+        y = self._state(x)
+        if np.isinf(y).any():
+            raise DomainError(f"{self.name}: conditioning state {x[np.isinf(y)][0]} "
+                              "lies beyond the volatility scale (|Y| overflows doubles)")
+        return np.hypot(self._sqrt_theta[0], self._sqrt_theta[1] * y)
 
     @_conditional_cdf
     def cdf(self, x, y):
         return ndtr(self._state(y) / self._volatility(x))
 
     def _draw(self, x, rng):
-        z = self._volatility(x) * rng.standard_normal(x.shape)
-        return np.copysign(self.law.cumhaz(np.abs(z)), z)
+        vol, w = self._volatility(x), rng.standard_normal(x.shape)
+        with np.errstate(over="ignore"):
+            z = vol * w
+        lam = self.law.cumhaz(np.abs(z))
+        # beyond the largest double, in the Pareto tail: Lambda(vol) + kappa log|w|
+        over = np.isinf(z)
+        lam[over] = self.law.cumhaz(vol[over]) + self.law.kappa * np.log(np.abs(w[over]))
+        return np.copysign(lam, z)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "limit_law",
     "remainder_terms",
     "remainder_table",
-    "update_limit_quotients",
     "SCHEME_IDS",
     "LIMIT_LAW_IDS",
 ]
@@ -549,16 +548,3 @@ def remainder_table(scheme, t_values, v_values, x_values=(-5.0, 0.0, 5.0)):
                 rows.append((int(t), float(v), float(x), float(r_a), float(r_b)))
     return rows
 
-
-def update_limit_quotients(scheme, t, v, x):
-    """Finite-v quotients whose limits define the update functions.
-
-    Returns (psi_a_hat, psi_b_hat) evaluated at threshold ``v``; compare with
-    the scheme's closed-form ``psi_a``/``psi_b`` to witness the convergence.
-    """
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    A = scheme.a(t, v) + scheme.b(t, v) * x
-    psi_a_hat = (scheme.one_step_a(t, A) - scheme.a(t + 1, v)) / scheme.b(t + 1, v)
-    psi_b_hat = scheme.b(1, A) / scheme.b(t + 1, v)
-    return psi_a_hat, psi_b_hat

@@ -1,7 +1,7 @@
 """Simulators for the limit processes: one tail-chain recursion for the three
 theorem regimes (the norming scheme carries its regime), hidden tail chains
 with change-points, affine path reconstruction, and change-point rules whose
-``times(path)`` detects change-points on simulated paths.
+``detect(paths)`` marks change-points on simulated paths.
 
 Atoms at +-infinity never enter floating-point arithmetic: hidden-chain
 states carry integer regime codes instead and the values stay finite.
@@ -21,6 +21,7 @@ __all__ = [
     "RatioThreshold",
     "SignChange",
     "ValueChange",
+    "first_times",
     "simulate_tail_chain",
     "tail_chain_steps",
     "hidden_asym_logistic",
@@ -69,7 +70,7 @@ class HiddenChainPaths:
 
     M: np.ndarray                       # (n, T) values, always finite
     regime: np.ndarray                  # (n, T) integer regime codes
-    is_changepoint: np.ndarray          # (n, T) bool, True at T^B_k
+    is_changepoint: np.ndarray          # (n, T) bool, column t-1 True at t = T^B_k
     B: np.ndarray = None                # latent Bernoulli draws where used
     case: np.ndarray = None             # per-step update-case codes (mixture)
 
@@ -81,9 +82,14 @@ class HiddenChainPaths:
     def n_paths(self):
         return self.M.shape[0]
 
-    def changepoints(self, i):
-        """Ordered change-point times (1-based) of path i."""
-        return np.flatnonzero(self.is_changepoint[i]) + 1
+
+def first_times(mask):
+    """The 1-based time of the first True in each row of an (n, T)
+    change-point mask, or T + 1 in a row with none (1 everywhere at T = 0)."""
+    mask = np.atleast_2d(mask)
+    # a True column appended after time T stops argmax in rows with none
+    return np.argmax(np.column_stack([mask, np.ones(len(mask), dtype=bool)]),
+                     axis=1) + 1
 
 
 def _check_horizon(T, n):
@@ -158,11 +164,9 @@ def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
     B = rng.uniform(size=(n, T)) < phi1
     M = np.empty((n, T))
     regime = np.empty((n, T), dtype=np.int8)
-    cp = np.zeros((n, T), dtype=bool)
     # T^B = first t with B_t = 0 (may exceed the horizon)
-    hit = ~B
-    tb = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, T + 1)
-    cp[np.arange(n)[tb <= T], tb[tb <= T] - 1] = True
+    tb = first_times(~B)
+    cp = tb[:, None] == np.arange(1, T + 1)
 
     fresh = rng.exponential(size=n)
     M[:, 0] = np.where(tb == 1, fresh, g1.sample(n, rng))
@@ -225,7 +229,7 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
     # change-point indices: k(t) = number of flips up to and including t;
     # t+1 = T^B_k exactly at flips.
     k_count = np.cumsum(cp, axis=1)
-    tb1 = np.where(cp.any(axis=1), cp.argmax(axis=1) + 1, T + 1)
+    tb1 = first_times(cp)
 
     M[:, 0] = np.where(B[:, 0], G1.sample(n, rng), G2.sample(n, rng))
     for t_next in range(2, T + 1):
@@ -279,11 +283,8 @@ def hidden_rootzen_smith(T, n, rng, p=0.5):
     term = rng.geometric(p, size=n)
     M = np.zeros((n, T))
     regime = np.full((n, T), REGIME_EXTREME, dtype=np.int8)
-    cp = np.zeros((n, T), dtype=bool)
+    cp = term[:, None] == np.arange(1, T + 1)
     kernel = kernels.RootzenSmithKernel(p_flip=1.0 - p)
-    active = term <= T
-    idx = np.arange(n)
-    cp[idx[active], term[active] - 1] = True
     cur = margins.LAPLACE.ppf(rng.uniform(size=n))
     for t in range(1, T + 1):
         live = term <= t
@@ -336,8 +337,9 @@ def reconstruct_paths(x0, scheme, M):
 
 
 # ---------------------------------------------------------------------------
-# change-point rules: ``times(path)`` gives the ordered detection times
-# (1-based, X_0 at index 0) of one path
+# change-point rules: ``detect(paths)`` takes X_0..X_T per row (a 1-D path is
+# one row) and returns the (n, T) mask whose column t - 1 is True when the
+# rule detects at time t
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -351,30 +353,31 @@ class RatioThreshold:
         if not 0.0 < self.c < 1.0:
             raise ValidationError("ratio threshold c must lie in (0, 1)")
 
-    def times(self, path):
-        x = np.asarray(path, dtype=float)
-        times = []
-        want_below = True
-        for t, below in enumerate(x[1:] <= self.c * x[:-1], start=1):
-            if below == want_below:
-                times.append(t)
-                want_below = not want_below
-        return np.asarray(times, dtype=int)
+    def detect(self, paths):
+        x = np.atleast_2d(np.asarray(paths, dtype=float))
+        below = x[:, 1:] <= self.c * x[:, :-1]
+        mask = np.empty_like(below)
+        want_below = np.ones(len(x), dtype=bool)
+        for t in range(below.shape[1]):
+            mask[:, t] = below[:, t] == want_below
+            want_below ^= mask[:, t]
+        return mask
 
 
 @dataclass
 class SignChange:
     """Times with sign(X_t) != sign(X_{t-1})."""
 
-    def times(self, path):
-        x = np.sign(np.asarray(path, dtype=float))
-        return np.flatnonzero(x[1:] != x[:-1]) + 1
+    def detect(self, paths):
+        x = np.sign(np.atleast_2d(np.asarray(paths, dtype=float)))
+        return x[:, 1:] != x[:, :-1]
 
 
 @dataclass
 class ValueChange:
     """First time the strict alternation X_t = -X_{t-1} breaks."""
 
-    def times(self, path):
-        x = np.asarray(path, dtype=float)
-        return np.flatnonzero(x[1:] != -x[:-1])[:1] + 1
+    def detect(self, paths):
+        x = np.atleast_2d(np.asarray(paths, dtype=float))
+        brk = x[:, 1:] != -x[:, :-1]
+        return brk & (np.cumsum(brk, axis=1) == 1)

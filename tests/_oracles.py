@@ -5,8 +5,10 @@ comes from bisecting math.erf, deep Gaussian scores are roots of mpmath's
 erfc, the tail-index oracles are a Hill estimator on
 freshly simulated states and the root of the moment equation in mpmath, the
 exponential-autoregression law is its alternating series summed in mpmath,
-and the brute-force simulators below are written directly against the
-defining recursions.
+the brute-force simulators and change-point rules below are written
+directly against the defining recursions, one path at a time, and the
+update-function quotients are formed from a scheme's norming at a finite
+threshold.
 """
 
 import itertools
@@ -162,3 +164,42 @@ def trapezoid_mean_from_cdf(xs, cdf_vals):
 
 def tv_distance(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def update_limit_quotients(scheme, t, v, x):
+    """Finite-v quotients whose limits define the update functions.
+
+    Returns (psi_a_hat, psi_b_hat) evaluated at threshold ``v``; compare with
+    the scheme's closed-form ``psi_a``/``psi_b`` to witness the convergence.
+    """
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    A = scheme.a(t, v) + scheme.b(t, v) * x
+    psi_a_hat = (scheme.one_step_a(t, A) - scheme.a(t + 1, v)) / scheme.b(t + 1, v)
+    psi_b_hat = scheme.b(1, A) / scheme.b(t + 1, v)
+    return psi_a_hat, psi_b_hat
+
+
+def ratio_threshold_times(c, path):
+    """Detection times (1-based) of the alternating ratio rule on one path:
+    first X_t <= c X_{t-1}, then X_t > c X_{t-1}, and so on."""
+    x = np.asarray(path, dtype=float)
+    times = []
+    want_below = True
+    for t, below in enumerate(x[1:] <= c * x[:-1], start=1):
+        if below == want_below:
+            times.append(t)
+            want_below = not want_below
+    return np.asarray(times, dtype=int)
+
+
+def sign_change_times(path):
+    """Times t with sign(X_t) != sign(X_{t-1}) on one path."""
+    x = np.sign(np.asarray(path, dtype=float))
+    return np.flatnonzero(x[1:] != x[:-1]) + 1
+
+
+def value_change_times(path):
+    """The first time the alternation X_t = -X_{t-1} breaks on one path."""
+    x = np.asarray(path, dtype=float)
+    return np.flatnonzero(x[1:] != -x[:-1])[:1] + 1

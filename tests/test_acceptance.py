@@ -237,12 +237,9 @@ def test_criterion_07_changepoint_law(asym_paths):
 
 def test_criterion_07_post_change_marginal(asym_paths):
     _, X = asym_paths
-    vals = []
-    for i in range(X.shape[0]):
-        times = tailchain.RatioThreshold(0.5).times(X[i])
-        if times.size:
-            vals.append(X[i, times[0]])
-    vals = np.asarray(vals)
+    first = tailchain.first_times(tailchain.RatioThreshold(0.5).detect(X))
+    has = first < X.shape[1]
+    vals = X[has, first[has]]
     d = ks_statistic(vals, margins.EXPONENTIAL.cdf)
     ok = d < 0.02
     report(7, ok, f"post-change-point marginal KS vs Exp(1): {d:.4f} "
@@ -340,17 +337,10 @@ def test_criterion_09_g_identity():
 
 def test_criterion_09_sign_flips_match_changepoints():
     h = tailchain.hidden_arch(1.0, 0.7, 12, 20_000, rng_for(9))
-    ok = True
-    for i in range(h.n_paths):
-        reg = h.regime[i]
-        flips = np.flatnonzero(reg[1:] != reg[:-1]) + 2
-        cps = h.changepoints(i)
-        if not np.array_equal(flips, cps[cps >= 2]):
-            ok = False
-            break
-        if (reg[0] == tailchain.REGIME_NEG) != bool(h.is_changepoint[i, 0]):
-            ok = False
-            break
+    reg = h.regime
+    ok = (np.array_equal(reg[:, 1:] != reg[:, :-1], h.is_changepoint[:, 1:])
+          and np.array_equal(reg[:, 0] == tailchain.REGIME_NEG,
+                             h.is_changepoint[:, 0]))
     report(9, ok, "sign-flip times coincide exactly with the latent "
            "change-points on all 20000 paths")
     assert ok

@@ -233,6 +233,20 @@ class TestErrors:
             "init": {"u": 1e310}, "horizon": 1, "n_paths": 10})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_arch_state_beyond_the_volatility_scale_exits_3(self, tmp_path, capsys):
+        # every X_0 > 2300 overflows |Y| at theta1 = 0.7: refused, not drawn as inf
+        cfg = write_config(tmp_path, "deep.json", {
+            "kind": "simulate", "seed": 1,
+            "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+            "init": {"u": 2300.0}, "horizon": 1, "n_paths": 100})
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--workers", "1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "numeric"
+        assert "conditioning state 2300." in err["error"]
+        assert "inf" not in (out / "paths.csv").read_text()
+
     def test_deep_threshold_runs(self, tmp_path):
         # P(X > 700) = e^-700 is below 1e-300; the start is drawn on the
         # Laplace scale, so no probability is formed and every X_0 exceeds u

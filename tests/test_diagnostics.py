@@ -350,6 +350,12 @@ class TestChangepointLaw:
         # empirical: everything truncated; geometric: 1 - 0.5^3 mass inside
         assert tv == pytest.approx(1.0 - 0.5 ** 3, abs=1e-12)
 
+    def test_negative_horizon_is_refused(self):
+        with pytest.raises(ValidationError):
+            diagnostics.changepoint_law_check(
+                np.full((10, 4), 10.0), tailchain.RatioThreshold(0.5), 0.5,
+                horizon=-1)
+
 
 class TestCatalogueTripleConvergence:
     """Monotone KS decay for every catalogued (kernel, scheme, limit) triple.

@@ -438,6 +438,30 @@ class TestDeepArchStates:
         for x in self.xs:
             assert np.all(np.isfinite(arch_kernel_07.sample(np.full(1000, x), rng)))
 
+    @pytest.mark.parametrize("x", [2300.0, -2300.0, 1e4])
+    def test_state_beyond_the_volatility_scale_is_refused(self, arch_kernel_07, x):
+        # |Y| = Lambda^-1(|x|) overflows doubles from Laplace 2250.3 at
+        # theta1 = 0.7: the state is refused, where it used to draw +-inf
+        with pytest.raises(DomainError, match=f"state {x}"):
+            arch_kernel_07.sample(np.full(3, x), np.random.default_rng(5))
+        with pytest.raises(DomainError, match=f"state {x}"):
+            arch_kernel_07.cdf(x, 2.0)
+
+    def test_draws_next_to_the_edge_are_finite(self, arch_kernel_07):
+        # sigma(x) W may overflow although sigma(x) does not
+        y = arch_kernel_07.sample(np.full(20_000, 2250.0), np.random.default_rng(5))
+        assert np.all(np.isfinite(y)) and np.abs(y).max() > 2250.5
+
+    def test_outcome_beyond_the_scale_is_certain(self, arch_kernel_07):
+        assert list(arch_kernel_07.cdf(5.0, np.array([5000.0, -5000.0]))) == [1.0, 0.0]
+
+    def test_draws_at_2000_follow_the_recursion(self, arch_kernel_07):
+        law = arch_kernel_07.law
+        y = arch_kernel_07.sample(np.full(500, 2000.0), np.random.default_rng(11))
+        z = (np.hypot(1.0, math.sqrt(0.7) * law.inverse_cumhaz(2000.0))
+             * np.random.default_rng(11).standard_normal(500))
+        assert np.array_equal(y, np.copysign(law.cumhaz(np.abs(z)), z))
+
 
 @pytest.mark.parametrize("margin", ["exponential", "laplace"])
 class TestDeepGaussianCopulaStates:

@@ -202,47 +202,34 @@ def asym_paths():
 class TestHiddenAsymLogistic:
 
     def test_changepoint_geometric(self, asym_paths):
-        tb = np.array([asym_paths.changepoints(i)[0] if asym_paths.changepoints(i).size
-                       else 99 for i in range(asym_paths.n_paths)])
+        tb = tailchain.first_times(asym_paths.is_changepoint)
         assert abs(np.mean(tb == 1) - 0.5) < 0.01
         assert abs(np.mean(tb == 2) - 0.25) < 0.01
         assert abs(np.mean(tb == 3) - 0.125) < 0.005
 
     def test_prechange_increments_follow_g1(self, asym_paths):
         g1 = norming.limit_law("asym_logistic_g1", phi1=0.5, phi2=0.5, nu=0.152)
-        inc = []
-        for i in range(asym_paths.n_paths):
-            cps = asym_paths.changepoints(i)
-            tb = cps[0] if cps.size else asym_paths.horizon + 1
-            if tb > 2:
-                inc.append(asym_paths.M[i, 1] - asym_paths.M[i, 0])
-        inc = np.asarray(inc)
+        late = tailchain.first_times(asym_paths.is_changepoint) > 2
+        inc = asym_paths.M[late, 1] - asym_paths.M[late, 0]
         assert ks_statistic(inc, g1.cdf) < dkw_bound(inc.size)
 
     def test_restart_is_unit_exponential(self, asym_paths):
-        vals = []
-        for i in range(asym_paths.n_paths):
-            cps = asym_paths.changepoints(i)
-            if cps.size:
-                vals.append(asym_paths.M[i, cps[0] - 1])
-        vals = np.asarray(vals)
+        tb = tailchain.first_times(asym_paths.is_changepoint)
+        has = tb <= asym_paths.horizon
+        vals = asym_paths.M[has, tb[has] - 1]
         assert vals.size > 10_000
         assert ks_statistic(vals, margins.EXPONENTIAL.cdf) < 0.02
 
     def test_postchange_marginal_stationary(self, asym_paths):
         # two steps after the restart the state follows the chain's
         # stationary exponential law
-        vals = []
-        for i in range(asym_paths.n_paths):
-            cps = asym_paths.changepoints(i)
-            if cps.size and cps[0] + 2 <= asym_paths.horizon:
-                vals.append(asym_paths.M[i, cps[0] + 1])
-        vals = np.asarray(vals)[:10_000]
+        tb = tailchain.first_times(asym_paths.is_changepoint)
+        has = tb + 2 <= asym_paths.horizon
+        vals = asym_paths.M[has, tb[has] + 1][:10_000]
         assert ks_statistic(vals, margins.EXPONENTIAL.cdf) < 0.02
 
     def test_regime_annotation(self, asym_paths):
-        i = next(j for j in range(asym_paths.n_paths)
-                 if asym_paths.changepoints(j).size and asym_paths.changepoints(j)[0] == 4)
+        i = np.flatnonzero(tailchain.first_times(asym_paths.is_changepoint) == 4)[0]
         assert list(asym_paths.regime[i, :3]) == [tailchain.REGIME_EXTREME] * 3
         assert asym_paths.regime[i, 3] == tailchain.REGIME_BODY
 
@@ -346,28 +333,20 @@ class TestHiddenRootzenSmith:
         assert abs(np.mean(rs_paths.M[:, 0] == 0.0) - 0.5) < 0.005
 
     def test_restart_is_laplace(self, rs_paths):
-        vals = []
-        for i in range(rs_paths.n_paths):
-            cps = rs_paths.changepoints(i)
-            if cps.size:
-                vals.append(rs_paths.M[i, cps[0] - 1])
-        vals = np.asarray(vals)
+        term = tailchain.first_times(rs_paths.is_changepoint)
+        has = term <= rs_paths.horizon
+        vals = rs_paths.M[has, term[has] - 1]
         assert ks_statistic(vals, margins.LAPLACE.cdf) < 0.02
 
     def test_frozen_before_termination(self, rs_paths):
-        checked = 0
-        for i in range(rs_paths.n_paths):
-            cps = rs_paths.changepoints(i)
-            if cps.size and cps[0] >= 3:
-                assert np.all(rs_paths.M[i, :cps[0] - 1] == 0.0)
-                checked += 1
-            if checked > 200:
-                break
-        assert checked > 0
+        term = tailchain.first_times(rs_paths.is_changepoint)
+        late = (term >= 3) & (term <= rs_paths.horizon)
+        before = np.arange(rs_paths.horizon) < term[:, None] - 1
+        assert np.all(rs_paths.M[late][before[late]] == 0.0)
+        assert late.any()
 
     def test_termination_geometric(self, rs_paths):
-        term = np.array([rs_paths.changepoints(i)[0] if rs_paths.changepoints(i).size
-                         else 99 for i in range(rs_paths.n_paths)])
+        term = tailchain.first_times(rs_paths.is_changepoint)
         for t in (1, 2, 3, 4):
             assert abs(np.mean(term == t) - 0.5 ** t) < 0.01
 
@@ -381,11 +360,9 @@ def arch_paths():
 class TestHiddenArch:
 
     def test_sign_regime_flips_exactly_at_changepoints(self, arch_paths):
-        for i in range(arch_paths.n_paths):
-            reg = arch_paths.regime[i]
-            flips = np.flatnonzero(reg[1:] != reg[:-1]) + 2
-            cps = arch_paths.changepoints(i)
-            np.testing.assert_array_equal(flips, cps[cps >= 2])
+        reg = arch_paths.regime
+        np.testing.assert_array_equal(reg[:, 1:] != reg[:, :-1],
+                                      arch_paths.is_changepoint[:, 1:])
 
     def test_no_changepoint_is_gplus_walk(self):
         # forced latent path: no flips keep every innovation in the upper law
@@ -439,31 +416,38 @@ class TestReconstruction:
         np.testing.assert_allclose(out[0], expect)
 
 
+def detected_times(rule, path):
+    """The 1-based detection times of one path, read from its mask row."""
+    mask = rule.detect(path)
+    assert mask.shape == (1, len(path) - 1)
+    return np.flatnonzero(mask[0]) + 1
+
+
 class TestDetectChangepoints:
 
     def test_ratio_threshold_example(self):
-        times = tailchain.RatioThreshold(0.5).times([10.0, 9.0, 4.0, 5.0])
+        times = detected_times(tailchain.RatioThreshold(0.5), [10.0, 9.0, 4.0, 5.0])
         assert times[0] == 2
 
     def test_no_detection(self):
-        times = tailchain.RatioThreshold(0.5).times([10.0, 9.0, 8.5, 8.0])
+        times = detected_times(tailchain.RatioThreshold(0.5), [10.0, 9.0, 8.5, 8.0])
         assert times.size == 0
 
     def test_alternating_directions(self):
         # after an odd detection the rule looks for re-exceedance
         path = [10.0, 4.0, 5.0, 2.0, 1.9]
-        times = tailchain.RatioThreshold(0.5).times(path)
+        times = detected_times(tailchain.RatioThreshold(0.5), path)
         # 4 <= 5, then 5 > 2, then 2 <= 2.5, then 1.9 > 1.0
         assert list(times) == [1, 2, 3, 4]
 
     def test_sign_change(self):
         path = [5.0, -4.0, -3.0, 2.0, 1.0]
-        times = tailchain.SignChange().times(path)
+        times = detected_times(tailchain.SignChange(), path)
         assert list(times) == [1, 3]
 
     def test_value_change_alternation_break(self):
         path = [5.0, -5.0, 5.0, 1.3, -1.3]
-        times = tailchain.ValueChange().times(path)
+        times = detected_times(tailchain.ValueChange(), path)
         assert list(times) == [3]
 
     def test_validation(self):
