@@ -2,11 +2,12 @@
 
 Every kernel declares its stationary law (exponential, Laplace or Gaussian)
 and exposes ``cdf(x, y)`` (vectorised in either argument), ``ppf(x, u)`` and
-``sample(x, rng)``.  Kernels whose natural closed form sits
-on the Frechet scale (the logistic pair and the asymmetric logistic kernel)
-work internally with ``log T``, the logarithm of the map
-``T(x) = -1/log(1 - exp(-x))``, so that states beyond x ~ 709, where ``T``
-overflows, stay exact.
+``sample(x, rng)``.  A kernel whose closed form sits on another scale moves
+states there with ``margins.transform``: the Gaussian copula reads
+``margins.GAUSSIAN``, and the BEV logistic and asymmetric logistic kernels,
+extreme-value copulas written on Frechet margins, read ``margins.GUMBEL``, the
+log of the Frechet value, which stays finite beyond x ~ 709 where the Frechet
+value itself overflows.
 
 Sampling is one code path per kernel: ``sample(x, rng)`` is ``ppf(x, U)``
 with one uniform per draw, unless the defining mechanism gives a direct
@@ -50,33 +51,11 @@ __all__ = [
 ]
 
 
-# Beyond this many units log T(x) = x - e^{-x}/2 to double precision.
-_FRECHET_ASYMPTOTE = 30.0
-
-
 def _log1mexp(t):
     """log(1 - e^{-t}) for t >= 0 without cancellation at either end."""
     with np.errstate(divide="ignore"):
         return np.where(t < math.log(2.0), np.log(-np.expm1(-t)),
                         np.log1p(-np.exp(-t)))
-
-
-def log_frechet_from_exponential(x):
-    """log T(x), finite for every x > 0 (T itself overflows beyond x ~ 709)."""
-    x = np.asarray(x, dtype=float)
-    xs = np.minimum(x, _FRECHET_ASYMPTOTE)
-    return np.where(x < _FRECHET_ASYMPTOTE, -np.log(-_log1mexp(xs)),
-                    x - 0.5 * np.exp(-x))
-
-
-def exponential_from_log_frechet(log_xf):
-    """Inverse of ``log_frechet_from_exponential``."""
-    log_xf = np.asarray(log_xf, dtype=float)
-    ls = np.minimum(log_xf, _FRECHET_ASYMPTOTE)
-    with np.errstate(over="ignore"):
-        small = -_log1mexp(np.exp(-ls))
-    return np.where(log_xf < _FRECHET_ASYMPTOTE, small,
-                    log_xf + 0.5 * np.exp(-log_xf))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +449,22 @@ class _Kernel:
                               f"the support floor {self.support_lo}; got {v}")
         return x
 
+    def _check_u(self, u):
+        """``u`` as a float array, once every value lies in [0, 1), where
+        every ``ppf`` is defined; NaN fails both comparisons."""
+        u = np.asarray(u, dtype=float)
+        bad = ~((u >= 0.0) & (u < 1.0))
+        if bad.any():
+            raise DomainError(f"{self.name}: uniform u must lie in [0, 1); "
+                              f"got {u[bad][0]}")
+        return u
+
     def cdf(self, x, y):
         raise NotImplementedError
 
     def ppf(self, x, u):
         """Conditional quantile F^{-1}(u | x); a root of ``cdf`` by default."""
-        x, u = np.broadcast_arrays(self._check_x(x), np.asarray(u, dtype=float))
+        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
         return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
 
     def sample(self, x, rng):
@@ -556,23 +545,18 @@ class BevLogisticKernel(_LogisticPairKernel):
     kernel_id = "bev_logistic"
     ht_alpha_beta = (1.0, 0.0)
 
-    def _log_cdf(self, log_xf, log_yf):
-        return -_logistic_L(self._zeta(log_xf - log_yf), -log_xf, self._m)
-
-    def frechet_cdf(self, xf, yf):
-        return np.exp(self._log_cdf(np.log(xf), np.log(yf)))
-
     @_conditional_cdf
     def cdf(self, x, y):
-        return np.exp(self._log_cdf(log_frechet_from_exponential(x),
-                                    log_frechet_from_exponential(y)))
+        log_xf = margins.transform(x, self.stationary_law, margins.GUMBEL)
+        log_yf = margins.transform(y, self.stationary_law, margins.GUMBEL)
+        return np.exp(-_logistic_L(self._zeta(log_xf - log_yf), -log_xf, self._m))
 
     def ppf(self, x, u):
-        log_xf = log_frechet_from_exponential(self._check_x(x))
-        u = np.asarray(u, dtype=float)
+        log_xf = margins.transform(self._check_x(x), self.stationary_law, margins.GUMBEL)
+        u = self._check_u(u)
         pos = u > 0.0
         zeta = _logistic_zeta(-np.log(np.where(pos, u, 0.5)), -log_xf, self._m)
-        y = exponential_from_log_frechet(log_xf - self._d(zeta))
+        y = margins.transform(log_xf - self._d(zeta), margins.GUMBEL, self.stationary_law)
         return np.where(pos, np.maximum(y, _FLOOR), _FLOOR)
 
 
@@ -593,7 +577,7 @@ class InvertedBevLogisticKernel(_LogisticPairKernel):
 
     def ppf(self, x, u):
         log_x = np.log(self._check_x(x))
-        L = -np.log1p(-np.asarray(u, dtype=float))
+        L = -np.log1p(-self._check_u(u))
         y = np.exp(log_x + self._d(_logistic_zeta(L, log_x, self._m)))
         return np.maximum(y, _FLOOR)
 
@@ -623,8 +607,8 @@ class AsymmetricLogisticKernel(_Kernel):
         #     * exp(-p1 e^{nu ell}/x_F (1 - e^{-nu ell}) - (1 - p2)/y_F).
         # It is evaluated from log x_F and log y_F, so states beyond x ~ 709
         # stay finite, and nu ell - log x_F is formed without cancellation.
-        log_xf = log_frechet_from_exponential(x)
-        log_yf = log_frechet_from_exponential(y)
+        log_xf = margins.transform(x, self.stationary_law, margins.GUMBEL)
+        log_yf = margins.transform(y, self.stationary_law, margins.GUMBEL)
         p1, p2, nu = self.phi1, self.phi2, self.nu
         c = math.log(p2 / p1)
         d = (c + log_xf - log_yf) / nu

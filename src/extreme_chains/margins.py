@@ -19,17 +19,18 @@ from .errors import DomainError
 __all__ = [
     "StandardExponential",
     "StandardLaplace",
-    "StandardFrechet",
+    "StandardGumbel",
     "StandardGaussian",
     "EXPONENTIAL",
     "LAPLACE",
-    "FRECHET",
+    "GUMBEL",
     "GAUSSIAN",
     "transform",
 ]
 
 _LOG2 = math.log(2.0)
 _TINY = np.finfo(float).smallest_subnormal
+_GUMBEL_ASYMPTOTE = 30.0
 
 
 def _check_p(p):
@@ -97,25 +98,29 @@ class StandardLaplace(_Law):
     from_laplace = to_laplace
 
 
-class StandardFrechet(_Law):
-    """Unit Frechet law: cdf exp(-1/x) on (0, inf); beyond Laplace ~ 709 its
-    upper tail overflows doubles."""
+class StandardGumbel(_Law):
+    """Standard Gumbel law, the log of a unit Frechet value: cdf exp(-e^{-g})
+    on the whole line.  Beyond ``_GUMBEL_ASYMPTOTE`` units of the upper tail,
+    where e^{-g} or e^{-l} would underflow, l = g - log 2 + e^{-g}/2 and
+    g = l + log 2 - e^{-l}/4 to double precision."""
 
-    name = "frechet"
-    support = (0.0, np.inf)
+    name = "gumbel"
+    support = (-np.inf, np.inf)
 
-    def to_laplace(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            r = 1.0 / np.where(x > 0.0, x, 0.0)                      # inf at x <= 0
-            upper = -_LOG2 - np.log(-np.expm1(-r))
-        return np.where(r > _LOG2, _LOG2 - r, upper)
+    def to_laplace(self, g):
+        g = np.asarray(g, dtype=float)
+        with np.errstate(over="ignore"):
+            t = np.exp(-np.minimum(g, _GUMBEL_ASYMPTOTE))         # -log cdf; inf deep below
+        body = np.where(t >= _LOG2, _LOG2 - t, -_LOG2 - np.log(-np.expm1(-t)))
+        far = g - _LOG2 + 0.5 * np.exp(-np.maximum(g, _GUMBEL_ASYMPTOTE))
+        return np.where(g < _GUMBEL_ASYMPTOTE, body, far)
 
     def from_laplace(self, l):
         l = np.asarray(l, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            upper = 1.0 / -np.log1p(-0.5 * np.exp(-np.maximum(l, 0.0)))
-        return np.where(l > 0.0, upper, 1.0 / (_LOG2 - np.minimum(l, 0.0)))
+        upper = -np.log(-np.log1p(-0.5 * np.exp(-np.clip(l, 0.0, _GUMBEL_ASYMPTOTE))))
+        body = np.where(l > 0.0, upper, -np.log(_LOG2 - np.minimum(l, 0.0)))
+        far = l + _LOG2 - 0.25 * np.exp(-np.maximum(l, _GUMBEL_ASYMPTOTE))
+        return np.where(l < _GUMBEL_ASYMPTOTE, body, far)
 
 
 class StandardGaussian(_Law):
@@ -135,7 +140,7 @@ class StandardGaussian(_Law):
 
 EXPONENTIAL = StandardExponential()
 LAPLACE = StandardLaplace()
-FRECHET = StandardFrechet()
+GUMBEL = StandardGumbel()
 GAUSSIAN = StandardGaussian()
 
 

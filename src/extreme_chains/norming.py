@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from . import margins
 from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
                      ValidationError, call_checked)
 
@@ -37,7 +38,7 @@ class NormingScheme:
     M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t."""
 
     scheme_id = None
-    scale = "exponential"           # marginal scale the scheme lives on
+    scale = margins.EXPONENTIAL     # marginal law the scheme lives on
     scale_only = False              # Theorem-2 regime (no location norming)
 
     def a(self, t, v):
@@ -191,7 +192,7 @@ class NegativeHtScheme(NormingScheme):
     """Alternating canonical norming for negatively dependent chains."""
 
     scheme_id = "negative_ht"
-    scale = "laplace"
+    scale = margins.LAPLACE
 
     def __init__(self, alpha_minus, alpha_plus, beta):
         for nm, a in (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus)):
@@ -233,7 +234,7 @@ class AlternatingGaussianScheme(NormingScheme):
     """Negatively dependent Gaussian copula chain on Laplace margins."""
 
     scheme_id = "alternating_gaussian"
-    scale = "laplace"
+    scale = margins.LAPLACE
 
     def __init__(self, rho):
         if not -1.0 < rho < 0.0:
@@ -542,7 +543,7 @@ def remainder_table(scheme, t_values, v_values, x_values=(-5.0, 0.0, 5.0)):
             for x in x_values:
                 arg = float(scheme.a(int(t), float(v))) \
                     + float(scheme.b(int(t), float(v))) * x
-                if scheme.scale == "exponential" and arg <= 0.0:
+                if arg <= scheme.scale.support[0]:
                     continue
                 r_a, r_b = remainder_terms(scheme, int(t), float(v), float(x))
                 rows.append((int(t), float(v), float(x), float(r_a), float(r_b)))

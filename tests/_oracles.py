@@ -5,7 +5,8 @@ comes from bisecting math.erf, deep Gaussian scores are roots of mpmath's
 erfc, the tail-index oracles are a Hill estimator on
 freshly simulated states and the root of the moment equation in mpmath, the
 exponential-autoregression law is its alternating series summed in mpmath,
-the brute-force simulators and change-point rules below are written
+the Gumbel value of an exponential state and its inverse are evaluated in
+mpmath, the brute-force simulators and change-point rules below are written
 directly against the defining recursions, one path at a time, and the
 update-function quotients are formed from a scheme's norming at a finite
 threshold.
@@ -42,6 +43,19 @@ def gaussian_score_mp(log_tail, dps=60):
         return float(mpmath.findroot(
             lambda z: mpmath.log(mpmath.erfc(z / root2) / 2) - target,
             mpmath.sqrt(-2 * target)))
+
+
+def gumbel_from_exponential_mp(x, dps=80):
+    """g = -log(-log(1 - e^{-x})), the Gumbel value with the same tail
+    probability as the exponential state ``x``, in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        return float(-mpmath.log(-mpmath.log1p(-mpmath.exp(-mpmath.mpf(x)))))
+
+
+def exponential_from_gumbel_mp(g, dps=80):
+    """x = -log(1 - exp(-e^{-g})), the inverse of ``gumbel_from_exponential_mp``."""
+    with mpmath.workdps(dps):
+        return float(-mpmath.log(-mpmath.expm1(-mpmath.exp(-mpmath.mpf(g)))))
 
 
 def dkw_bound(n, alpha=0.01):

@@ -2,11 +2,12 @@
 
 The closed-form quantiles of the logistic kernel pair, over the parameter box
 gamma in [0.05, 0.95], uniforms in [0, 1) (with 0 and 1 - 2^-53 always in
-play) and states up to 700 (5000 for the BEV kernel, whose Frechet map
-overflows beyond ~709), must be finite, nondecreasing in u and an inverse of
-``cdf`` to 1e-12.  Draws at the floor shared with the root-finding path only
-have to cover u.  Each drawn uniform comes with its next float up, so
-monotonicity is tested between adjacent floats too.
+play) and states up to 700 (5000 for the BEV kernel, which reads the Gumbel
+value of states beyond ~709, where the Frechet value overflows), must be
+finite, nondecreasing in u and an inverse of ``cdf`` to 1e-12.  Draws at the
+floor shared with the root-finding path only have to cover u.  Each drawn
+uniform comes with its next float up, so monotonicity is tested between
+adjacent floats too.
 
 The root-finding quantiles of the asymmetric logistic and the inverted
 Husler-Reiss kernels meet the same bounds, except monotonicity between

@@ -132,13 +132,19 @@ class TestKernelCdf:
         assert k.cdf(np.array([2.0]), np.array([0.0]))[0] == 0.0
 
     def test_bev_logistic_diagonal_frechet(self):
-        # conditional CDF on the Frechet diagonal: 2^{g-1} e^{(1 - 2^g)/x},
-        # tending to 2^{-1/2} at g = 1/2
+        # conditional CDF on the Frechet diagonal: 2^{g-1} e^{(1 - 2^g)/x_F},
+        # tending to 2^{-1/2} at g = 1/2; x_F enters as the exponential state
+        # whose Gumbel value is log x_F
         k = kernels.BevLogisticKernel(0.5)
-        for x in (5.0, 50.0):
-            expect = 2.0 ** (-0.5) * math.exp((1.0 - 2.0 ** 0.5) / x)
-            assert float(k.frechet_cdf(x, x)) == pytest.approx(expect, rel=1e-12)
-        assert float(k.frechet_cdf(1e9, 1e9)) == pytest.approx(2.0 ** -0.5, rel=1e-8)
+
+        def diagonal(xf):
+            x = margins.transform(math.log(xf), margins.GUMBEL, margins.EXPONENTIAL)
+            return float(k.cdf(x, x))
+
+        for xf in (5.0, 50.0):
+            expect = 2.0 ** (-0.5) * math.exp((1.0 - 2.0 ** 0.5) / xf)
+            assert diagonal(xf) == pytest.approx(expect, rel=1e-12)
+        assert diagonal(1e9) == pytest.approx(2.0 ** -0.5, rel=1e-8)
 
     def test_expar_truncation(self, expar_kernel):
         # U(y) <= phi U(x) has zero conditional mass
@@ -310,6 +316,20 @@ class TestKernelSample:
         y = k.ppf(np.array([0.5, 10.0, 300.0]), 0.0)
         np.testing.assert_array_equal(y, kernels._FLOOR)
 
+    @pytest.mark.parametrize("kernel_id, params", [
+        ("bev_logistic", {"gamma": 0.3}),
+        ("inverted_bev_logistic", {"gamma": 0.3}),
+        ("asymmetric_logistic", {"phi1": 0.5, "phi2": 0.5, "nu": 0.152}),
+    ], ids=["bev_logistic", "inverted_bev_logistic", "root_finding"])
+    @pytest.mark.parametrize("u", [math.nan, -0.1, 1.0, 1.5])
+    def test_ppf_refuses_u_outside_unit_interval(self, kernel_id, params, u):
+        # neither inf, NaN, the floor nor a SamplingError: a DomainError naming u
+        k = kernels.make_kernel(kernel_id, **params)
+        with pytest.raises(DomainError, match=f"got {u}"):
+            k.ppf(np.full(3, 5.0), np.array([0.2, u, 0.7]))
+        with pytest.raises(DomainError, match=f"got {u}"):
+            k.ppf(5.0, u)
+
     def test_asymmetric_logistic_ppf_floor(self):
         # the cdf keeps ~5e-13 of mass below the floor at x = 9, so u = 0
         # and any u up to that mass draw the floor
@@ -342,7 +362,8 @@ class TestKernelSample:
 
 
 class TestDeepBevStates:
-    """States beyond x ~ 709, where the Frechet map itself overflows."""
+    """States beyond x ~ 709, where the Frechet value itself overflows; the
+    kernel reads their Gumbel value."""
 
     kernel = kernels.BevLogisticKernel(0.152)
 
@@ -385,7 +406,8 @@ def direct_asymmetric_logistic_cdf(k, x, y):
 
 
 class TestDeepAsymmetricLogistic:
-    """The Frechet map overflows beyond x ~ 709; the kernel works in log T."""
+    """The Frechet value overflows beyond x ~ 709; the kernel reads the Gumbel
+    value, its log."""
 
     kernels_under_test = [
         kernels.AsymmetricLogisticKernel(0.5, 0.5, 0.152),

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from extreme_chains import margins, numerics
 from extreme_chains.errors import DomainError
 
-from _oracles import norm_quantile
+from _oracles import (exponential_from_gumbel_mp, gumbel_from_exponential_mp,
+                      norm_quantile)
 
-ANALYTIC = [margins.EXPONENTIAL, margins.LAPLACE, margins.FRECHET,
+ANALYTIC = [margins.EXPONENTIAL, margins.LAPLACE, margins.GUMBEL,
             margins.GAUSSIAN]
 
 
@@ -49,7 +50,7 @@ def test_quantile_domain_errors():
 
 def test_cdf_saturates_without_error():
     assert margins.EXPONENTIAL.cdf(-5.0) == 0.0
-    assert margins.FRECHET.cdf(-1.0) == 0.0
+    assert margins.GUMBEL.cdf(-1e3) == 0.0
     assert margins.EXPONENTIAL.cdf(1e6) == 1.0
 
 
@@ -72,8 +73,8 @@ def test_transform_gaussian_to_exponential():
 
 
 def test_round_trip_all_pairs():
-    # tolerance 1e-9 relative beyond unit scale: on the Frechet scale the grid
-    # reaches x ~ 1e6 where an absolute 1e-9 would be below one ulp
+    # tolerance 1e-9, relative beyond unit scale (criterion 1's measure): the
+    # upper tails of the grid reach |x| ~ 14
     ps = np.concatenate([np.geomspace(1e-6, 0.5, 40),
                          1.0 - np.geomspace(1e-6, 0.5, 40)])
     for src in ANALYTIC:
@@ -123,8 +124,9 @@ def test_arch_law_over_parameter_box(theta0, theta1):
 
 
 @pytest.mark.parametrize("law, lo", [(margins.GAUSSIAN, -5000.0),
-                                     (margins.EXPONENTIAL, -700.0)],
-                         ids=["gaussian", "exponential"])
+                                     (margins.EXPONENTIAL, -700.0),
+                                     (margins.GUMBEL, -5000.0)],
+                         ids=["gaussian", "exponential", "gumbel"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_transform_exact_deep_in_both_tails(law, lo, data):
@@ -144,3 +146,15 @@ def test_transform_exact_deep_in_both_tails(law, lo, data):
         scale = np.abs(xs) if src is margins.EXPONENTIAL else np.maximum(1.0, np.abs(xs))
         assert np.all(np.abs(back - xs) <= 1e-9 * scale), (src.name, dst.name)
         xs = ys
+
+
+def test_gumbel_matches_mpmath_from_exponential():
+    # exponential x in [1e-12, 1e6] is Gumbel g in [-3.3, 1e6]: the forward
+    # map against its 80-digit value, and the inverse at the rounded g
+    xs = np.concatenate([np.geomspace(1e-12, 1e6, 601), np.linspace(25.0, 35.0, 101)])
+    ref = np.array([gumbel_from_exponential_mp(x) for x in xs])
+    g = margins.transform(xs, margins.EXPONENTIAL, margins.GUMBEL)
+    assert np.all(np.abs(g - ref) <= 4.4e-16 * np.maximum(np.abs(ref), 1.0))
+    back_ref = np.array([exponential_from_gumbel_mp(gi) for gi in g])
+    back = margins.transform(g, margins.GUMBEL, margins.EXPONENTIAL)
+    np.testing.assert_allclose(back, back_ref, rtol=1e-14, atol=0.0)
