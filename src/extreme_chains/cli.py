@@ -22,7 +22,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import diagnostics, kernels, norming, tailchain
-from .errors import ExtremeChainsError, ValidationError, call_checked
+from .errors import ExtremeChainsError, ValidationError, build, from_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,29 +40,20 @@ def _rng_for(seed, *key):
 
 @lru_cache(maxsize=32)
 def _kernel_from_json(spec_json):
-    spec = json.loads(spec_json)
-    kid = spec.pop("id")
-    return kernels.make_kernel(kid, **spec)
+    return from_spec(kernels.make_kernel, json.loads(spec_json), "kernel")
 
 
 def _build_kernel(spec):
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ValidationError("kernel spec must be a mapping with an 'id'")
+    """The kernel of ``spec``, built once per process for each spec."""
     return _kernel_from_json(json.dumps(spec, sort_keys=True))
 
 
 def _build_scheme(spec):
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ValidationError("scheme spec must be a mapping with an 'id'")
-    spec = dict(spec)
-    return norming.make_norming(spec.pop("id"), **spec)
+    return from_spec(norming.make_norming, spec, "scheme")
 
 
 def _build_law(spec):
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ValidationError("limit law spec must be a mapping with an 'id'")
-    spec = dict(spec)
-    return norming.limit_law(spec.pop("id"), **spec)
+    return from_spec(norming.limit_law, spec, "limit law")
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +130,8 @@ def _task_converge_row(args):
     law = _build_law(config["limit_law"])
     v = float(config["v_grid"][j])
     table = diagnostics.convergence_table(
-        kern, scheme, law, config.get("t", 1), [v], config["n_paths"],
-        seed=_derived_seed(config["seed"], 2, j),
-        atom_cut=config.get("atom_cut", 20.0))
+        kern, scheme, law, config["t"], [v], config["n_paths"],
+        seed=_derived_seed(config["seed"], 2, j), atom_cut=config["atom_cut"])
     return table.rows[0]
 
 
@@ -149,40 +139,38 @@ def _derived_seed(seed, *key):
     return int(_rng_for(seed, *key).integers(0, 2 ** 63 - 1))
 
 
-_FIG1_CHAINS = ("i", "ii", "iii", "iv")
-
-
-def _figure1_kernel_scheme(config, tag):
-    gamma = config.get("gamma", 0.152)
-    phi = config.get("phi", 0.8)
-    rho = config.get("rho", 0.8)
-    if tag == "i":
-        kern = {"id": "bev_logistic", "gamma": gamma}
-        scheme = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
-        law = norming.limit_law("bev_logistic", gamma=gamma)
-    elif tag == "ii":
-        kern = {"id": "inverted_bev_logistic", "gamma": gamma}
-        scheme = norming.make_norming("ht_canonical", alpha=0.0, beta=1.0 - gamma)
-        law = norming.limit_law("inverted_bev_logistic", gamma=gamma)
-    elif tag == "iii":
-        kern = {"id": "expar", "phi": phi}
-        scheme = norming.make_norming("ht_canonical", alpha=phi, beta=0.0)
-        law = None    # no limiting kernel is available for this chain
-    else:
-        kern = {"id": "gaussian_copula", "rho": rho, "margin": "exponential"}
-        scheme = norming.make_norming("ht_canonical", alpha=rho * rho, beta=0.5)
-        law = norming.limit_law("gaussian_exponential", rho=rho)
-    return kern, scheme, law
+# chain -> its kernel, norming-scheme and limit-law specs at figure-1's
+# gamma, phi and rho; no limiting kernel is available for chain iii
+_FIG1_CHAINS = (
+    ("i", lambda gamma, phi, rho: (
+        {"id": "bev_logistic", "gamma": gamma},
+        {"id": "ht_canonical", "alpha": 1.0, "beta": 0.0},
+        {"id": "bev_logistic", "gamma": gamma})),
+    ("ii", lambda gamma, phi, rho: (
+        {"id": "inverted_bev_logistic", "gamma": gamma},
+        {"id": "ht_canonical", "alpha": 0.0, "beta": 1.0 - gamma},
+        {"id": "inverted_bev_logistic", "gamma": gamma})),
+    ("iii", lambda gamma, phi, rho: (
+        {"id": "expar", "phi": phi},
+        {"id": "ht_canonical", "alpha": phi, "beta": 0.0}, None)),
+    ("iv", lambda gamma, phi, rho: (
+        {"id": "gaussian_copula", "rho": rho, "margin": "exponential"},
+        {"id": "ht_canonical", "alpha": rho * rho, "beta": 0.5},
+        {"id": "gaussian_exponential", "rho": rho})),
+)
 
 
 def _task_figure1_chain(args):
     config, idx = args
-    tag = _FIG1_CHAINS[idx]
-    kern_spec, scheme, law = _figure1_kernel_scheme(config, tag)
+    # fill the figure-1 defaults for a caller that runs one chain outside a run
+    config = dict(_KINDS["figure1"][2], **config)
+    tag, specs = _FIG1_CHAINS[idx]
+    kern_spec, scheme_spec, law_spec = specs(config["gamma"], config["phi"],
+                                             config["rho"])
     kern = _build_kernel(kern_spec)
-    x0 = config.get("x0", 10.0)
-    T = config.get("horizon", 15)
-    n = config.get("n_paths", 10_000)
+    scheme = _build_scheme(scheme_spec)
+    law = None if law_spec is None else _build_law(law_spec)
+    x0, T, n = config["x0"], config["horizon"], config["n_paths"]
     # each envelope summarises one step's n states at a time; no path
     # matrix is formed
     states = diagnostics.forward_states(
@@ -200,29 +188,29 @@ def _task_figure1_chain(args):
     return tag, env_actual, env_tc
 
 
-# hidden example -> builder of (T, n, rng, **params); the defaults are the
-# parameters a config may leave out
+def _hidden_ht_mixture(alpha1, beta1, g1: dict, alpha2, beta2, g2: dict, lam=0.5):
+    return partial(tailchain.hidden_ht_mixture, lam, (alpha1, beta1, _build_law(g1)),
+                   (alpha2, beta2, _build_law(g2)))
+
+
+# hidden example -> builder of its sampler (T, n, rng) from the example's
+# parameters; the defaults are the parameters a config may leave out
 _HIDDEN_EXAMPLES = {
-    "asym_logistic": lambda T, n, rng, phi1=0.5, phi2=0.5, nu=0.152:
-        tailchain.hidden_asym_logistic(phi1, phi2, nu, T, n, rng),
-    "rootzen_smith": lambda T, n, rng: tailchain.hidden_rootzen_smith(T, n, rng),
-    "arch": lambda T, n, rng, theta0=1.0, theta1=0.7:
-        tailchain.hidden_arch(theta0, theta1, T, n, rng),
-    "ht_mixture": lambda T, n, rng, alpha1, beta1, g1, alpha2, beta2, g2, lam=0.5:
-        tailchain.hidden_ht_mixture(lam, (alpha1, beta1, _build_law(g1)),
-                                    (alpha2, beta2, _build_law(g2)), T, n, rng),
+    "asym_logistic": lambda phi1=0.5, phi2=0.5, nu=0.152:
+        partial(tailchain.hidden_asym_logistic, phi1, phi2, nu),
+    "rootzen_smith": lambda: tailchain.hidden_rootzen_smith,
+    "arch": lambda theta0=1.0, theta1=0.7: partial(tailchain.hidden_arch, theta0, theta1),
+    "ht_mixture": _hidden_ht_mixture,
 }
 
 
 def _task_hidden_chunk(args):
     config, chunk, part = args
-    example = config["example"]
     rng = _rng_for(config["seed"], 4, chunk)
     n = config["n_paths"]
-    builder = partial(_HIDDEN_EXAMPLES[example], config["horizon"],
-                      _chunk_size(n, chunk), rng)
-    h = call_checked(f"hidden example '{example}'", builder,
-                     config.get("params", {}))
+    sample = build(_HIDDEN_EXAMPLES, "hidden example", config["example"],
+                   config["params"])
+    h = sample(config["horizon"], _chunk_size(n, chunk), rng)
     return _write_part(part, _first_path(n, chunk), 1, h.M, h.regime,
                        h.is_changepoint)
 
@@ -232,7 +220,7 @@ def _task_chi_row(args):
     kern = _build_kernel(config["kernel"])
     u = float(config["u_grid"][j])
     rows = diagnostics.chi_estimate(
-        kern, kern.stationary_law, config.get("t", 1), [u],
+        kern, kern.stationary_law, config["t"], [u],
         config["n_paths"], seed=_derived_seed(config["seed"], 5, j))
     return rows[0]
 
@@ -308,13 +296,12 @@ def _run_converge(config, out_dir, workers):
                            workers))
     path = os.path.join(out_dir, "convergence.csv")
     header = ["kernel", "scheme", "t", "v", "n", "ks", "atom_lo", "atom_hi", "seed"]
-    ids = (config["kernel"]["id"], config["scheme"]["id"], config.get("t", 1))
+    ids = (config["kernel"]["id"], config["scheme"]["id"], config["t"])
     _write_table(path, header, [[*ids, repr(r.v), r.n, repr(r.ks), repr(r.mass_lo),
                                  repr(r.mass_hi), r.seed] for r in rows])
     # jointly report the norming remainder decay on the same threshold grid
     scheme = _build_scheme(config["scheme"])
-    r_rows = norming.remainder_table(scheme, [config.get("t", 1)],
-                                     config["v_grid"])
+    r_rows = norming.remainder_table(scheme, [config["t"]], config["v_grid"])
     r_path = os.path.join(out_dir, "remainders.csv")
     n_r = _write_table(r_path, ["t", "v", "x", "r_a", "r_b"],
                        [[t, repr(v), repr(x), repr(ra), repr(rb)]
@@ -337,22 +324,17 @@ def _run_figure1(config, out_dir, workers):
 
 
 def _run_hidden(config, out_dir, workers):
-    example = config["example"]
-    if example not in _HIDDEN_EXAMPLES:
-        raise ValidationError(f"unknown hidden example '{example}'; known: "
-                              f"{', '.join(_HIDDEN_EXAMPLES)}")
     return _write_paths_csv(_task_hidden_chunk, config, workers,
                             os.path.join(out_dir, "hidden_paths.csv"),
                             ("path", "t", "value", "regime", "is_changepoint"))
 
 
 def _run_negdep(config, out_dir, workers):
-    rho = config.get("rho", -0.8)
-    kern = _build_kernel({"id": "gaussian_copula", "rho": rho, "margin": "laplace"})
+    kern = _build_kernel({"id": "gaussian_copula", "rho": config["rho"],
+                          "margin": "laplace"})
     states = diagnostics.forward_states(
-        kern, kern.stationary_law, diagnostics.FixedX0(config.get("x0", 20.0)),
-        config.get("horizon", 3), config.get("n_paths", 100_000),
-        _rng_for(config["seed"], 6, 0))
+        kern, kern.stationary_law, diagnostics.FixedX0(config["x0"]),
+        config["horizon"], config["n_paths"], _rng_for(config["seed"], 6, 0))
     path = os.path.join(out_dir, "negdep_signs.csv")
     rows = [[t, repr(float(np.mean(np.sign(x) == (-1.0) ** t)))]
             for t, x in enumerate(states) if t > 0]
@@ -370,16 +352,19 @@ def _run_chi(config, out_dir, workers):
          for r in rows]))]
 
 
-# kind -> (runner, required keys, optional keys); every kind also requires
-# "kind" and "seed", and any other top-level key is a config error
+# kind -> (runner, required keys, optional keys with their defaults); every
+# kind also requires "kind" and "seed", and any other top-level key is a
+# config error
 _KINDS = {
-    "simulate": (_run_simulate, ("kernel", "init", "horizon", "n_paths"), ()),
+    "simulate": (_run_simulate, ("kernel", "init", "horizon", "n_paths"), {}),
     "converge": (_run_converge, ("kernel", "scheme", "limit_law", "v_grid", "n_paths"),
-                 ("t", "atom_cut")),
-    "figure1": (_run_figure1, ("n_paths",), ("gamma", "phi", "rho", "x0", "horizon")),
-    "hidden": (_run_hidden, ("example", "horizon", "n_paths"), ("params",)),
-    "negdep": (_run_negdep, (), ("rho", "x0", "horizon", "n_paths")),
-    "chi": (_run_chi, ("kernel", "u_grid", "n_paths"), ("t",)),
+                 {"t": 1, "atom_cut": 20.0}),
+    "figure1": (_run_figure1, ("n_paths",),
+                {"gamma": 0.152, "phi": 0.8, "rho": 0.8, "x0": 10.0, "horizon": 15}),
+    "hidden": (_run_hidden, ("example", "horizon", "n_paths"), {"params": {}}),
+    "negdep": (_run_negdep, (),
+               {"rho": -0.8, "x0": 20.0, "horizon": 3, "n_paths": 100_000}),
+    "chi": (_run_chi, ("kernel", "u_grid", "n_paths"), {"t": 1}),
 }
 
 
@@ -409,7 +394,8 @@ _VALUES = {
     "v_grid": (_grid, "a non-empty list of numbers"),
     "u_grid": (lambda v: _grid(v) and all(0.0 < u < 1.0 for u in v),
                "a non-empty list of numbers inside (0, 1)"),
-    "example": (lambda v: isinstance(v, str), "a string"),
+    "example": (lambda v: isinstance(v, str) and v in _HIDDEN_EXAMPLES,
+                f"one of {', '.join(sorted(_HIDDEN_EXAMPLES))}"),
 }
 
 
@@ -422,25 +408,26 @@ def _check_values(config):
 
 
 def _check_keys(config):
-    """The runner of the config's kind, once its top-level keys and the
-    types of their values are checked."""
+    """The runner of the config's kind and the config with the kind's
+    defaults filled in, once its top-level keys and the types of their values
+    are checked."""
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(
             f"config key 'kind' must be one of {', '.join(_KINDS)}; got {kind!r}")
-    runner, required, optional = _KINDS[kind]
+    runner, required, defaults = _KINDS[kind]
     required = ("kind", "seed") + required
-    allowed = ", ".join(sorted(required + optional))
+    allowed = ", ".join(sorted(required + tuple(defaults)))
     for key in required:
         if key not in config:
             raise ValidationError(
                 f"{kind} config is missing required key '{key}' (allowed: {allowed})")
     for key in config:
-        if key not in required + optional:
+        if key not in required and key not in defaults:
             raise ValidationError(
                 f"{kind} config has unknown key '{key}' (allowed: {allowed})")
     _check_values(config)
-    return runner
+    return runner, dict(defaults, **config)
 
 
 def emit_manifest(config, outputs, out_dir, wall_time):
@@ -469,11 +456,11 @@ def run_experiment(config, out_dir, workers=1):
     """Validate and execute one experiment config; returns output list."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    runner = _check_keys(config)
+    runner, filled = _check_keys(config)
     os.makedirs(out_dir, exist_ok=True)
-    start = time.time()
-    outputs = runner(config, out_dir, workers)
-    emit_manifest(config, outputs, out_dir, time.time() - start)
+    start = time.perf_counter()
+    outputs = runner(filled, out_dir, workers)
+    emit_manifest(config, outputs, out_dir, time.perf_counter() - start)
     return outputs
 
 

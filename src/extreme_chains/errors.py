@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the parameter check that
+"""Exception types shared across the package, the one path that builds an
+object from a catalogue id or a spec mapping, and the parameter check that
 turns a misspelt or wrongly typed config key into a ValidationError."""
 
 import inspect
@@ -54,18 +55,14 @@ class SamplingError(ExtremeChainsError):
         self.u = u
 
 
-# parameters that are themselves specs: the components of a mixture
-_SPEC_PARAMETERS = ("k1", "k2", "g1", "g2")
-
-
 def call_checked(what, builder, params):
     """``builder(**params)``; a parameter it does not take, or a value of the
     wrong type, is a ValidationError.
 
-    A value must be a mapping for a component spec (``k1``, ``k2``, ``g1``,
-    ``g2``), a string where the builder's default is one, and a real number
-    (not a bool) otherwise.  Values caught by a ``**`` parameter are left to
-    the builder that takes them.
+    A value must be a mapping where the builder annotates the parameter
+    ``dict`` (a component spec), a string where the builder's default is one,
+    and a real number (not a bool) otherwise.  Values caught by a ``**``
+    parameter are left to the builder that takes them.
     """
     signature = inspect.signature(builder)
     try:
@@ -78,7 +75,7 @@ def call_checked(what, builder, params):
         parameter = signature.parameters[name]
         if parameter.kind is parameter.VAR_KEYWORD:
             continue
-        if name in _SPEC_PARAMETERS:
+        if parameter.annotation is dict:
             want, ok = "a mapping", isinstance(value, Mapping)
         elif isinstance(parameter.default, str):
             want, ok = "a string", isinstance(value, str)
@@ -88,3 +85,23 @@ def call_checked(what, builder, params):
             raise ValidationError(
                 f"{what}: parameter '{name}' must be {want}; got {value!r}")
     return builder(**params)
+
+
+def build(catalogue, what, key, params, unknown=ValidationError):
+    """``catalogue[key](**params)`` through :func:`call_checked`; a key the
+    catalogue lacks raises ``unknown`` with the known ones."""
+    try:
+        builder = catalogue[key]
+    except (KeyError, TypeError):      # TypeError: an unhashable id
+        raise unknown(f"unknown {what} id '{key}'; known: "
+                      f"{', '.join(sorted(catalogue))}") from None
+    return call_checked(f"{what} '{key}'", builder, params)
+
+
+def from_spec(make, spec, what):
+    """``make(id, **params)`` for a spec mapping ``{"id": id, **params}``,
+    which is left intact."""
+    if not isinstance(spec, Mapping) or "id" not in spec:
+        raise ValidationError(f"{what} spec must be a mapping with an 'id'")
+    params = dict(spec)
+    return make(params.pop("id"), **params)

@@ -27,7 +27,7 @@ from scipy.special import ndtr, wrightomega
 
 from . import margins, numerics
 from .errors import (AccuracyError, DomainError, SamplingError, ValidationError,
-                     call_checked)
+                     build, from_spec)
 
 __all__ = [
     "ExponentMeasure",
@@ -782,21 +782,13 @@ _EXPONENT_FAMILIES = {
 
 
 def _build_inverted_max_stable(family="husler_reiss", **params):
-    if family not in _EXPONENT_FAMILIES:
-        raise ValidationError(f"unknown exponent family '{family}'")
-    return InvertedMaxStableKernel(call_checked(
-        f"exponent family '{family}'", _EXPONENT_FAMILIES[family], params))
+    return InvertedMaxStableKernel(
+        build(_EXPONENT_FAMILIES, "exponent family", family, params))
 
 
-def _component(spec):
-    if "id" not in spec:
-        raise ValidationError("mixture component spec needs an 'id'")
-    spec = dict(spec)
-    return make_kernel(spec.pop("id"), **spec)
-
-
-def _build_ht_mixture(lam, k1, k2):
-    return HtMixtureKernel(lam, _component(k1), _component(k2))
+def _build_ht_mixture(lam, k1: dict, k2: dict):
+    return HtMixtureKernel(lam, from_spec(make_kernel, k1, "mixture component"),
+                           from_spec(make_kernel, k2, "mixture component"))
 
 
 _KERNEL_BUILDERS = {
@@ -816,9 +808,4 @@ KERNEL_IDS = tuple(sorted(_KERNEL_BUILDERS))
 
 def make_kernel(kernel_id, **params):
     """Construct a validated kernel from its catalogue id and parameters."""
-    try:
-        builder = _KERNEL_BUILDERS[kernel_id]
-    except (KeyError, TypeError):      # TypeError: an unhashable id
-        raise ValidationError(
-            f"unknown kernel id '{kernel_id}'; known: {', '.join(KERNEL_IDS)}")
-    return call_checked(f"kernel '{kernel_id}'", builder, params)
+    return build(_KERNEL_BUILDERS, "kernel", kernel_id, params)

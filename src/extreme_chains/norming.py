@@ -14,7 +14,7 @@ from scipy.special import ndtr, ndtri
 
 from . import margins
 from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
-                     ValidationError, call_checked)
+                     ValidationError, build)
 
 __all__ = [
     "NormingScheme",
@@ -23,8 +23,6 @@ __all__ = [
     "limit_law",
     "remainder_terms",
     "remainder_table",
-    "SCHEME_IDS",
-    "LIMIT_LAW_IDS",
 ]
 
 
@@ -262,17 +260,11 @@ _SCHEME_BUILDERS = {
     "alternating_gaussian": AlternatingGaussianScheme,
 }
 
-SCHEME_IDS = tuple(sorted(_SCHEME_BUILDERS))
-
 
 def make_norming(scheme_id, **params):
     """Construct a validated norming scheme from the catalogue."""
-    try:
-        builder = _SCHEME_BUILDERS[scheme_id]
-    except (KeyError, TypeError):      # TypeError: an unhashable id
-        raise UnsupportedSchemeError(
-            f"unknown norming scheme '{scheme_id}'; known: {', '.join(SCHEME_IDS)}")
-    return call_checked(f"norming scheme '{scheme_id}'", builder, params)
+    return build(_SCHEME_BUILDERS, "norming scheme", scheme_id, params,
+                 UnsupportedSchemeError)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +486,10 @@ _LAW_BUILDERS = {
     "expar": _law_expar,
 }
 
-LIMIT_LAW_IDS = tuple(sorted(_LAW_BUILDERS))
-
 
 def limit_law(law_id, **params):
     """Construct a catalogued limit law; unknown ids raise UnsupportedLawError."""
-    try:
-        builder = _LAW_BUILDERS[law_id]
-    except (KeyError, TypeError):      # TypeError: an unhashable id
-        raise UnsupportedLawError(
-            f"unknown limit law '{law_id}'; known: {', '.join(LIMIT_LAW_IDS)}")
-    return call_checked(f"limit law '{law_id}'", builder, params)
+    return build(_LAW_BUILDERS, "limit law", law_id, params, UnsupportedLawError)
 
 
 # ---------------------------------------------------------------------------

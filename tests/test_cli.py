@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from extreme_chains import cli
+from extreme_chains import cli, kernels, numerics
 from extreme_chains.errors import ConvergenceError
 
 
@@ -311,6 +311,10 @@ class TestErrors:
         ({"kind": "hidden", "seed": 1, "example": "arch", "n_paths": 16},
          "missing required key 'horizon' (allowed: example, horizon, kind, "
          "n_paths, params, seed)"),
+        ({"kind": "hidden", "seed": 1, "example": "archh", "horizon": 2,
+          "n_paths": 16},
+         "config key 'example' must be one of arch, asym_logistic, ht_mixture, "
+         "rootzen_smith; got 'archh'"),
     ])
     def test_top_level_key_error_names_key_and_allowed(self, tmp_path, capsys,
                                                        config, says):
@@ -329,8 +333,11 @@ class TestErrors:
         ({"kernel": {"id": ["gaussian_copula"], "rho": 0.8}}, "unknown kernel id"),
         ({"scheme": {"id": ["ht_canonical"], "alpha": 0.64, "beta": 0.5}}, "unknown"),
         ({"limit_law": {"id": ["gaussian_exponential"], "rho": 0.8}}, "unknown"),
+        ({"kernel": {"id": "inverted_max_stable", "family": "husler_reis"}},
+         "unknown exponent family id 'husler_reis'; known: constant, exp_decay, "
+         "husler_reiss, logistic, power_decay"),
     ], ids=["scheme_key", "limit_law_key", "scheme_id", "limit_law_id",
-            "kernel_id_list", "scheme_id_list", "limit_law_id_list"])
+            "kernel_id_list", "scheme_id_list", "limit_law_id_list", "family_id"])
     def test_bad_converge_config_exits_2_with_json_line(self, tmp_path, capsys,
                                                          change, says):
         config = {"kind": "converge", "seed": 1,
@@ -673,3 +680,67 @@ def test_paths_run_leaves_parent_without_scipy_optimize_and_interpolate(tmp_path
                          text=True, timeout=300, check=True)
     assert out.stdout.split("\n")[:2] == ["0 []", "True"]
     assert len(read(tmp_path / "out" / "paths.csv").splitlines()) == 1 + 64 * 3
+
+
+_GAUSSIAN = {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "figure1", "seed": 3, "n_paths": 40},
+    {"kind": "negdep", "seed": 3},
+    {"kind": "converge", "seed": 3, "n_paths": 200, "v_grid": [6.0],
+     "kernel": _GAUSSIAN,
+     "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+     "limit_law": {"id": "gaussian_exponential", "rho": 0.8}},
+    {"kind": "chi", "seed": 3, "n_paths": 200, "u_grid": [0.9],
+     "kernel": _GAUSSIAN},
+    {"kind": "hidden", "seed": 3, "example": "arch", "horizon": 3, "n_paths": 40},
+], ids=lambda config: config["kind"])
+def test_defaults_are_declared_once(tmp_path, config):
+    # leaving out every optional key writes what spelling out its default does
+    spelt = dict(cli._KINDS[config["kind"]][2], **config)
+    assert len(spelt) > len(config)
+    outputs = [cli.run_experiment(c, str(tmp_path / name), workers=1)
+               for name, c in (("left_out", config), ("spelt", spelt))]
+    assert [os.path.basename(p) for p, _ in outputs[0]] == \
+        [os.path.basename(p) for p, _ in outputs[1]]
+    for (left_out, _), (given, _) in zip(*outputs):
+        assert read(left_out) == read(given)
+    with open(tmp_path / "left_out" / "manifest.json") as fh:
+        assert json.load(fh)["config"] == config       # echoed as given
+
+
+def test_runs_keep_the_benchmark_entry_points(tmp_path, monkeypatch):
+    # the benchmark builds and traces kernels through
+    # kernels.make_kernel(id, **params) and reads the id from the first argument
+    made, fits = [], []
+    make_kernel, fit = kernels.make_kernel, numerics.arch_stationary_fit
+
+    def record_make(*args, **params):
+        made.append(args)
+        return make_kernel(*args, **params)
+
+    def record_fit(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(kernels, "make_kernel", record_make)
+    monkeypatch.setattr(numerics, "arch_stationary_fit", record_fit)
+    cli._kernel_from_json.cache_clear()
+    cli.run_experiment(dict(FIG1_CONFIG, n_paths=40), str(tmp_path / "fig"),
+                       workers=1)
+    assert made == [("bev_logistic",), ("inverted_bev_logistic",), ("expar",),
+                    ("gaussian_copula",)]
+    made.clear()
+    mixture = {"id": "ht_mixture", "lam": 0.5, "k1": _GAUSSIAN,
+               "k2": {"id": "inverted_bev_logistic", "gamma": 0.9}}
+    cli.run_experiment({"kind": "simulate", "seed": 2, "kernel": mixture,
+                        "init": {"u": 6.0}, "horizon": 2, "n_paths": 40},
+                       str(tmp_path / "mix"), workers=1)
+    assert made == [("ht_mixture",), ("gaussian_copula",), ("inverted_bev_logistic",)]
+    # one stationary fit for all 8 chunks: the kernel is built once per process
+    cli.run_experiment({"kind": "simulate", "seed": 2, "init": {"u": 5.0},
+                        "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+                        "horizon": 2, "n_paths": 64}, str(tmp_path / "arch"),
+                       workers=1)
+    assert fits == [(1.0, 0.7)]
