@@ -245,9 +245,9 @@ def _write_paths_csv(task, config, workers, path, header):
 
     Chunk c writes its rows to the part file ``path.c.part``; the parent
     appends each part to ``path`` as its chunk completes and deletes it, and
-    deletes any part a failed run leaves.  A chunk's index keys its seed, so
-    a path keeps its chunk, and its bytes, whatever the path count of the
-    other chunks.
+    deletes any part a failed run leaves, and ``path`` too if a chunk finds
+    a config error.  A chunk's index keys its seed, so a path keeps its
+    chunk, and its bytes, whatever the path count of the other chunks.
     """
     parts = [f"{path}.{c}.part" for c in range(min(config["n_paths"], _N_CHUNKS))]
     rows = 0
@@ -261,6 +261,9 @@ def _write_paths_csv(task, config, workers, path, header):
                     shutil.copyfileobj(fh, out)
                 os.remove(part)
                 rows += m
+    except ValidationError:
+        os.remove(path)
+        raise
     finally:
         results.close()   # a pool finishes its running chunks before this returns
         for part in parts:

@@ -6,10 +6,11 @@ erfc, the tail-index oracles are a Hill estimator on
 freshly simulated states and the root of the moment equation in mpmath, the
 exponential-autoregression law is its alternating series summed in mpmath,
 the Gumbel value of an exponential state and its inverse are evaluated in
-mpmath, the brute-force simulators and change-point rules below are written
-directly against the defining recursions, one path at a time, and the
-update-function quotients are formed from a scheme's norming at a finite
-threshold.
+mpmath, the spectral-density moments are mpmath quadratures of the densities
+rebuilt from their definitions, the brute-force simulators and change-point
+rules below are written directly against the defining recursions, one path at
+a time, and the update-function quotients are formed from a scheme's norming
+at a finite threshold.
 """
 
 import itertools
@@ -56,6 +57,57 @@ def exponential_from_gumbel_mp(g, dps=80):
     """x = -log(1 - exp(-e^{-g})), the inverse of ``gumbel_from_exponential_mp``."""
     with mpmath.workdps(dps):
         return float(-mpmath.log(-mpmath.expm1(-mpmath.exp(-mpmath.mpf(g)))))
+
+
+def _spectral_density_mp(family, params):
+    """A spectral density of ``kernels`` rebuilt in mpmath from its definition,
+    with the points where it is not smooth: the logistic density, or the power
+    or exponential decay at 0 plus the quartic bump on [a, b] that meets the
+    mass-2, mean-1 constraints."""
+    mpf = mpmath.mpf
+    if family == "logistic":
+        (g,) = map(mpf, params)
+        return (lambda w: (1 / g - 1) * (w * (1 - w)) ** (-1 - 1 / g)
+                * (w ** (-1 / g) + (1 - w) ** (-1 / g)) ** (g - 2)), ()
+    if family == "power_decay":
+        (s,) = map(mpf, params)
+        a, b = mpf(0.05), mpf(0.55)
+        g0, gm = (b - a) ** 5 / 30, (a + b) / 2
+        m0, m1 = 1 / (s + 1), 1 / (s + 2)
+        kappa = (2 * g0 * gm - g0) / (m0 * g0 * gm - m1 * g0)
+        core, c2 = (lambda w: kappa * w ** s), (2 - kappa * m0) / g0
+    else:
+        delta, gamma, kappa = map(mpf, params)
+        a = mpf(0.15)
+
+        def core(w):
+            return w ** delta * mpmath.exp(-kappa * w ** -gamma)
+
+        m0 = mpmath.quad(core, [0, 1])
+        m1 = mpmath.quad(lambda w: w * core(w), [0, 1])
+        b = 2 * (1 - m1) / (2 - m0) - a
+        c2 = (2 - m0) / ((b - a) ** 5 / 30)
+
+    def h(w):
+        return core(w) + (c2 * (w - a) ** 2 * (b - w) ** 2 if a < w < b else 0)
+
+    return h, (a, b)
+
+
+def density_moments_mp(family, params, ws, dps=30):
+    """(H0, H1) at s = 1/(1 + w) for each w of ``ws``, H0(s) = int_0^s h and
+    H1(s) = int_0^s u h(u) du, for the spectral density ``family`` of
+    ``kernels`` with ``params``: mpmath.quad over [0, s] at ``dps`` digits,
+    split at the density's edges."""
+    with mpmath.workdps(dps):
+        h, knots = _spectral_density_mp(family, params)
+        out = []
+        for w in ws:
+            s = 1 / (1 + mpmath.mpf(w))
+            pts = [0, *(k for k in knots if k < s), s]
+            out.append((float(mpmath.quad(h, pts)),
+                        float(mpmath.quad(lambda u: u * h(u), pts))))
+    return np.array(out).T
 
 
 def dkw_bound(n, alpha=0.01):

@@ -336,8 +336,12 @@ class TestErrors:
         ({"kernel": {"id": "inverted_max_stable", "family": "husler_reis"}},
          "unknown exponent family id 'husler_reis'; known: constant, exp_decay, "
          "husler_reiss, logistic, power_decay"),
+        ({"kernel": {"id": "inverted_max_stable", "family": "exp_decay",
+                     "delta": -0.5, "gamma": 0.1, "kappa": 0.1}},
+         "infeasible with left edge 0.15"),
     ], ids=["scheme_key", "limit_law_key", "scheme_id", "limit_law_id",
-            "kernel_id_list", "scheme_id_list", "limit_law_id_list", "family_id"])
+            "kernel_id_list", "scheme_id_list", "limit_law_id_list", "family_id",
+            "family_infeasible"])
     def test_bad_converge_config_exits_2_with_json_line(self, tmp_path, capsys,
                                                          change, says):
         config = {"kind": "converge", "seed": 1,
@@ -449,6 +453,23 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "config"
         assert "takes" in err["error"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_config_error_in_a_chunk_leaves_no_csv(self, tmp_path, capsys, workers):
+        # theta1 is checked only when a chunk builds the kernel, after the
+        # CSV header is written
+        cfg = write_config(tmp_path, "bad.json", {
+            "kind": "hidden", "seed": 1, "example": "arch", "horizon": 2,
+            "n_paths": 16, "params": {"theta1": 1.5}})
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert "theta1" in err["error"]
+        left = os.listdir(out)
+        assert "hidden_paths.csv" not in left
+        assert not [f for f in left if f.endswith(".part")]
 
 
 @pytest.mark.parametrize("config, name", [
@@ -581,7 +602,7 @@ def test_figure1_at_phi_0_99(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
-    # a cold CLI start loads neither; the density families import quad on use
+    # a cold CLI start loads neither; the density families import tanhsinh on use
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys, extreme_chains.cli; "
             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")

@@ -12,7 +12,9 @@ adjacent floats too.
 The root-finding quantiles of the asymmetric logistic and the inverted
 Husler-Reiss kernels meet the same bounds, except monotonicity between
 adjacent floats, which that path does not claim, and a draw costs at most
-30 ``cdf`` evaluations.
+30 ``cdf`` evaluations.  The inverted max-stable kernel of the logistic
+spectral density, whose ``cdf`` integrates the density, meets the same
+quantile bounds over fewer examples.
 """
 
 import numpy as np
@@ -81,6 +83,14 @@ def test_asymmetric_logistic_ppf_inverts_cdf(phi1, phi2, nu, x, us):
        us=UNIFORMS)
 def test_inverted_husler_reiss_ppf_inverts_cdf(gamma, x, us):
     kernel = kernels.InvertedMaxStableKernel(kernels.HuslerReiss(gamma))
+    check_ppf(kernel, x, us, lambda y: 1e-12, monotone=False)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(gamma=st.floats(0.2, 0.5), x=st.floats(0.01, 200.0, exclude_min=True),
+       us=UNIFORMS)
+def test_logistic_density_family_ppf_inverts_cdf(gamma, x, us):
+    kernel = kernels.InvertedMaxStableKernel(kernels.density_logistic(gamma))
     check_ppf(kernel, x, us, lambda y: 1e-12, monotone=False)
 
 

@@ -9,7 +9,8 @@ from extreme_chains import kernels, margins, norming
 from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
                                    ValidationError)
 
-from _oracles import dkw_bound, gaussian_score_mp, ks_statistic
+from _oracles import (density_moments_mp, dkw_bound, gaussian_score_mp,
+                      ks_statistic)
 
 np.seterr(all="ignore")
 
@@ -67,7 +68,7 @@ class TestExponentMeasures:
     def test_accuracy_error_carries_best(self):
         # mass 2 + O(1e-5), but too oscillatory for quad at 1e-12
         with pytest.raises(AccuracyError) as err:
-            kernels.DensityFamily(lambda w: 2.0 + math.sin(1e5 * w))
+            kernels.DensityFamily(lambda w: 2.0 + np.sin(1e5 * w))
         assert np.isfinite(err.value.best)
 
     def test_domain_errors(self):
@@ -98,6 +99,12 @@ class TestExponentMeasures:
         # moments validated at construction; every V(1, 1) lies in [1, 2]
         assert 1.0 <= float(fam.V(1.0, 1.0)) <= 2.0
 
+    def test_exp_decay_infeasible_bump_is_a_validation_error(self):
+        # m0 = 1.765872 (mpmath) would need the bump's mean at 1.712953, so its
+        # right edge lies beyond 1; the moment integrals themselves converge
+        with pytest.raises(ValidationError, match="bump mean 1.71295"):
+            kernels.density_exp_decay(-0.5, 0.1, 0.1)
+
 
 def test_generic_inverted_max_stable_matches_closed_logistic():
     # mutual validation of the quadrature route and the closed form; gamma
@@ -112,6 +119,26 @@ def test_generic_inverted_max_stable_matches_closed_logistic():
             b = k_cls.cdf(np.full(ys.shape, x), ys)
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12,
                                        err_msg=f"gamma={gam}, x={x}")
+
+
+# Two points where a quadrature's error estimate has let an error past 1e-12:
+# H1 of power_decay(0.4) at w = 3.466... (QUADPACK, 6.9e-10), and
+# logistic(0.2) at w = 0.5711 (tanhsinh asked for exactly 1e-12, 1e-11)
+MOMENT_WS = np.concatenate([np.exp(np.arange(-12.0, 13.0, 2.0)),
+                            [3.4660176384923087, 0.5711]])
+
+
+@pytest.mark.parametrize("family, params", [
+    ("logistic", (0.2,)), ("logistic", (0.3,)), ("logistic", (0.45,)),
+    ("logistic", (0.5,)), ("power_decay", (0.0,)), ("power_decay", (0.2,)),
+    ("power_decay", (0.4,)), ("exp_decay", (0.0, 1.0, 1.0)),
+], ids=["logistic_0.2", "logistic_0.3", "logistic_0.45", "logistic_0.5",
+        "power_decay_0", "power_decay_0.2", "power_decay_0.4", "exp_decay_0_1_1"])
+def test_density_moments_match_mpmath(family, params):
+    H0, H1 = getattr(kernels, f"density_{family}")(*params)._moments(MOMENT_WS)
+    ref0, ref1 = density_moments_mp(family, params, MOMENT_WS)
+    np.testing.assert_allclose(H0, ref0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(H1, ref1, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
