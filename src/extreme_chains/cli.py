@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from functools import lru_cache, partial
 from itertools import chain, islice
@@ -162,8 +163,6 @@ _FIG1_CHAINS = (
 
 def _task_figure1_chain(args):
     config, idx = args
-    # fill the figure-1 defaults for a caller that runs one chain outside a run
-    config = dict(_KINDS["figure1"][2], **config)
     tag, specs = _FIG1_CHAINS[idx]
     kern_spec, scheme_spec, law_spec = specs(config["gamma"], config["phi"],
                                              config["rho"])
@@ -244,10 +243,10 @@ def _write_paths_csv(task, config, workers, path, header):
     rows of each chunk to ``path``, in chunk order; returns ``[(path, rows)]``.
 
     Chunk c writes its rows to the part file ``path.c.part``; the parent
-    appends each part to ``path`` as its chunk completes and deletes it, and
-    deletes any part a failed run leaves, and ``path`` too if a chunk finds
-    a config error.  A chunk's index keys its seed, so a path keeps its
-    chunk, and its bytes, whatever the path count of the other chunks.
+    appends each part to ``path`` as its chunk completes and deletes it; a
+    failed run's files go with ``run_experiment``'s staging directory.  A
+    chunk's index keys its seed, so a path keeps its chunk, and its bytes,
+    whatever the path count of the other chunks.
     """
     parts = [f"{path}.{c}.part" for c in range(min(config["n_paths"], _N_CHUNKS))]
     rows = 0
@@ -261,14 +260,8 @@ def _write_paths_csv(task, config, workers, path, header):
                     shutil.copyfileobj(fh, out)
                 os.remove(part)
                 rows += m
-    except ValidationError:
-        os.remove(path)
-        raise
     finally:
         results.close()   # a pool finishes its running chunks before this returns
-        for part in parts:
-            if os.path.exists(part):
-                os.remove(part)
     return [(path, rows)]
 
 
@@ -456,15 +449,28 @@ def emit_manifest(config, outputs, out_dir, wall_time):
 
 
 def run_experiment(config, out_dir, workers=1):
-    """Validate and execute one experiment config; returns output list."""
+    """Validate and execute one experiment config; returns output list.
+
+    The runner writes into a staging directory that ``tempfile.mkdtemp``
+    makes inside ``out_dir``.  Once it returns, each output and then the
+    manifest is moved into ``out_dir`` by ``os.replace``, a rename on the same
+    filesystem.  The staging directory is removed however the run ends, so a
+    failed run leaves ``out_dir`` as it found it.
+    """
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     runner, filled = _check_keys(config)
     os.makedirs(out_dir, exist_ok=True)
-    start = time.perf_counter()
-    outputs = runner(filled, out_dir, workers)
-    emit_manifest(config, outputs, out_dir, time.perf_counter() - start)
-    return outputs
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        start = time.perf_counter()
+        outputs = runner(filled, staging, workers)
+        manifest = emit_manifest(config, outputs, staging, time.perf_counter() - start)
+        for path in [p for p, _ in outputs] + [manifest]:
+            os.replace(path, os.path.join(out_dir, os.path.basename(path)))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [(os.path.join(out_dir, os.path.basename(p)), rows) for p, rows in outputs]
 
 
 def main(argv=None):

@@ -64,10 +64,10 @@ def _log1mexp(t):
 class ExponentMeasure:
     """Bivariate exponent function V with partial derivative V_1.
 
-    Subclasses provide what the inverted kernel reads: ``V1_unit(w) =
-    V_1(1, w)`` and the cancellation-safe ``one_minus_V_unit(w) = 1 - V(1, w)``.
-    The general evaluations follow by homogeneity: V is of order -1 and V_1
-    of order -2, so V(x, y) = V(1, y/x)/x and V_1(x, y) = V_1(1, y/x)/x^2.
+    Subclasses provide what the inverted kernel reads, ``unit_terms(w)``: the
+    pair V_1(1, w) and the cancellation-safe 1 - V(1, w).  The general
+    evaluations follow by homogeneity: V is of order -1 and V_1 of order -2,
+    so V(x, y) = V(1, y/x)/x and V_1(x, y) = V_1(1, y/x)/x^2.
     """
 
     name = "exponent"
@@ -78,18 +78,15 @@ class ExponentMeasure:
 
     def V1(self, x, y):
         x, y = _positive_pair(x, y)
-        return self.V1_unit(y / x) / (x * x)
+        return self.unit_terms(y / x)[0] / (x * x)
 
     def V_unit(self, w):
         """V(1, w)."""
-        return 1.0 - self.one_minus_V_unit(w)
+        return 1.0 - self.unit_terms(w)[1]
 
-    def V1_unit(self, w):
-        """V_1(1, w): partial derivative in the first slot at (1, w)."""
-        raise NotImplementedError
-
-    def one_minus_V_unit(self, w):
-        """1 - V(1, w) without cancellation (V(1, w) -> 1 as w -> infinity)."""
+    def unit_terms(self, w):
+        """V_1(1, w), the partial derivative in the first slot at (1, w), and
+        1 - V(1, w) without cancellation (V(1, w) -> 1 as w -> infinity)."""
         raise NotImplementedError
 
 
@@ -111,16 +108,13 @@ class HuslerReiss(ExponentMeasure):
             raise ValidationError("husler_reiss gamma must be positive")
         self.gamma = float(gamma)
 
-    def V1_unit(self, w):
-        # exact: the two density terms cancel, leaving -Phi(g/2 + log(w)/g)
-        g = self.gamma
-        return -ndtr(g / 2.0 + np.log(np.asarray(w, dtype=float)) / g)
-
-    def one_minus_V_unit(self, w):
+    def unit_terms(self, w):
+        # V_1 is exact: the two density terms cancel, leaving -Phi(z)
         g = self.gamma
         w = np.asarray(w, dtype=float)
         lw = np.log(w)
-        return ndtr(-(g / 2.0 + lw / g)) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
+        z = g / 2.0 + lw / g
+        return -ndtr(z), ndtr(-z) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
 
 
 # Requested accuracy of every density-family integral (absolute below 1).
@@ -193,12 +187,9 @@ class DensityFamily(ExponentMeasure):
         part = _integrate(self.h, np.where(low, 0.0, s), np.where(low, s, 1.0), self.knots)
         return np.where(low, part, np.reshape([2.0, 1.0], (2,) + (1,) * s.ndim) - part)
 
-    def V1_unit(self, w):
-        return -(1.0 - self._moments(w)[1])
-
-    def one_minus_V_unit(self, w):
+    def unit_terms(self, w):
         H0, H1 = self._moments(w)
-        return H1 - (H0 - H1) / w
+        return -(1.0 - H1), H1 - (H0 - H1) / w
 
 
 def density_constant():
@@ -616,7 +607,7 @@ class InvertedMaxStableKernel(_Kernel):
     """Inverted max-stable copula kernel on exponential margins.
 
     cdf(x, y) = 1 + V_1(1, x/y) exp(x - x V(1, x/y)), evaluated through the
-    cancellation-safe ``one_minus_V_unit`` so states 30+ units out stay exact.
+    cancellation-safe 1 - V of ``unit_terms`` so states 30+ units out stay exact.
     """
 
     def __init__(self, exponent):
@@ -627,9 +618,7 @@ class InvertedMaxStableKernel(_Kernel):
 
     @_conditional_cdf
     def cdf(self, x, y):
-        w = x / y
-        v1 = self.exponent.V1_unit(w)
-        one_minus_v = self.exponent.one_minus_V_unit(w)
+        v1, one_minus_v = self.exponent.unit_terms(x / y)
         with np.errstate(over="ignore"):
             return 1.0 + v1 * np.exp(x * one_minus_v)
 

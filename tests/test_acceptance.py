@@ -8,8 +8,10 @@ implemented exactly at their stated tolerances and marked xfail(strict=True)
 so they stay visible and can never silently pass.
 """
 
+import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -128,19 +130,30 @@ def test_criterion_04_scale_only_tail_chain():
 
 # -- criterion 5: figure reproduction ----------------------------------------
 
-def _figure1_envelopes():
-    x0, T, n = 10.0, 15, 10_000
-    results = {}
-    for idx in range(4):
-        tag, env_actual, env_tc = cli._task_figure1_chain(
-            ({"seed": SEED, "x0": x0, "horizon": T, "n_paths": n}, idx))
-        results[tag] = (env_actual, env_tc)
-    return results
+def _read_envelope(rows, source):
+    rows = [r for r in rows if r["source"] == source]
+    if not rows:
+        return None
+    return diagnostics.QuantileEnvelope(
+        source, np.array([int(r["t"]) for r in rows]),
+        *(np.array([float(r[q]) for r in rows]) for q in ("q025", "mean", "q975")))
 
 
 @pytest.fixture(scope="module")
-def figure1():
-    return _figure1_envelopes()
+def figure1(tmp_path_factory):
+    """Tag -> (actual, tail-chain) envelopes of a figure-1 run, read from
+    its chain_*.csv files; chain iii has no tail-chain envelope."""
+    out = tmp_path_factory.mktemp("figure1")
+    outputs = cli.run_experiment({"kind": "figure1", "seed": SEED, "x0": 10.0,
+                                  "horizon": 15, "n_paths": 10_000}, str(out))
+    results = {}
+    for path, _ in outputs:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        tag = os.path.basename(path)[len("chain_"):-len(".csv")]
+        results[tag] = (_read_envelope(rows, "actual"),
+                        _read_envelope(rows, "tailchain"))
+    return results
 
 
 def test_criterion_05_envelopes_chains_i_ii(figure1):

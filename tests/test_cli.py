@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["category"] == "numeric"
         assert "conditioning state 2300." in err["error"]
-        assert "inf" not in (out / "paths.csv").read_text()
+        assert os.listdir(out) == []      # no CSV, part file or staging directory
 
     def test_deep_threshold_runs(self, tmp_path):
         # P(X > 700) = e^-700 is below 1e-300; the start is drawn on the
@@ -491,21 +492,35 @@ def test_paths_outputs_worker_invariant(tmp_path, config, name):
     assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
 
 
+_GAUSSIAN = {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}
+_CONVERGE_CONFIG = {
+    "kind": "converge", "seed": 3, "n_paths": 200, "v_grid": [6.0, 7.0],
+    "kernel": _GAUSSIAN, "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
+    "limit_law": {"id": "gaussian_exponential", "rho": 0.8}}
+_CHI_SMALL_CONFIG = {"kind": "chi", "seed": 3, "n_paths": 200, "u_grid": [0.9, 0.95],
+                     "kernel": _GAUSSIAN}
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("config, name", [
+@pytest.mark.parametrize("config, names", [
     ({"kind": "simulate", "seed": 5, "kernel": {"id": "rootzen_smith"},
-      "init": {"u": 9.0}, "horizon": 3, "n_paths": 40}, "paths.csv"),
+      "init": {"u": 9.0}, "horizon": 3, "n_paths": 40}, ["paths.csv"]),
     ({"kind": "hidden", "seed": 6, "example": "rootzen_smith", "horizon": 3,
-      "n_paths": 40}, "hidden_paths.csv"),
-], ids=["simulate", "hidden"])
-def test_paths_runs_leave_no_part_files(tmp_path, config, name, workers):
-    # each chunk's rows pass through a part file beside the CSV, which the
-    # parent deletes once it has appended it
+      "n_paths": 40}, ["hidden_paths.csv"]),
+    (dict(FIG1_CONFIG, n_paths=40), [f"chain_{t}.csv" for t in ("i", "ii", "iii", "iv")]),
+    (_CONVERGE_CONFIG, ["convergence.csv", "remainders.csv"]),
+    (_CHI_SMALL_CONFIG, ["chi.csv"]),
+    ({"kind": "negdep", "seed": 3, "n_paths": 200}, ["negdep_signs.csv"]),
+], ids=["simulate", "hidden", "figure1", "converge", "chi", "negdep"])
+def test_paths_runs_leave_no_part_files(tmp_path, config, names, workers):
+    # a run writes into a staging directory inside --out, and a path chunk's
+    # rows pass through a part file there; only the outputs and the manifest
+    # are moved into --out
     cfg = write_config(tmp_path, "p.json", config)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == 0
-    assert sorted(os.listdir(out)) == sorted([name, "manifest.json"])
+    assert sorted(os.listdir(out)) == sorted(names + ["manifest.json"])
 
 
 _simulate_chunk = cli._task_simulate_chunk
@@ -522,8 +537,8 @@ def _fail_after_writing_chunk_3(args):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failed_paths_run_leaves_no_part_files(tmp_path, monkeypatch, workers):
-    # the run fails as any numeric failure does; the CSV keeps the header and
-    # the chunks before the failed one, and no part file is left
+    # the run fails as any numeric failure does, after chunks 0-2 are spliced
+    # into the CSV; neither the CSV nor a part file is left
     monkeypatch.setattr(cli, "_task_simulate_chunk", _fail_after_writing_chunk_3)
     cfg = write_config(tmp_path, "p.json", {
         "kind": "simulate", "seed": 5, "kernel": {"id": "rootzen_smith"},
@@ -531,10 +546,50 @@ def test_failed_paths_run_leaves_no_part_files(tmp_path, monkeypatch, workers):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == cli.EXIT_NUMERIC
-    assert os.listdir(out) == ["paths.csv"]
-    rows = read(out / "paths.csv").decode().splitlines()[1:]
-    assert len(rows) == 3 * 10 * 3
-    assert int(rows[-1].split(",")[0]) == 29
+    assert os.listdir(out) == []
+
+
+# the tasks as cli defines them, kept before a test patches them out
+_TASKS = {name: getattr(cli, name)
+          for name in ("_task_figure1_chain", "_task_converge_row", "_task_chi_row")}
+
+
+def _fail_on_task_1(name, args):
+    """The task ``name``, except that task index 1 raises (top-level, so a
+    pool can pickle it)."""
+    if args[1] == 1:
+        raise ConvergenceError("task 1 failed")
+    return _TASKS[name](args)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("config, name, task, code", [
+    ({"kind": "simulate", "seed": 1,
+      "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
+      "init": {"u": 2300.0}, "horizon": 1, "n_paths": 100}, "paths.csv", None, 3),
+    ({"kind": "hidden", "seed": 1, "example": "arch", "horizon": 2, "n_paths": 16,
+      "params": {"theta1": 1.5}}, "hidden_paths.csv", None, 2),
+    (dict(FIG1_CONFIG, n_paths=40), "chain_i.csv", "_task_figure1_chain", 3),
+    (_CONVERGE_CONFIG, "convergence.csv", "_task_converge_row", 3),
+    (_CHI_SMALL_CONFIG, "chi.csv", "_task_chi_row", 3),
+], ids=["arch_simulate_exit_3", "hidden_arch_exit_2", "figure1", "converge", "chi"])
+def test_failed_run_leaves_out_as_it_found_it(tmp_path, monkeypatch, config, name,
+                                             task, code, workers):
+    # an earlier run's output and manifest stay byte-identical, and no part
+    # file or staging directory is left beside them
+    if task is not None:
+        monkeypatch.setattr(cli, task, partial(_fail_on_task_1, task))
+    out = tmp_path / "out"
+    out.mkdir()
+    sentinels = {name: b"earlier,run\r\n1,2\r\n", "manifest.json": b'{"earlier": 1}\n'}
+    for file, data in sentinels.items():
+        (out / file).write_bytes(data)
+    cfg = write_config(tmp_path, "p.json", config)
+    assert cli.main(["run", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == code
+    assert sorted(os.listdir(out)) == sorted(sentinels)
+    for file, data in sentinels.items():
+        assert read(out / file) == data
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -701,9 +756,6 @@ def test_paths_run_leaves_parent_without_scipy_optimize_and_interpolate(tmp_path
                          text=True, timeout=300, check=True)
     assert out.stdout.split("\n")[:2] == ["0 []", "True"]
     assert len(read(tmp_path / "out" / "paths.csv").splitlines()) == 1 + 64 * 3
-
-
-_GAUSSIAN = {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}
 
 
 @pytest.mark.parametrize("config", [

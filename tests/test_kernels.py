@@ -55,9 +55,10 @@ class TestExponentMeasures:
         upper = w * (2.0 + w) * s * s
         lower = (1.0 + 2.0 * w) * s * s
         # V1 = -(1 - H1) keeps absolute, not relative, precision as w -> 0
-        np.testing.assert_allclose(em.V1_unit(w), -upper, rtol=1e-12, atol=1e-15)
+        v1, one_minus_v = em.unit_terms(w)
+        np.testing.assert_allclose(v1, -upper, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(em.V_unit(w), upper + lower / w, rtol=1e-12)
-        np.testing.assert_allclose(em.one_minus_V_unit(w), -s / w, rtol=1e-12)
+        np.testing.assert_allclose(one_minus_v, -s / w, rtol=1e-12)
 
     def test_density_moment_validation(self):
         with pytest.raises(ValidationError):
@@ -79,7 +80,7 @@ class TestExponentMeasures:
             em.V1(1.0, 0.0)
 
     def test_v1_matches_difference_quotient(self):
-        # V1 comes from V1_unit by homogeneity, V from one_minus_V_unit
+        # V1 and V come from unit_terms by homogeneity
         for em in (kernels.HuslerReiss(1.3), kernels.density_constant()):
             for (x, y) in [(1.0, 1.0), (2.0, 0.7), (0.4, 1.9)]:
                 h = 1e-6 * x
@@ -139,6 +140,22 @@ def test_density_moments_match_mpmath(family, params):
     ref0, ref1 = density_moments_mp(family, params, MOMENT_WS)
     np.testing.assert_allclose(H0, ref0, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(H1, ref1, rtol=0.0, atol=1e-12)
+
+
+def test_density_family_cdf_integrates_once(monkeypatch):
+    # V_1(1, w) and 1 - V(1, w) share one (H0, H1) integral per cdf call
+    kern = kernels.InvertedMaxStableKernel(kernels.density_logistic(0.3))
+    calls = []
+    integrate = kernels._integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_integrate", counted)
+    ys = np.linspace(0.5, 20.0, 200)
+    assert np.all(np.isfinite(kern.cdf(np.full(ys.shape, 9.0), ys)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
