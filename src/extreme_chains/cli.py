@@ -130,33 +130,26 @@ def _task_converge_row(args):
     scheme = _build_scheme(config["scheme"])
     law = _build_law(config["limit_law"])
     v = float(config["v_grid"][j])
-    table = diagnostics.convergence_table(
+    return diagnostics.convergence_table(
         kern, scheme, law, config["t"], [v], config["n_paths"],
-        seed=_derived_seed(config["seed"], 2, j), atom_cut=config["atom_cut"])
-    return table.rows[0]
+        seed=_derived_seed(config["seed"], 2, j), atom_cut=config["atom_cut"])[0]
 
 
 def _derived_seed(seed, *key):
     return int(_rng_for(seed, *key).integers(0, 2 ** 63 - 1))
 
 
-# chain -> its kernel, norming-scheme and limit-law specs at figure-1's
-# gamma, phi and rho; no limiting kernel is available for chain iii
+# chain -> its kernel and limit-law specs at figure-1's gamma, phi and rho;
+# each chain is normed by the canonical (alpha, beta) its kernel carries, and
+# no limiting kernel is available for chain iii
 _FIG1_CHAINS = (
-    ("i", lambda gamma, phi, rho: (
-        {"id": "bev_logistic", "gamma": gamma},
-        {"id": "ht_canonical", "alpha": 1.0, "beta": 0.0},
-        {"id": "bev_logistic", "gamma": gamma})),
-    ("ii", lambda gamma, phi, rho: (
-        {"id": "inverted_bev_logistic", "gamma": gamma},
-        {"id": "ht_canonical", "alpha": 0.0, "beta": 1.0 - gamma},
-        {"id": "inverted_bev_logistic", "gamma": gamma})),
-    ("iii", lambda gamma, phi, rho: (
-        {"id": "expar", "phi": phi},
-        {"id": "ht_canonical", "alpha": phi, "beta": 0.0}, None)),
+    ("i", lambda gamma, phi, rho: ({"id": "bev_logistic", "gamma": gamma},
+                                   {"id": "bev_logistic", "gamma": gamma})),
+    ("ii", lambda gamma, phi, rho: ({"id": "inverted_bev_logistic", "gamma": gamma},
+                                    {"id": "inverted_bev_logistic", "gamma": gamma})),
+    ("iii", lambda gamma, phi, rho: ({"id": "expar", "phi": phi}, None)),
     ("iv", lambda gamma, phi, rho: (
         {"id": "gaussian_copula", "rho": rho, "margin": "exponential"},
-        {"id": "ht_canonical", "alpha": rho * rho, "beta": 0.5},
         {"id": "gaussian_exponential", "rho": rho})),
 )
 
@@ -164,10 +157,12 @@ _FIG1_CHAINS = (
 def _task_figure1_chain(args):
     config, idx = args
     tag, specs = _FIG1_CHAINS[idx]
-    kern_spec, scheme_spec, law_spec = specs(config["gamma"], config["phi"],
-                                             config["rho"])
+    kern_spec, law_spec = specs(config["gamma"], config["phi"], config["rho"])
     kern = _build_kernel(kern_spec)
-    scheme = _build_scheme(scheme_spec)
+    if kern.ht_alpha_beta is None:
+        raise ValidationError(f"figure1: {kern.name} has no canonical norming")
+    alpha, beta = kern.ht_alpha_beta
+    scheme = norming.make_norming("ht_canonical", alpha=alpha, beta=beta)
     law = None if law_spec is None else _build_law(law_spec)
     x0, T, n = config["x0"], config["horizon"], config["n_paths"]
     # each envelope summarises one step's n states at a time; no path

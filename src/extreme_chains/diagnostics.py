@@ -20,7 +20,6 @@ __all__ = [
     "ks_distance",
     "ks_against_limit",
     "ConvergenceRow",
-    "ConvergenceTable",
     "convergence_table",
     "QuantileEnvelope",
     "quantile_envelope",
@@ -148,19 +147,9 @@ class ConvergenceRow:
     seed: int
 
 
-@dataclass
-class ConvergenceTable:
-    kernel_id: str
-    scheme_id: str
-    t: int
-    rows: list
-
-    def ks_values(self):
-        return np.array([r.ks for r in self.rows])
-
-
 def convergence_table(kernel, scheme, K, t, v_grid, n, seed, atom_cut=20.0):
-    """One KS row per threshold v, with escaped-mass columns for atom laws."""
+    """One ConvergenceRow per threshold v, with escaped-mass columns for atom
+    laws."""
     rows = []
     for j, v in enumerate(v_grid):
         rng = np.random.default_rng(np.random.SeedSequence(
@@ -168,8 +157,7 @@ def convergence_table(kernel, scheme, K, t, v_grid, n, seed, atom_cut=20.0):
         z = normalized_samples(kernel, float(v), scheme, t, n, rng)
         ks, lo, hi = ks_against_limit(z, K, m=atom_cut)
         rows.append(ConvergenceRow(float(v), n, ks, lo, hi, int(seed)))
-    return ConvergenceTable(getattr(kernel, "name", "kernel"),
-                            scheme.scheme_id, t, rows)
+    return rows
 
 
 @dataclass
@@ -223,11 +211,14 @@ class ChiRow:
     flagged: bool
 
 
-def chi_estimate(kernel, law, t, u_grid, n, seed, min_exceed=50):
+_MIN_EXCEED = 50   # a chi row with fewer lag-t exceedances is flagged
+
+
+def chi_estimate(kernel, law, t, u_grid, n, seed):
     """Empirical chi_t(u) = Pr(F(X_t) > u | F(X_0) > u) per threshold u.
 
     The conditioning is exact (inverse-CDF above the threshold); rows whose
-    lag-t exceedance count falls below ``min_exceed`` are flagged.
+    lag-t exceedance count falls below 50 are flagged.
     """
     rows = []
     for j, u in enumerate(u_grid):
@@ -238,7 +229,7 @@ def chi_estimate(kernel, law, t, u_grid, n, seed, min_exceed=50):
         x_u = float(law.ppf(u))
         hits = law.cdf(_state_at(kernel, law, Exceedance(x_u), t, n, rng)) > u
         cnt = int(hits.sum())
-        rows.append(ChiRow(float(u), float(hits.mean()), cnt, n, cnt < min_exceed))
+        rows.append(ChiRow(float(u), float(hits.mean()), cnt, n, cnt < _MIN_EXCEED))
     return rows
 
 

@@ -38,15 +38,6 @@ class TailChainPaths:
 
     E0: np.ndarray
     M: np.ndarray
-    scheme_id: str = ""
-
-    @property
-    def horizon(self):
-        return self.M.shape[1]
-
-    @property
-    def n_paths(self):
-        return self.M.shape[0]
 
 
 # regime codes shared by the hidden-chain simulators
@@ -77,10 +68,6 @@ class HiddenChainPaths:
     @property
     def horizon(self):
         return self.M.shape[1]
-
-    @property
-    def n_paths(self):
-        return self.M.shape[0]
 
 
 def first_times(mask):
@@ -147,7 +134,7 @@ def simulate_tail_chain(scheme, K, T, n, rng, K_plus=None):
     M = np.empty((n, T))
     for t, m in enumerate(steps):
         M[:, t] = m
-    return TailChainPaths(E0, M, scheme_id=scheme.scheme_id)
+    return TailChainPaths(E0, M)
 
 
 def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
@@ -162,26 +149,20 @@ def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
     g1 = norming.limit_law("asym_logistic_g1", phi1=phi1, phi2=phi2, nu=nu)
     kernel = kernels.AsymmetricLogisticKernel(phi1, phi2, nu)
     B = rng.uniform(size=(n, T)) < phi1
-    M = np.empty((n, T))
-    regime = np.empty((n, T), dtype=np.int8)
     # T^B = first t with B_t = 0 (may exceed the horizon)
-    tb = first_times(~B)
-    cp = tb[:, None] == np.arange(1, T + 1)
+    tb = first_times(~B)[:, None]
+    t = np.arange(1, T + 1)
+    pre, cp, after = t < tb, t == tb, t > tb
+    regime = np.where(pre, REGIME_EXTREME, REGIME_BODY).astype(np.int8)
 
-    fresh = rng.exponential(size=n)
-    M[:, 0] = np.where(tb == 1, fresh, g1.sample(n, rng))
-    regime[:, 0] = np.where(tb == 1, REGIME_BODY, REGIME_EXTREME)
-    for t in range(2, T + 1):
-        prev = M[:, t - 2]
-        pre = t < tb
-        at = t == tb
-        out = np.where(pre, prev + g1.sample(n, rng), 0.0)
-        out = np.where(at, rng.exponential(size=n), out)
-        post = t > tb
-        if post.any():
-            out[post] = kernel.sample(np.maximum(prev[post], 1e-12), rng)
-        M[:, t - 1] = out
-        regime[:, t - 1] = np.where(pre, REGIME_EXTREME, REGIME_BODY)
+    M = np.empty((n, T))
+    M[:, 0] = np.where(cp[:, 0], rng.exponential(size=n), g1.sample(n, rng))
+    for i in range(1, T):
+        M[:, i] = np.where(pre[:, i], M[:, i - 1] + g1.sample(n, rng),
+                           rng.exponential(size=n))
+        live = after[:, i]
+        if live.any():
+            M[live, i] = kernel.sample(np.maximum(M[live, i - 1], 1e-12), rng)
     return HiddenChainPaths(M, regime, cp, B=B)
 
 
@@ -192,6 +173,28 @@ def _flip_changepoints(B):
     return B != prev
 
 
+def _mixture_cases(B, cp, b1, b2):
+    """The (n, T) update-case codes of the mixture chain, from its latent path
+    alone: B (mode 1 active) and its change-point mask cp.  Column 0 is the
+    initial draw."""
+    k = np.cumsum(cp, axis=1)          # change-points up to and including t
+    start2 = ~B[:, :1]                 # T^B_1 = 1: the chain starts in mode 2
+    case = np.where(B, MIX_CASE_A1_INNOV, MIX_CASE_A2_INNOV).astype(np.int8)
+    if b1 > b2:
+        # alpha2 intervals degenerate to pure scaling, unless the chain
+        # started in mode 2; re-entry into mode 1 after such a start forgets
+        # the past
+        case[~B & ~(start2 & (k == 1))] = MIX_CASE_A2_SCALE
+        case[B & start2 & cp & (k == 2)] = MIX_CASE_INNOV1_ONLY
+    elif b1 < b2:
+        # mode-1 intervals after a change-point degenerate to scaling; the
+        # first entry into mode 2 forgets the past
+        case[B & (k >= 1)] = MIX_CASE_A1_SCALE
+        case[~B & cp & (k == 1)] = MIX_CASE_INNOV2_ONLY
+    case[:, 0] = 0
+    return case
+
+
 def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
     """Hidden tail chain of the two-component canonical mixture.
 
@@ -199,7 +202,10 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
     limit laws G for the innovations.  The update follows the mixture case
     table: between change-points the chain contracts by the active alpha, at
     transitions it degenerates to a pure scaling or an innovation-only draw
-    depending on the ordering of beta1 and beta2.  ``latent`` overrides the
+    depending on the ordering of beta1 and beta2.  The case table, and the
+    scale n^alpha_t (the product of the active alphas), follow from the
+    latent path before any value is drawn; each step then draws both
+    innovations and applies its case.  ``latent`` overrides the
     Bernoulli(lam) draws (row-wise) for scenario tests.
     """
     _check_horizon(T, n)
@@ -216,63 +222,21 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
         if B.shape != (n, T):
             raise ValidationError("latent override must have shape (n, T)")
     cp = _flip_changepoints(B)
-    M = np.empty((n, T))
     regime = np.where(B, REGIME_EXTREME, REGIME_SECOND).astype(np.int8)
-    case = np.zeros((n, T), dtype=np.int8)
+    case = _mixture_cases(B, cp, b1, b2)
+    alpha = np.where(B, a1, a2)
+    n_alpha = np.cumprod(alpha, axis=1)
+    forgets = (case == MIX_CASE_INNOV1_ONLY) | (case == MIX_CASE_INNOV2_ONLY)
+    scales = case >= MIX_CASE_A1_SCALE
 
-    # n^alpha_t bookkeeping: product of the active alpha at each step
-    n_alpha = np.empty((n, T))
-    n_alpha[:, 0] = np.where(B[:, 0], a1, a2)
-    for t in range(1, T):
-        n_alpha[:, t] = n_alpha[:, t - 1] * np.where(B[:, t], a1, a2)
-
-    # change-point indices: k(t) = number of flips up to and including t;
-    # t+1 = T^B_k exactly at flips.
-    k_count = np.cumsum(cp, axis=1)
-    tb1 = first_times(cp)
-
+    M = np.empty((n, T))
     M[:, 0] = np.where(B[:, 0], G1.sample(n, rng), G2.sample(n, rng))
-    for t_next in range(2, T + 1):
-        i = t_next - 1
-        prev = M[:, i - 1]
-        eps1 = G1.sample(n, rng)
-        eps2 = G2.sample(n, rng)
+    for i in range(1, T):
+        eps1, eps2 = G1.sample(n, rng), G2.sample(n, rng)
         scale = n_alpha[:, i - 1]
-        k_here = k_count[:, i]            # interval index containing t_next
-        at_flip = cp[:, i]
-        first_flip_at_1 = tb1 == 1
-        # second change-point time for the T^B_1 = 1 branch
-        row = np.empty(n, dtype=np.int8)
-        # default: follow the active mode with innovation
-        mode1_active = B[:, i]
-        row[:] = np.where(mode1_active, MIX_CASE_A1_INNOV, MIX_CASE_A2_INNOV)
-        if b1 > b2:
-            # alpha2-intervals degenerate to pure scaling ...
-            deg = ~mode1_active
-            row[deg] = MIX_CASE_A2_SCALE
-            # ... unless the chain started in mode 2 (T^B_1 = 1, k = 1)
-            keep = deg & first_flip_at_1 & (k_here == 1)
-            row[keep] = MIX_CASE_A2_INNOV
-            # re-entry into mode 1 after an immediate start in mode 2 forgets
-            # the past: innovation only
-            innov = mode1_active & first_flip_at_1 & at_flip & (k_here == 2)
-            row[innov] = MIX_CASE_INNOV1_ONLY
-        elif b1 < b2:
-            # mode-1 intervals after a change-point degenerate to scaling
-            deg = mode1_active & (k_here >= 1)
-            row[deg] = MIX_CASE_A1_SCALE
-            # first entry into mode 2 forgets the past
-            innov = ~mode1_active & at_flip & (k_here == 1)
-            row[innov] = MIX_CASE_INNOV2_ONLY
-        on1 = row == MIX_CASE_A1_INNOV
-        on2 = row == MIX_CASE_A2_INNOV
-        out = np.where(on1, a1 * prev + scale ** b1 * eps1,
-              np.where(on2, a2 * prev + scale ** b2 * eps2,
-              np.where(row == MIX_CASE_INNOV1_ONLY, scale ** b1 * eps1,
-              np.where(row == MIX_CASE_INNOV2_ONLY, scale ** b2 * eps2,
-              np.where(row == MIX_CASE_A1_SCALE, a1 * prev, a2 * prev)))))
-        M[:, i] = out
-        case[:, i] = row
+        past = alpha[:, i] * M[:, i - 1]
+        innov = np.where(B[:, i], scale ** b1 * eps1, scale ** b2 * eps2)
+        M[:, i] = np.select([forgets[:, i], scales[:, i]], [innov, past], past + innov)
     return HiddenChainPaths(M, regime, cp, B=B, case=case)
 
 
@@ -280,22 +244,17 @@ def hidden_rootzen_smith(T, n, rng, p=0.5):
     """Hidden tail chain of the tail-switching chain: zero until a geometric
     termination time, then an independent copy of the chain from Laplace."""
     _check_horizon(T, n)
-    term = rng.geometric(p, size=n)
-    M = np.zeros((n, T))
-    regime = np.full((n, T), REGIME_EXTREME, dtype=np.int8)
-    cp = term[:, None] == np.arange(1, T + 1)
+    term = rng.geometric(p, size=n)[:, None]
+    t = np.arange(1, T + 1)
+    body, cp = term <= t, term == t
+    regime = np.where(body, REGIME_BODY, REGIME_EXTREME).astype(np.int8)
+    run = body & ~cp
     kernel = kernels.RootzenSmithKernel(p_flip=1.0 - p)
-    cur = margins.LAPLACE.ppf(rng.uniform(size=n))
-    for t in range(1, T + 1):
-        live = term <= t
-        at = term == t
-        if at.any():
-            M[at, t - 1] = cur[at]
-        cont = live & ~at
-        if cont.any():
-            nxt = kernel.sample(M[cont, t - 2], rng)
-            M[cont, t - 1] = nxt
-        regime[live, t - 1] = REGIME_BODY
+    M = np.where(cp, margins.LAPLACE.ppf(rng.uniform(size=n))[:, None], 0.0)
+    for i in range(1, T):
+        live = run[:, i]
+        if live.any():
+            M[live, i] = kernel.sample(M[live, i - 1], rng)
     return HiddenChainPaths(M, regime, cp)
 
 
@@ -313,17 +272,15 @@ def hidden_arch(theta0, theta1, T, n, rng):
     gm = norming.limit_law("arch_g_minus", theta1=theta1, kappa=kappa)
     B = rng.uniform(size=(n, T)) < 0.5
     cp = _flip_changepoints(B)
-    k_count = np.cumsum(cp, axis=1)
+    # k odd inside [T^B_k, T^B_{k+1}) -> lower-tail regime, G_- innovations
+    use_minus = np.cumsum(cp, axis=1) % 2 == 1
+    regime = np.where(use_minus, REGIME_NEG, REGIME_EXTREME).astype(np.int8)
+    sign = np.where(cp, -1.0, 1.0)
     M = np.empty((n, T))
-    regime = np.where(k_count % 2 == 0, REGIME_EXTREME, REGIME_NEG).astype(np.int8)
-    # k odd inside [T^B_k, T^B_{k+1}) -> G_- innovations
-    use_minus = k_count % 2 == 1
     M[:, 0] = np.where(use_minus[:, 0], gm.sample(n, rng), gp.sample(n, rng))
-    for t_next in range(2, T + 1):
-        i = t_next - 1
+    for i in range(1, T):
         eps = np.where(use_minus[:, i], gm.sample(n, rng), gp.sample(n, rng))
-        s = np.where(cp[:, i], -1.0, 1.0)
-        M[:, i] = s * M[:, i - 1] + eps
+        M[:, i] = sign[:, i] * M[:, i - 1] + eps
     return HiddenChainPaths(M, regime, cp, B=B)
 
 

@@ -492,6 +492,34 @@ def test_paths_outputs_worker_invariant(tmp_path, config, name):
     assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
 
 
+@pytest.mark.parametrize("beta1, beta2", [(0.5, 0.1), (0.1, 0.5)],
+                         ids=["beta1_above", "beta1_below"])
+def test_hidden_ht_mixture_run(tmp_path, beta1, beta2):
+    n, T = 64, 6
+    cfg = write_config(tmp_path, "m.json", {
+        "kind": "hidden", "seed": 5, "example": "ht_mixture", "horizon": T,
+        "n_paths": n, "params": {
+            "alpha1": 0.9025, "beta1": beta1,
+            "g1": {"id": "gaussian_exponential", "rho": 0.95},
+            "alpha2": 0.3, "beta2": beta2,
+            "g2": {"id": "inverted_bev_logistic", "gamma": 0.9}}})
+    for w in ("1", "2"):
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / w),
+                         "--workers", w]) == 0
+    assert read(tmp_path / "1" / "hidden_paths.csv") == \
+        read(tmp_path / "2" / "hidden_paths.csv")
+    rows = np.loadtxt(tmp_path / "1" / "hidden_paths.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert rows.shape == (n * T, 5)
+    np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(n), T))
+    np.testing.assert_array_equal(rows[:, 1], np.tile(np.arange(1, T + 1), n))
+    regime, cp = (rows[:, c].astype(int).reshape(n, T) for c in (3, 4))
+    assert set(np.unique(regime)) == {1, 2}
+    # the regime before t = 1 counts as 1
+    before = np.column_stack([np.ones(n, dtype=int), regime[:, :-1]])
+    np.testing.assert_array_equal(cp == 1, regime != before)
+
+
 _GAUSSIAN = {"id": "gaussian_copula", "rho": 0.8, "margin": "exponential"}
 _CONVERGE_CONFIG = {
     "kind": "converge", "seed": 3, "n_paths": 200, "v_grid": [6.0, 7.0],
@@ -654,6 +682,17 @@ def test_figure1_at_phi_0_99(tmp_path):
     with open(tmp_path / "o" / "chain_iii.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [int(r[1]) for r in rows] == list(range(1, FIG1_CONFIG["horizon"] + 1))
+
+
+def test_figure1_without_canonical_norming_exits_2(tmp_path, capsys):
+    # the Gaussian chain of figure 1 carries its canonical norming only for
+    # rho > 0
+    cfg = write_config(tmp_path, "f.json", dict(FIG1_CONFIG, rho=-0.5, n_paths=40))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "config"
+    assert "no canonical norming" in err["error"]
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():

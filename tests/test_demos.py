@@ -1,7 +1,9 @@
-"""The demos run end to end, and use only the package's public names."""
+"""The demos and README's library tour run end to end, and the demos use only
+the package's public names."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,19 +14,33 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
+def _run_python(args):
+    """``python args`` from the repository root with ``src`` on the path."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+
+
 # demo 03 takes about 5 s, most of it asymmetric-logistic root finding; it
 # joins this list once that kernel samples without a root (ROADMAP item 1)
 @pytest.mark.parametrize("demo", ["01_tail_chain_convergence.py",
                                   "02_figure_envelopes.py",
                                   "04_negative_dependence_and_chi.py"])
 def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(DEMOS / demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+    done = _run_python([str(DEMOS / demo)])
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+
+
+def test_readme_python_blocks_run_in_order():
+    # a name the library tour uses that is deleted or renamed fails here
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.S | re.M)
+    assert blocks
+    done = _run_python(["-c", "\n".join(blocks)])
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def _private_names(tree):

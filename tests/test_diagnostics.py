@@ -168,17 +168,16 @@ class TestConvergenceTable:
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
         s = norming.make_norming("ht_canonical", alpha=0.64, beta=0.5)
         K = norming.limit_law("gaussian_exponential", rho=0.8)
-        table = diagnostics.convergence_table(k, s, K, 1, [6.0, 9.0, 12.0],
-                                              50_000, seed=11)
-        ks = table.ks_values()
+        rows = diagnostics.convergence_table(k, s, K, 1, [6.0, 9.0, 12.0],
+                                             50_000, seed=11)
+        ks = np.array([r.ks for r in rows])
         assert np.all(np.diff(ks) < 0.0)
 
     def test_asym_logistic_atom_column(self):
         k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
         s = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
         K1 = norming.limit_law("asym_logistic_k1", phi1=0.5, phi2=0.5, nu=0.152)
-        table = diagnostics.convergence_table(k, s, K1, 1, [30.0], 50_000, seed=2)
-        row = table.rows[0]
+        row, = diagnostics.convergence_table(k, s, K1, 1, [30.0], 50_000, seed=2)
         assert abs(row.mass_lo - 0.5) < 0.03
         assert row.ks < 0.02
 
@@ -387,8 +386,8 @@ class TestCatalogueTripleConvergence:
         k = kernels.make_kernel(kid, **kp)
         s = norming.make_norming(sid, **sp)
         K = norming.limit_law(lid, **lp)
-        table = diagnostics.convergence_table(k, s, K, 1, grid, 50_000, seed=29)
-        ks = table.ks_values()
+        rows = diagnostics.convergence_table(k, s, K, 1, grid, 50_000, seed=29)
+        ks = [r.ks for r in rows]
         violations = [b - a for a, b in zip(ks, ks[1:]) if b >= a]
         assert len(violations) <= 1, ks
         assert all(v <= 0.01 for v in violations), ks
@@ -397,9 +396,9 @@ class TestCatalogueTripleConvergence:
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="gaussian")
         s = norming.make_norming("ht_canonical", alpha=0.8, beta=0.0)
         K = norming.limit_law("gaussian_margins", rho=0.8)
-        table = diagnostics.convergence_table(k, s, K, 1, [2.0, 4.0, 6.0],
-                                              50_000, seed=31)
-        for row in table.rows:
+        rows = diagnostics.convergence_table(k, s, K, 1, [2.0, 4.0, 6.0],
+                                             50_000, seed=31)
+        for row in rows:
             assert row.ks < 0.008, row
 
     def test_bev_logistic_small_at_moderate_threshold(self):
@@ -407,8 +406,8 @@ class TestCatalogueTripleConvergence:
         k = kernels.make_kernel("bev_logistic", gamma=0.152)
         s = norming.make_norming("ht_canonical", alpha=1.0, beta=0.0)
         K = norming.limit_law("bev_logistic", gamma=0.152)
-        table = diagnostics.convergence_table(k, s, K, 1, [12.0], 50_000, seed=37)
-        assert table.rows[0].ks < 0.05
+        row, = diagnostics.convergence_table(k, s, K, 1, [12.0], 50_000, seed=37)
+        assert row.ks < 0.05
 
 
 def test_mixture_mass_escape_under_alpha2_norming():
