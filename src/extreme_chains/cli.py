@@ -380,7 +380,8 @@ _MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 _VALUES = {
     "seed": _count(0),
     **dict.fromkeys(("n_paths", "t", "horizon"), _count(1)),
-    **dict.fromkeys(("x0", "u", "gamma", "phi", "rho", "atom_cut"), _REAL),
+    **dict.fromkeys(("x0", "u", "gamma", "phi", "rho"), _REAL),
+    "atom_cut": (lambda v: _number(v) and 0.0 < v < np.inf, "a positive finite number"),
     **dict.fromkeys(("kernel", "scheme", "limit_law", "init", "params"), _MAPPING),
     "v_grid": (_grid, "a non-empty list of numbers"),
     "u_grid": (lambda v: _grid(v) and all(0.0 < u < 1.0 for u in v),

@@ -32,11 +32,16 @@ __all__ = [
 
 @dataclass
 class FixedX0:
-    """Start every path at ``x0``."""
+    """Start every path at ``x0``, which must lie inside the law's open
+    support (else ValidationError: a start is a choice of the caller)."""
 
     x0: float
 
     def draw(self, law, n, rng):
+        lo, hi = law.support
+        if not lo < self.x0 < hi:
+            raise ValidationError(f"start x0 = {self.x0} lies outside the open "
+                                  f"support ({lo}, {hi}) of the chain's law")
         return np.full(n, self.x0, dtype=float)
 
 

@@ -3,6 +3,7 @@ object from a catalogue id or a spec mapping, and the parameter check that
 turns a misspelt or wrongly typed config key into a ValidationError."""
 
 import inspect
+import math
 from collections.abc import Mapping
 from numbers import Real
 
@@ -55,13 +56,21 @@ class SamplingError(ExtremeChainsError):
         self.u = u
 
 
+def _finite(number):
+    """Whether ``number`` is finite as a double (an int too large for one is not)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def call_checked(what, builder, params):
     """``builder(**params)``; a parameter it does not take, or a value of the
     wrong type, is a ValidationError.
 
     A value must be a mapping where the builder annotates the parameter
     ``dict`` (a component spec), a string where the builder's default is one,
-    and a real number (not a bool) otherwise.  Values caught by a ``**``
+    and a finite real number (not a bool) otherwise.  Values caught by a ``**``
     parameter are left to the builder that takes them.
     """
     signature = inspect.signature(builder)
@@ -84,6 +93,9 @@ def call_checked(what, builder, params):
         if not ok:
             raise ValidationError(
                 f"{what}: parameter '{name}' must be {want}; got {value!r}")
+        if want == "a number" and not _finite(value):
+            raise ValidationError(
+                f"{what}: parameter '{name}' must be finite; got {value!r}")
     return builder(**params)
 
 

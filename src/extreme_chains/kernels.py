@@ -201,10 +201,12 @@ def density_logistic(gamma):
     """Spectral density of the symmetric logistic model with parameter gamma.
 
     Restricted to gamma <= 1/2 where the density stays bounded at the
-    endpoints (the closed-form kernels cover the full range).
+    endpoints (the closed-form kernels cover the full range), and to gamma >=
+    0.01: as gamma -> 0 the mass gathers at w = 1/2 in a peak too narrow for
+    the quadrature.
     """
-    if not 0.0 < gamma <= 0.5:
-        raise ValidationError("logistic density helper needs gamma in (0, 1/2]")
+    if not 0.01 <= gamma <= 0.5:
+        raise ValidationError("logistic density helper needs gamma in [0.01, 1/2]")
     g = gamma
 
     def h(w):
@@ -506,8 +508,8 @@ class _LogisticPairKernel(_Kernel):
     kernel_id = None
 
     def __init__(self, gamma):
-        if not 0.0 < gamma < 1.0:
-            raise ValidationError("gamma must lie in (0, 1)")
+        if not (0.0 < gamma < 1.0 and 1.0 / gamma < math.inf):
+            raise ValidationError("gamma must lie in (0, 1), with 1/gamma finite")
         self.gamma = float(gamma)
         self._m = (1.0 - self.gamma) / self.gamma
         self.name = f"{self.kernel_id}(gamma={gamma})"
@@ -577,6 +579,8 @@ class AsymmetricLogisticKernel(_Kernel):
         for nm, val in (("phi1", phi1), ("phi2", phi2), ("nu", nu)):
             if not 0.0 < val < 1.0:
                 raise ValidationError(f"{nm} must lie in (0, 1)")
+        if not phi2 / phi1 < math.inf:
+            raise ValidationError(f"phi2/phi1 overflows doubles at phi1 = {phi1}")
         self.phi1 = float(phi1)
         self.phi2 = float(phi2)
         self.nu = float(nu)
@@ -702,6 +706,10 @@ class RootzenSmithKernel(_Kernel):
         return np.where(flip, -x, fresh)
 
 
+# the smallest theta1 whose stationary law numerics.arch_stationary_fit can solve
+_ARCH_THETA1_MIN = 0.038
+
+
 class ArchLaplaceKernel(_Kernel):
     """Squared-volatility recursion Y' = sqrt(theta0 + theta1 Y^2) W on
     standard Laplace margins, through the stationary law of Y that
@@ -713,8 +721,9 @@ class ArchLaplaceKernel(_Kernel):
     def __init__(self, theta0, theta1):
         if theta0 <= 0.0:
             raise ValidationError("theta0 must be positive")
-        if not 0.0 < theta1 < 1.0:
-            raise ValidationError("theta1 must lie in (0, 1)")
+        if not _ARCH_THETA1_MIN <= theta1 < 1.0:
+            raise ValidationError(f"theta1 must lie in [{_ARCH_THETA1_MIN}, 1): below it "
+                                  "P(|Y| > 1e5 sqrt(theta0)) underflows doubles")
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self._sqrt_theta = math.sqrt(self.theta0), math.sqrt(self.theta1)

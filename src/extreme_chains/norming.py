@@ -7,14 +7,15 @@ the maps producing M_t from M_{t-1}, indexed by the step they produce
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erf, erfc, erfcinv, erfinv, ndtr, ndtri
 
 from . import margins
 from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
                      ValidationError, build)
+from .kernels import _log1mexp
 
 __all__ = [
     "NormingScheme",
@@ -26,16 +27,11 @@ __all__ = [
 ]
 
 
-def _binom2(t):
-    return t * (t - 1) / 2.0
-
-
 class NormingScheme:
     """Time-indexed location/scale norming pair with one-step base maps and
     the update functions of the tail-chain recursion
     M_t = psi_a(t, M_{t-1}) + psi_b(t, M_{t-1}) eps_t."""
 
-    scheme_id = None
     scale = margins.EXPONENTIAL     # marginal law the scheme lives on
     scale_only = False              # Theorem-2 regime (no location norming)
 
@@ -64,8 +60,6 @@ class HtCanonicalScheme(NormingScheme):
     (alpha in (0,1)), and the scale-only exponential autoregression (alpha=0,
     beta in (0,1)) where b_t(v) = v**(beta**t).
     """
-
-    scheme_id = "ht_canonical"
 
     def __init__(self, alpha, beta):
         ok = (0.0 <= alpha <= 1.0) and (0.0 <= beta < 1.0) and (alpha, beta) != (0.0, 0.0)
@@ -111,8 +105,6 @@ class HuslerReissScheme(NormingScheme):
     stated limit law (checked numerically in the test suite).
     """
 
-    scheme_id = "husler_reiss"
-
     def __init__(self, gamma):
         if gamma <= 0.0:
             raise ValidationError("gamma must be positive")
@@ -151,8 +143,6 @@ class DensityDecayScheme(NormingScheme):
     -(t/gamma^2) log kappa.
     """
 
-    scheme_id = "density_decay"
-
     def __init__(self, kappa, gamma, delta):
         if kappa <= 0.0 or gamma <= 0.0:
             raise ValidationError("kappa and gamma must be positive")
@@ -165,7 +155,7 @@ class DensityDecayScheme(NormingScheme):
         self.C1 = -self.C0 / gamma
 
     def zeta(self, t):
-        return _binom2(t) + t * (self.c - self.gamma)
+        return t * (t - 1) / 2.0 + t * (self.c - self.gamma)
 
     def a(self, t, v):
         v = np.asarray(v, dtype=float)
@@ -189,7 +179,6 @@ class DensityDecayScheme(NormingScheme):
 class NegativeHtScheme(NormingScheme):
     """Alternating canonical norming for negatively dependent chains."""
 
-    scheme_id = "negative_ht"
     scale = margins.LAPLACE
 
     def __init__(self, alpha_minus, alpha_plus, beta):
@@ -203,9 +192,7 @@ class NegativeHtScheme(NormingScheme):
         self.beta = float(beta)
 
     def coef(self, t):
-        if t % 2 == 1:
-            return self.alpha_minus ** ((t + 1) // 2) * self.alpha_plus ** ((t - 1) // 2)
-        return self.alpha_minus ** (t // 2) * self.alpha_plus ** (t // 2)
+        return self.alpha_minus ** ((t + 1) // 2) * self.alpha_plus ** (t // 2)
 
     def a(self, t, v):
         return self.coef(t) * np.asarray(v, dtype=float)
@@ -228,28 +215,12 @@ class NegativeHtScheme(NormingScheme):
                             abs(self.coef(t - 1)) ** self.beta)
 
 
-class AlternatingGaussianScheme(NormingScheme):
-    """Negatively dependent Gaussian copula chain on Laplace margins."""
-
-    scheme_id = "alternating_gaussian"
-    scale = margins.LAPLACE
-
-    def __init__(self, rho):
-        if not -1.0 < rho < 0.0:
-            raise ValidationError("rho must lie in (-1, 0)")
-        self.rho = float(rho)
-
-    def a(self, t, v):
-        return (-1.0) ** t * self.rho ** (2 * t) * np.asarray(v, dtype=float)
-
-    def b(self, t, v):
-        return np.sqrt(np.abs(np.asarray(v, dtype=float)))
-
-    def psi_a(self, t, x):
-        return -self.rho * self.rho * np.asarray(x, dtype=float)
-
-    def psi_b(self, t, x):
-        return np.full_like(np.asarray(x, dtype=float), abs(self.rho) ** (t - 1))
+def alternating_gaussian(rho):
+    """Negatively dependent Gaussian copula chain on Laplace margins: the
+    alternating norming at alpha_- = alpha_+ = -rho^2, beta = 1/2."""
+    if not -1.0 < rho < 0.0:
+        raise ValidationError("rho must lie in (-1, 0)")
+    return NegativeHtScheme(-rho * rho, -rho * rho, 0.5)
 
 
 _SCHEME_BUILDERS = {
@@ -257,7 +228,7 @@ _SCHEME_BUILDERS = {
     "husler_reiss": HuslerReissScheme,
     "density_decay": DensityDecayScheme,
     "negative_ht": NegativeHtScheme,
-    "alternating_gaussian": AlternatingGaussianScheme,
+    "alternating_gaussian": alternating_gaussian,
 }
 
 
@@ -284,8 +255,7 @@ class LimitLaw:
     ppf: callable
     neg_mass: float = 0.0
     pos_mass: float = 0.0
-    mean: float = field(default=np.nan)
-    var: float = field(default=np.nan)
+    var: float = np.nan
     support: tuple = (-np.inf, np.inf)
 
     @property
@@ -303,7 +273,7 @@ def _gaussian_law(sd, name):
     return LimitLaw(name=name,
                     cdf=lambda x: ndtr(np.asarray(x, dtype=float) / sd),
                     ppf=lambda p: sd * ndtri(p),
-                    mean=0.0, var=sd * sd)
+                    var=sd * sd)
 
 
 def _law_gaussian_exponential(rho):
@@ -319,22 +289,39 @@ def _law_gaussian_margins(rho):
     return _gaussian_law(math.sqrt(1.0 - rho * rho), f"gaussian_margins(rho={rho})")
 
 
-def _law_bev_logistic(gamma):
-    """K(s) = (1 + e^{-s/gamma})^{gamma-1}: one-step limit of the logistic
-    BEV chain under the identity norming."""
-    if not 0.0 < gamma < 1.0:
-        raise ValidationError("gamma must lie in (0, 1)")
+def _logistic_law(r, nu, name):
+    """K(x) = (1 + (r e^{-x})^{1/nu})^{nu-1}, the logistic law at scale r.
+
+    Its quantile log r - nu (a + log(1 - e^{-a})), a = log(p)/(nu - 1), keeps
+    full precision as p -> 0 and p -> 1.  Where (r e^{-x})^{1/nu} overflows,
+    K = (r e^{-x})^{(nu-1)/nu}, from log(r e^{-x}) once that overflows too.
+    """
+    if not (1.0 / nu < np.inf and r < np.inf):
+        raise ValidationError(f"{name}: 1/nu or r overflows doubles")
+    log_r, power = math.log(r), (nu - 1.0) / nu
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return (1.0 + np.exp(-x / gamma)) ** (gamma - 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            w = r * np.exp(-x)
+            s = w ** (1.0 / nu)
+            deep = np.where(np.isinf(w), np.exp(power * (log_r - x)), w ** power)
+            return np.where(np.isinf(s), deep, (1.0 + s) ** (nu - 1.0))
 
     def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return -gamma * np.log(p ** (1.0 / (gamma - 1.0)) - 1.0)
+        with np.errstate(divide="ignore"):
+            a = np.log(np.asarray(p, dtype=float)) / (nu - 1.0)
+        return log_r - nu * (a + _log1mexp(a))
 
-    return LimitLaw(name=f"bev_logistic(gamma={gamma})", cdf=cdf, ppf=ppf)
+    return LimitLaw(name=name, cdf=cdf, ppf=ppf)
+
+
+def _law_bev_logistic(gamma):
+    """One-step limit of the logistic BEV chain under the identity norming:
+    the logistic law at r = 1, nu = gamma."""
+    if not 0.0 < gamma < 1.0:
+        raise ValidationError("gamma must lie in (0, 1)")
+    return _logistic_law(1.0, gamma, f"bev_logistic(gamma={gamma})")
 
 
 def _law_inverted_bev_logistic(gamma):
@@ -388,22 +375,12 @@ def _law_density_decay(c=None, gamma=None, delta=None):
 
 
 def _law_asym_logistic_g1(phi1, phi2, nu):
-    """G1: continuous component of the extreme-following mode."""
+    """G1, the continuous component of the extreme-following mode: the
+    logistic law at r = phi2/phi1."""
     for nm, val in (("phi1", phi1), ("phi2", phi2), ("nu", nu)):
         if not 0.0 < val < 1.0:
             raise ValidationError(f"{nm} must lie in (0, 1)")
-    ratio = phi2 / phi1
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return (1.0 + (ratio * np.exp(-x)) ** (1.0 / nu)) ** (nu - 1.0)
-
-    def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return -np.log((p ** (1.0 / (nu - 1.0)) - 1.0) ** nu / ratio)
-
-    return LimitLaw(name=f"asym_logistic_g1({phi1},{phi2},{nu})", cdf=cdf, ppf=ppf)
+    return _logistic_law(phi2 / phi1, nu, f"asym_logistic_g1({phi1},{phi2},{nu})")
 
 
 def _law_asym_logistic_k1(phi1, phi2, nu):
@@ -419,7 +396,7 @@ def _law_exponential():
 
     return LimitLaw(name="exponential", cdf=cdf,
                     ppf=lambda p: -np.log1p(-np.asarray(p, dtype=float)),
-                    mean=1.0, var=1.0, support=(0.0, np.inf))
+                    var=1.0, support=(0.0, np.inf))
 
 
 def _law_asym_logistic_k2(phi1):
@@ -430,38 +407,25 @@ def _law_asym_logistic_k2(phi1):
                     pos_mass=phi1, support=(0.0, np.inf))
 
 
-def _law_arch_g_plus(theta1, kappa):
+def _arch_law(theta1, kappa, sign, name):
+    """G+(x) = erf(e^{x/kappa}/c), c = sqrt(2 theta1), at sign +1, and its
+    mirror image G-(x) = 1 - G+(-x) = erfc(e^{-x/kappa}/c) at sign -1: the
+    innovation laws of the hidden volatility chain, with quantiles through
+    erfinv and erfcinv, so neither forms 1 - p."""
     if not 0.0 < theta1 <= 1.0:
         raise ValidationError("theta1 must lie in (0, 1]")
-    rt = math.sqrt(theta1)
+    c = math.sqrt(2.0 * theta1)
+    f, f_inv = (erf, erfinv) if sign > 0 else (erfc, erfcinv)
 
     def cdf(x):
-        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            return 2.0 * ndtr(np.exp(x / kappa) / rt) - 1.0
+            return f(np.exp(sign * np.asarray(x, dtype=float) / kappa) / c)
 
     def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return kappa * np.log(rt * ndtri((1.0 + p) / 2.0))
+        with np.errstate(divide="ignore"):
+            return sign * kappa * np.log(c * f_inv(np.asarray(p, dtype=float)))
 
-    return LimitLaw(name=f"arch_g_plus(theta1={theta1})", cdf=cdf, ppf=ppf)
-
-
-def _law_arch_g_minus(theta1, kappa):
-    if not 0.0 < theta1 <= 1.0:
-        raise ValidationError("theta1 must lie in (0, 1]")
-    rt = math.sqrt(theta1)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return 2.0 * ndtr(-np.exp(-x / kappa) / rt)
-
-    def ppf(p):
-        p = np.asarray(p, dtype=float)
-        return -kappa * np.log(-rt * ndtri(p / 2.0))
-
-    return LimitLaw(name=f"arch_g_minus(theta1={theta1})", cdf=cdf, ppf=ppf)
+    return LimitLaw(name=f"{name}(theta1={theta1})", cdf=cdf, ppf=ppf)
 
 
 def _law_expar(**_):
@@ -481,8 +445,8 @@ _LAW_BUILDERS = {
     "asym_logistic_k1": _law_asym_logistic_k1,
     "asym_logistic_k2": _law_asym_logistic_k2,
     "exponential": _law_exponential,
-    "arch_g_plus": _law_arch_g_plus,
-    "arch_g_minus": _law_arch_g_minus,
+    "arch_g_plus": lambda theta1, kappa: _arch_law(theta1, kappa, 1.0, "arch_g_plus"),
+    "arch_g_minus": lambda theta1, kappa: _arch_law(theta1, kappa, -1.0, "arch_g_minus"),
     "expar": _law_expar,
 }
 

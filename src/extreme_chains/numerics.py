@@ -327,6 +327,7 @@ def arch_stationary_fit(theta0, theta1):
 
 _EXPAR_FLAT = 2.0 ** -60          # a panel that moves G by less ends the integration
 _EXPAR_FLOOR = 2.0 ** -52         # the Lambda below which the law is linear in s
+_EXPAR_PHI_MIN = 1e-300
 _EXPAR_PHI_MAX = 0.99
 
 
@@ -343,11 +344,16 @@ class ExpARLaw:
     scale.  Lambda and its inverse are Chebyshev series on each panel, in s
     and in log Lambda, linear below 2^-52.  phi above 0.99 is refused: a_0 ~
     exp(pi^2 / (6 (1 - phi))) and the panels grow without bound as phi -> 1.
+    phi below 1e-300 is refused too: the series' tail starts near 1/phi, and
+    beyond 1e300 the panel arithmetic overflows.
     """
 
     def __init__(self, phi):
         if not 0.0 < phi <= _EXPAR_PHI_MAX:
             raise ValidationError(f"ExpAR phi must lie in (0, {_EXPAR_PHI_MAX}]; got {phi}")
+        if phi < _EXPAR_PHI_MIN:
+            raise ValidationError(f"ExpAR phi = {phi} is below {_EXPAR_PHI_MIN:g}, "
+                                  "where the law's panel arithmetic overflows")
         self.phi = phi = float(phi)
         # n Chebyshev points; node values -> series, and the integrals of the
         # interpolant from -1 to each node, to 1 and from each node to 1

@@ -10,7 +10,10 @@ mpmath, the spectral-density moments are mpmath quadratures of the densities
 rebuilt from their definitions, the brute-force simulators and change-point
 rules below are written directly against the defining recursions, one path at
 a time, and the update-function quotients are formed from a scheme's norming
-at a finite threshold.
+at a finite threshold.  The norming forms that the package replaced by one
+implementation (the alternating Gaussian scheme as its own class, the power
+forms of the logistic laws and the normal forms of the ARCH innovation laws)
+are kept as references next to the laws in mpmath.
 """
 
 import itertools
@@ -269,3 +272,105 @@ def value_change_times(path):
     """The first time the alternation X_t = -X_{t-1} breaks on one path."""
     x = np.asarray(path, dtype=float)
     return np.flatnonzero(x[1:] != -x[:-1])[:1] + 1
+
+
+# ---------------------------------------------------------------------------
+# norming: the forms it replaced by one implementation, and mpmath laws
+# ---------------------------------------------------------------------------
+
+class AlternatingGaussianScheme:
+    """The alternating norming of the negatively dependent Gaussian chain as
+    its own scheme: a_t(v) = (-1)^t rho^(2t) v, b_t(v) = |v|^(1/2),
+    psi_a = -rho^2 x and psi_b = |rho|^(t-1)."""
+
+    def __init__(self, rho):
+        self.rho = float(rho)
+
+    def a(self, t, v):
+        return (-1.0) ** t * self.rho ** (2 * t) * np.asarray(v, dtype=float)
+
+    def b(self, t, v):
+        return np.sqrt(np.abs(np.asarray(v, dtype=float)))
+
+    def psi_a(self, t, x):
+        return -self.rho * self.rho * np.asarray(x, dtype=float)
+
+    def psi_b(self, t, x):
+        return np.full_like(np.asarray(x, dtype=float), abs(self.rho) ** (t - 1))
+
+    def one_step_a(self, t, w):
+        return self.a(1, w)
+
+
+def logistic_law_power_forms(gamma=None, phi1=None, phi2=None, nu=None):
+    """(cdf, ppf) of the logistic limit law as the BEV law (``gamma``) or G1
+    (``phi1``, ``phi2``, ``nu``) wrote it: (1 + e^{-x/gamma})^{gamma-1} and
+    -gamma log(p^{1/(gamma-1)} - 1), or G1's cdf with the quantile
+    -log((p^{1/(nu-1)} - 1)^nu / ratio).  Both quantiles cancel as p -> 1."""
+    if gamma is not None:
+        return ((lambda x: (1.0 + np.exp(-x / gamma)) ** (gamma - 1.0)),
+                (lambda p: -gamma * np.log(p ** (1.0 / (gamma - 1.0)) - 1.0)))
+    ratio = phi2 / phi1
+    return ((lambda x: (1.0 + (ratio * np.exp(-x)) ** (1.0 / nu)) ** (nu - 1.0)),
+            (lambda p: -np.log((p ** (1.0 / (nu - 1.0)) - 1.0) ** nu / ratio)))
+
+
+def arch_law_ndtr_forms(theta1, kappa, sign):
+    """(cdf, ppf) of G+ (``sign`` +1) or G- (-1) as two normal laws:
+    2 Phi(e^{x/kappa}/sqrt(theta1)) - 1, which cancels in the lower tail, with
+    quantile kappa log(sqrt(theta1) Phi^-1((1 + p)/2)), +inf at p = 1 - 2^-53;
+    and 2 Phi(-e^{-x/kappa}/sqrt(theta1)) with -kappa log(-sqrt(theta1) Phi^-1(p/2))."""
+    from scipy.special import ndtr, ndtri
+    rt = math.sqrt(theta1)
+    if sign > 0:
+        return ((lambda x: 2.0 * ndtr(np.exp(x / kappa) / rt) - 1.0),
+                (lambda p: kappa * np.log(rt * ndtri((1.0 + p) / 2.0))))
+    return ((lambda x: 2.0 * ndtr(-np.exp(-x / kappa) / rt)),
+            (lambda p: -kappa * np.log(-rt * ndtri(p / 2.0))))
+
+
+def logistic_law_mp(r, nu, dps=60):
+    """(cdf, ppf) of K(x) = (1 + (r e^{-x})^{1/nu})^{nu-1} in mpmath, with r
+    an mpmath number or a (numerator, denominator) pair of doubles, evaluated
+    at the exact values of double arguments."""
+    def cdf(x):
+        with mpmath.workdps(dps):
+            rr, n = _mp_ratio(r), mpmath.mpf(nu)
+            return (1 + (rr * mpmath.exp(-mpmath.mpf(x))) ** (1 / n)) ** (n - 1)
+
+    def ppf(p):
+        with mpmath.workdps(dps):
+            rr, n = _mp_ratio(r), mpmath.mpf(nu)
+            return mpmath.log(rr) - n * mpmath.log(mpmath.mpf(p) ** (1 / (n - 1)) - 1)
+
+    return cdf, ppf
+
+
+def _mp_ratio(r):
+    return mpmath.mpf(r[0]) / mpmath.mpf(r[1]) if isinstance(r, tuple) else mpmath.mpf(r)
+
+
+def arch_law_mp(theta1, kappa, sign, dps=60):
+    """(cdf, ppf) in mpmath of G+(x) = erf(e^{x/kappa}/c) (``sign`` +1) or
+    G-(x) = erfc(e^{-x/kappa}/c) (-1), c = sqrt(2 theta1).  G-'s quantile
+    takes the root z of log erfc(z) = log p, from scipy's erfcinv as the
+    starting point only."""
+    from scipy.special import erfcinv
+
+    def cdf(x):
+        with mpmath.workdps(dps):
+            c, k = mpmath.sqrt(2 * mpmath.mpf(theta1)), mpmath.mpf(kappa)
+            f = mpmath.erf if sign > 0 else mpmath.erfc
+            return f(mpmath.exp(sign * mpmath.mpf(x) / k) / c)
+
+    def ppf(p):
+        with mpmath.workdps(dps):
+            c, k, p_mp = mpmath.sqrt(2 * mpmath.mpf(theta1)), mpmath.mpf(kappa), mpmath.mpf(p)
+            if sign > 0:
+                z = mpmath.erfinv(p_mp)
+            else:
+                z = mpmath.findroot(lambda z: mpmath.log(mpmath.erfc(z)) - mpmath.log(p_mp),
+                                    mpmath.mpf(float(erfcinv(p))))
+            return sign * k * mpmath.log(c * z)
+
+    return cdf, ppf

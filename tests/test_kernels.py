@@ -282,6 +282,89 @@ def test_non_finite_state_is_refused(kernel_id, x, request):
         k.sample(np.array([2.0, x, 3.0]), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kernel_id", kernels.KERNEL_IDS)
+def test_deep_state_contract(kernel_id, request):
+    # far out (x up to 1e6, where e^-x is far below the smallest double)
+    # every kernel still draws finite values, its cdf is monotone in y and in
+    # [0, 1], and a continuous kernel's ppf inverts its cdf up to the cdf's
+    # conditioning; the volatility chain refuses a state whose |Y| overflows
+    spec = CONTRACT_SPECS[kernel_id]
+    k = (request.getfixturevalue(spec) if isinstance(spec, str)
+         else kernels.make_kernel(kernel_id, **spec))
+    rng = np.random.default_rng(23)
+    u = np.linspace(0.01, 0.99, 25)
+    for x in (700.0, 2000.0, 1e4, 1e6):
+        if kernel_id == "arch_laplace" and x >= 1e4:
+            with pytest.raises(DomainError, match="overflows doubles"):
+                k.sample(np.full(500, x), rng)
+            with pytest.raises(DomainError, match="overflows doubles"):
+                k.cdf(x, 1.0)
+            continue
+        y = k.sample(np.full(500, x), rng)
+        assert np.all(np.isfinite(y)), (x, y[~np.isfinite(y)][:3])
+        grid = np.geomspace(1e-6, 10.0 * x, 80)
+        if k.support_lo < 0.0:
+            grid = np.concatenate([-grid, grid])
+        ys = np.sort(np.concatenate([y, grid]))
+        c = k.cdf(np.full(ys.shape, x), ys)
+        assert np.all((c >= 0.0) & (c <= 1.0)) and np.all(np.diff(c) >= 0.0), x
+        if kernel_id != "rootzen_smith":        # the one kernel with an atom
+            xs = np.full(u.shape, x)
+            gap = np.abs(k.cdf(xs, k.ppf(xs, u)) - u).max()
+            assert gap <= 1e-12 + 1e-15 * x, (x, gap)
+
+
+BIG = np.finfo(float).max
+# one case per catalogue id (an exponent family each for the inverted
+# max-stable kernel): base parameters, and the largest admissible value of
+# each parameter whose range does not end at 1
+EDGE_SPECS = {
+    "arch_laplace": ({"theta0": 1.0, "theta1": 0.7}, {"theta0": BIG}),
+    "asymmetric_logistic": ({"phi1": 0.4, "phi2": 0.7, "nu": 0.3}, {}),
+    "bev_logistic": ({"gamma": 0.3}, {}),
+    "expar": ({"phi": 0.5}, {"phi": 0.99}),
+    "gaussian_copula": ({"rho": 0.6, "margin": "exponential"}, {}),
+    "ht_mixture": (dict(CONTRACT_SPECS["ht_mixture"]), {}),
+    "inverted_bev_logistic": ({"gamma": 0.3}, {}),
+    "inverted_max_stable/husler_reiss": ({"family": "husler_reiss", "gamma": 1.0},
+                                         {"gamma": BIG}),
+    "inverted_max_stable/logistic": ({"family": "logistic", "gamma": 0.3}, {"gamma": 0.5}),
+    "inverted_max_stable/power_decay": ({"family": "power_decay", "s": 0.2}, {"s": BIG}),
+    "inverted_max_stable/exp_decay": (
+        {"family": "exp_decay", "delta": 0.0, "gamma": 1.0, "kappa": 1.0},
+        {"delta": BIG, "gamma": BIG, "kappa": BIG}),
+    "rootzen_smith": ({"p_flip": 0.5}, {}),
+}
+
+
+def test_edge_specs_cover_the_catalogue():
+    assert {case.split("/")[0] for case in EDGE_SPECS} == set(kernels.KERNEL_IDS)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_SPECS))
+def test_parameter_edges_build_a_working_kernel_or_fail_validation(case):
+    # each parameter at the smallest doubles, 1 - 2^-53 and its largest
+    # admissible value: a kernel whose draws at x = 5 are finite and whose
+    # cdf lies in [0, 1], or a ValidationError; never a numeric failure,
+    # a traceback or a non-finite draw
+    base, largest = EDGE_SPECS[case]
+    ys = np.array([1e-9, 0.5, 5.0, 50.0])
+    for name, value in base.items():
+        if not isinstance(value, float):
+            continue
+        for edge in (5e-324, 1e-310, 1e-300, 1.0 - 2.0 ** -53) + \
+                ((largest[name],) if name in largest else ()):
+            try:
+                k = kernels.make_kernel(case.split("/")[0], **dict(base, **{name: edge}))
+            except ValidationError:
+                continue
+            y = k.sample(np.full(8, 5.0), np.random.default_rng(0))
+            assert np.all(np.isfinite(y)), (name, edge, y)
+            grid = ys if k.support_lo == 0.0 else np.concatenate([-ys, ys])
+            c = k.cdf(np.full(grid.shape, 5.0), grid)
+            assert np.all((c >= 0.0) & (c <= 1.0)), (name, edge, c)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

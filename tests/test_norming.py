@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from extreme_chains import norming
+from extreme_chains import margins, norming, numerics
 from extreme_chains.errors import (RegimeError, UnsupportedLawError,
                                    UnsupportedSchemeError, ValidationError)
 
-from _oracles import ks_statistic, update_limit_quotients
+from _oracles import (AlternatingGaussianScheme, arch_law_mp, arch_law_ndtr_forms,
+                      ks_statistic, logistic_law_mp, logistic_law_power_forms,
+                      update_limit_quotients)
 
 
 class TestMakeNorming:
@@ -73,7 +76,7 @@ class TestMakeNorming:
                 for x in (-5.0, 0.0, 5.0):
                     lo = float(s.a(t, v_lo) + s.b(t, v_lo) * x)
                     hi = float(s.a(t, v_hi) + s.b(t, v_hi) * x)
-                    assert hi > lo, (s.scheme_id, t, x)
+                    assert hi > lo, (type(s).__name__, t, x)
                 assert float(s.b(t, v_hi)) > 0.0
                 if check_1000b:
                     assert float(s.a(t, v_hi)) > 1e3 * float(s.b(t, v_hi))
@@ -341,3 +344,116 @@ class TestLimitLaws:
         rng = np.random.default_rng(17)
         sample = law.sample(100_000, rng)
         assert ks_statistic(sample, law.cdf) < 0.006
+
+
+# ---------------------------------------------------------------------------
+# one implementation per scheme and law
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho", [-0.95, -0.8, -0.3, -0.123])
+def test_alternating_gaussian_is_negative_ht(rho):
+    # the alternating Gaussian norming is negative_ht at (-rho^2, -rho^2, 1/2);
+    # it matches the scheme it replaced, whose a_t uses rho^(2t) where the
+    # negative-HT scheme raises the rounded -rho^2 to the power t, so a_t may
+    # differ by t times the rounding of rho^2 plus three product roundings
+    s = norming.make_norming("alternating_gaussian", rho=rho)
+    assert isinstance(s, norming.NegativeHtScheme) and s.scale is margins.LAPLACE
+    assert (s.alpha_minus, s.alpha_plus, s.beta) == (-rho * rho, -rho * rho, 0.5)
+    old = AlternatingGaussianScheme(rho)
+    v = np.array([-1e6, -3.5, -1e-3, 0.7, 2.0, 1e5])
+    for t in range(1, 13):
+        for f in ("a", "b", "psi_a", "psi_b", "one_step_a"):
+            want = getattr(old, f)(t, v)
+            rel = np.max(np.abs(getattr(s, f)(t, v) - want) / np.abs(want))
+            assert rel <= (1e-15 if f != "a" else (t + 3) * 2.0 ** -53), (f, t, rel)
+
+
+LOGISTIC_LAWS = [
+    ("bev_logistic", {"gamma": 0.152}, ((1.0, 1.0), 0.152)),
+    ("bev_logistic", {"gamma": 0.5}, ((1.0, 1.0), 0.5)),
+    ("bev_logistic", {"gamma": 0.9}, ((1.0, 1.0), 0.9)),
+    ("asym_logistic_g1", {"phi1": 0.5, "phi2": 0.5, "nu": 0.152}, ((0.5, 0.5), 0.152)),
+    ("asym_logistic_g1", {"phi1": 0.5, "phi2": 0.4, "nu": 0.3}, ((0.4, 0.5), 0.3)),
+    ("asym_logistic_g1", {"phi1": 0.3, "phi2": 0.6, "nu": 0.4}, ((0.6, 0.3), 0.4)),
+]
+ARCH_LAWS = [(law_id, theta1) for law_id in ("arch_g_plus", "arch_g_minus")
+             for theta1 in (0.3, 0.7, 1.0)]
+
+
+def _case_id(case):
+    if isinstance(case[1], dict):
+        return "-".join([case[0]] + [f"{k}={v}" for k, v in case[1].items()])
+    return f"{case[0]}-theta1={case[1]}"
+
+
+def _law_and_reference(case):
+    """The law, its mpmath (cdf, ppf) and its scale: nu for a logistic law,
+    whose quantile is log r - nu log(e^a - 1), kappa for an ARCH law."""
+    if case[0] in ("arch_g_plus", "arch_g_minus"):
+        law_id, theta1 = case
+        kappa = numerics.arch_tail_index(theta1)
+        sign = 1.0 if law_id == "arch_g_plus" else -1.0
+        return (norming.limit_law(law_id, theta1=theta1, kappa=kappa),
+                arch_law_mp(theta1, kappa, sign), kappa)
+    law_id, params, (r, nu) = case
+    return norming.limit_law(law_id, **params), logistic_law_mp(r, nu), nu
+
+
+# p from 1e-250 to 1 - 2^-53, the largest double rng.uniform returns
+TAIL_P = np.unique(np.concatenate([
+    [1e-250, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], np.geomspace(1e-250, 0.5, 60),
+    1.0 - np.geomspace(2.0 ** -53, 0.5, 30), np.linspace(0.02, 0.98, 25)]))
+
+
+@pytest.mark.parametrize("case", LOGISTIC_LAWS + ARCH_LAWS, ids=_case_id)
+def test_limit_law_quantile_matches_mpmath(case):
+    # every quantile is finite, and within 1e-15 of max(|x|, 1, the law's
+    # scale) of mpmath over p in [1e-250, 1 - 2^-53]; the forms these
+    # replaced were off by 1.4e-2 (BEV) or infinite (G1, G+) at 1 - 2^-53
+    law, (_, ppf_mp), scale = _law_and_reference(case)
+    x = law.ppf(TAIL_P)
+    assert np.all(np.isfinite(x))
+    ref = np.array([float(ppf_mp(p)) for p in TAIL_P])
+    err = np.abs(x - ref) / np.maximum(np.abs(ref), max(1.0, scale))
+    assert err.max() <= 1e-15, (TAIL_P[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("case", LOGISTIC_LAWS + ARCH_LAWS, ids=_case_id)
+def test_limit_law_cdf_matches_mpmath(case):
+    # relative error within 1e-14 plus 2^-50 |log K|: an exp of a rounded
+    # argument of size |log K| carries that much, up to 5.2e-13 at K = 1e-250
+    # (G-'s erfc(z) also carries 2 z^2 times the rounding of z); the normal
+    # form of G+ lost everything in its lower tail
+    law, (cdf_mp, _), _ = _law_and_reference(case)
+    xs = np.concatenate([law.ppf(TAIL_P), np.linspace(-40.0, 40.0, 81)])
+    ref = [cdf_mp(x) for x in xs]
+    keep = np.array([r > mpmath.mpf("1e-250") for r in ref])
+    ref_f = np.array([float(r) for r in ref])[keep]
+    err = np.abs(law.cdf(xs[keep]) - ref_f) / ref_f
+    assert np.all(err <= 1e-14 + 2.0 ** -50 * np.abs(np.log(ref_f))), \
+        (xs[keep][err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("case", LOGISTIC_LAWS + ARCH_LAWS, ids=_case_id)
+def test_limit_law_keeps_the_replaced_forms_in_the_body(case):
+    # the same law as the forms it replaced wherever those are well conditioned
+    law, _, _ = _law_and_reference(case)
+    if case[0] in ("arch_g_plus", "arch_g_minus"):
+        law_id, theta1 = case
+        cdf, ppf = arch_law_ndtr_forms(theta1, numerics.arch_tail_index(theta1),
+                                       1.0 if law_id == "arch_g_plus" else -1.0)
+    else:
+        cdf, ppf = logistic_law_power_forms(**case[1])
+    p, x = np.linspace(0.01, 0.99, 99), np.linspace(-5.0, 5.0, 101)
+    np.testing.assert_allclose(law.ppf(p), ppf(p), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(law.cdf(x), cdf(x), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("law_id,params", [
+    ("bev_logistic", {"gamma": 1e-310}),
+    ("asym_logistic_g1", {"phi1": 1e-310, "phi2": 0.5, "nu": 0.3}),
+    ("asym_logistic_k1", {"phi1": 0.5, "phi2": 0.5, "nu": 5e-324}),
+])
+def test_logistic_law_refuses_overflowing_constants(law_id, params):
+    with pytest.raises(ValidationError, match="overflows doubles"):
+        norming.limit_law(law_id, **params)
