@@ -132,7 +132,7 @@ def _task_converge_row(args):
     v = float(config["v_grid"][j])
     return diagnostics.convergence_table(
         kern, scheme, law, config["t"], [v], config["n_paths"],
-        seed=_derived_seed(config["seed"], 2, j), atom_cut=config["atom_cut"])[0]
+        seed=_derived_seed(config["seed"], 2, j))[0]
 
 
 def _derived_seed(seed, *key):
@@ -349,7 +349,7 @@ def _run_chi(config, out_dir, workers):
 _KINDS = {
     "simulate": (_run_simulate, ("kernel", "init", "horizon", "n_paths"), {}),
     "converge": (_run_converge, ("kernel", "scheme", "limit_law", "v_grid", "n_paths"),
-                 {"t": 1, "atom_cut": 20.0}),
+                 {"t": 1}),
     "figure1": (_run_figure1, ("n_paths",),
                 {"gamma": 0.152, "phi": 0.8, "rho": 0.8, "x0": 10.0, "horizon": 15}),
     "hidden": (_run_hidden, ("example", "horizon", "n_paths"), {"params": {}}),
@@ -381,7 +381,6 @@ _VALUES = {
     "seed": _count(0),
     **dict.fromkeys(("n_paths", "t", "horizon"), _count(1)),
     **dict.fromkeys(("x0", "u", "gamma", "phi", "rho"), _REAL),
-    "atom_cut": (lambda v: _number(v) and 0.0 < v < np.inf, "a positive finite number"),
     **dict.fromkeys(("kernel", "scheme", "limit_law", "init", "params"), _MAPPING),
     "v_grid": (_grid, "a non-empty list of numbers"),
     "u_grid": (lambda v: _grid(v) and all(0.0 < u < 1.0 for u in v),

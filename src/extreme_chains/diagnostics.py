@@ -126,17 +126,20 @@ def ks_distance(samples, cdf):
     return float(max(up, dn))
 
 
-def ks_against_limit(samples, law, m=20.0):
+ATOM_CUT = 20.0
+
+
+def ks_against_limit(samples, law):
     """KS against a limit law, atoms handled separately.
 
-    Values below -m count toward the -inf atom, above +m toward the +inf
-    atom; the KS distance is computed between the interior sample and the
-    law's (normalised) continuous component.  Returns (ks, mass_lo, mass_hi).
+    Values below -ATOM_CUT count toward the -inf atom, above it toward the
+    +inf atom; the KS distance is computed between the interior sample and
+    the law's (normalised) continuous component.  Returns (ks, lo, hi).
     """
     s = np.asarray(samples, dtype=float)
-    mass_lo = float(np.mean(s < -m))
-    mass_hi = float(np.mean(s > m))
-    interior = s[(s >= -m) & (s <= m)]
+    mass_lo = float(np.mean(s < -ATOM_CUT))
+    mass_hi = float(np.mean(s > ATOM_CUT))
+    interior = s[(s >= -ATOM_CUT) & (s <= ATOM_CUT)]
     if interior.size == 0:
         return 1.0, mass_lo, mass_hi
     return ks_distance(interior, law.cdf), mass_lo, mass_hi
@@ -152,7 +155,7 @@ class ConvergenceRow:
     seed: int
 
 
-def convergence_table(kernel, scheme, K, t, v_grid, n, seed, atom_cut=20.0):
+def convergence_table(kernel, scheme, K, t, v_grid, n, seed):
     """One ConvergenceRow per threshold v, with escaped-mass columns for atom
     laws."""
     rows = []
@@ -160,7 +163,7 @@ def convergence_table(kernel, scheme, K, t, v_grid, n, seed, atom_cut=20.0):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=int(seed), spawn_key=(0xC0, j)))
         z = normalized_samples(kernel, float(v), scheme, t, n, rng)
-        ks, lo, hi = ks_against_limit(z, K, m=atom_cut)
+        ks, lo, hi = ks_against_limit(z, K)
         rows.append(ConvergenceRow(float(v), n, ks, lo, hi, int(seed)))
     return rows
 

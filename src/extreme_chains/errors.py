@@ -35,25 +35,12 @@ class ConvergenceError(ExtremeChainsError):
     """Iterative solver failed to converge."""
 
 
-class UnsupportedSchemeError(ValidationError):
-    """Requested norming scheme is not in the catalogue."""
-
-
-class UnsupportedLawError(ValidationError):
-    """Requested limit law is unknown or underivable."""
-
-
 class RegimeError(ExtremeChainsError):
     """Simulator invoked outside its theorem regime (e.g. limit law with atoms)."""
 
 
 class SamplingError(ExtremeChainsError):
-    """Inverse-CDF sampling failed; reports the conditioning state and uniform draw."""
-
-    def __init__(self, message, x=None, u=None):
-        super().__init__(message)
-        self.x = x
-        self.u = u
+    """Inverse-CDF sampling failed at the state and uniform its message names."""
 
 
 def _finite(number):
@@ -99,14 +86,14 @@ def call_checked(what, builder, params):
     return builder(**params)
 
 
-def build(catalogue, what, key, params, unknown=ValidationError):
+def build(catalogue, what, key, params):
     """``catalogue[key](**params)`` through :func:`call_checked`; a key the
-    catalogue lacks raises ``unknown`` with the known ones."""
+    catalogue lacks is a ValidationError that lists the known ones."""
     try:
         builder = catalogue[key]
     except (KeyError, TypeError):      # TypeError: an unhashable id
-        raise unknown(f"unknown {what} id '{key}'; known: "
-                      f"{', '.join(sorted(catalogue))}") from None
+        raise ValidationError(f"unknown {what} id '{key}'; known: "
+                              f"{', '.join(sorted(catalogue))}") from None
     return call_checked(f"{what} '{key}'", builder, params)
 
 

@@ -50,13 +50,6 @@ __all__ = [
 ]
 
 
-def _log1mexp(t):
-    """log(1 - e^{-t}) for t >= 0 without cancellation at either end."""
-    with np.errstate(divide="ignore"):
-        return np.where(t < math.log(2.0), np.log(-np.expm1(-t)),
-                        np.log1p(-np.exp(-t)))
-
-
 # ---------------------------------------------------------------------------
 # exponent measures
 # ---------------------------------------------------------------------------
@@ -284,45 +277,48 @@ def density_exp_decay(delta, gamma, kappa):
 _FLOOR = 1e-12      # smallest draw above the support floor
 
 
-def _inverse_cdf_sample(cdf, x, u, support_lo):
+def _inverse_cdf_sample(cdf, x, u, support_lo, state=()):
     """Vectorised inverse-CDF draw by scipy's elementwise root finders.
 
-    ``cdf(x, y)`` must be nondecreasing in ``y``.  Where ``cdf`` already
-    reaches ``u`` at ``support_lo`` the draw is ``support_lo``.  Elsewhere
-    ``bracket_root`` grows the bracket x -+ 1 (never below ``support_lo``)
-    until it holds the root of ``cdf(x, y) - u``, and ``find_root``
-    (Chandrupatla's method) solves to float resolution.  A NaN from ``cdf``,
-    or a bracket or root that scipy cannot find, raises SamplingError.
+    ``cdf(x, y, *state)`` must be nondecreasing in ``y``; ``state`` holds
+    arrays that ``cdf`` would otherwise derive from ``x`` at every call.
+    Where ``cdf`` already reaches ``u`` at ``support_lo`` the draw is
+    ``support_lo``.  Elsewhere ``bracket_root`` grows the bracket x -+ 1
+    (never below ``support_lo``) until it holds the root of ``cdf - u``, and
+    ``find_root`` (Chandrupatla's method) solves to float resolution.  A NaN
+    from ``cdf``, or a bracket or root that scipy cannot find, raises
+    SamplingError.
     """
     # imported on first use: the logistic pair and the direct samplers never
     # find a root, and scipy.optimize would add about 0.4 s to every CLI start
     from scipy.optimize.elementwise import bracket_root, find_root
 
-    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+    x, u, *state = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                       np.asarray(u, dtype=float), *state)
 
-    def excess(y, x, u):
-        val = cdf(x, y)
+    def excess(y, x, u, *state):
+        val = cdf(x, y, *state)
         nan = np.isnan(val)
         if nan.any():
             i = int(np.argmax(nan))
             xi, ui = (float(np.broadcast_to(a, nan.shape).flat[i]) for a in (x, u))
-            raise SamplingError(f"cdf returned NaN at x={xi!r}, u={ui!r}", x=xi, u=ui)
+            raise SamplingError(f"cdf returned NaN at x={xi!r}, u={ui!r}")
         return val - u
 
     def check(res, what, xs, us):
         if not np.all(res.success):
             i = int(np.argmin(res.success))
-            raise SamplingError(
-                f"{what} failed at x={float(xs[i])!r}, u={float(us[i])!r} "
-                f"(scipy status {int(res.status[i])})", x=float(xs[i]), u=float(us[i]))
+            raise SamplingError(f"{what} failed at x={float(xs[i])!r}, u={float(us[i])!r} "
+                                f"(scipy status {int(res.status[i])})")
 
     y = np.full(x.shape, support_lo)
-    free = excess(y, x, u) < 0.0
-    xs, us = x[free], u[free]
+    free = excess(y, x, u, *state) < 0.0
+    args = tuple(a[free] for a in (x, u, *state))
+    xs, us = args[:2]
     found = bracket_root(excess, np.maximum(xs - 1.0, support_lo), xs + 1.0,
-                         xmin=support_lo, args=(xs, us))
+                         xmin=support_lo, args=args)
     check(found, "bracket_root", xs, us)
-    root = find_root(excess, found.bracket, args=(xs, us))
+    root = find_root(excess, found.bracket, args=args)
     check(root, "find_root", xs, us)
     y[free] = root.x
     return y
@@ -520,7 +516,7 @@ class _LogisticPairKernel(_Kernel):
 
     def _d(self, zeta):
         t = zeta / self.gamma
-        return self.gamma * (t + _log1mexp(t))
+        return self.gamma * (t + margins.log1mexp(t))
 
 
 class BevLogisticKernel(_LogisticPairKernel):
@@ -588,13 +584,22 @@ class AsymmetricLogisticKernel(_Kernel):
 
     @_conditional_cdf
     def cdf(self, x, y):
+        return self._cdf(x, y, margins.transform(x, self.stationary_law, margins.GUMBEL))
+
+    def ppf(self, x, u):
+        # log x_F once, not at each of the root finder's ~15 cdf calls per draw
+        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
+        log_xf = margins.transform(x, self.stationary_law, margins.GUMBEL)
+        return _inverse_cdf_sample(self._cdf, x, u, self.support_lo + _FLOOR, (log_xf,))
+
+    def _cdf(self, x, y, log_xf):
         # With d = log[(p2/y_F)^{1/nu} / (p1/x_F)^{1/nu}] and
         # ell = log(1 + e^d) on the Frechet scale, the cdf is
         #   [(1 - p1) + p1 e^{-(1-nu) ell}]
         #     * exp(-p1 e^{nu ell}/x_F (1 - e^{-nu ell}) - (1 - p2)/y_F).
         # It is evaluated from log x_F and log y_F, so states beyond x ~ 709
-        # stay finite, and nu ell - log x_F is formed without cancellation.
-        log_xf = margins.transform(x, self.stationary_law, margins.GUMBEL)
+        # stay finite, and nu ell - log x_F is formed without cancellation;
+        # y lies above the support floor and the value within [0, 1].
         log_yf = margins.transform(y, self.stationary_law, margins.GUMBEL)
         p1, p2, nu = self.phi1, self.phi2, self.nu
         c = math.log(p2 / p1)
@@ -604,7 +609,8 @@ class AsymmetricLogisticKernel(_Kernel):
         log_joint = nu * q + np.maximum(c - log_yf, -log_xf)
         expo = p1 * np.exp(log_joint) * -np.expm1(-nu * ell) \
             + (1.0 - p2) * np.exp(-log_yf)
-        return ((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo)
+        return np.clip(((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo),
+                       0.0, 1.0)
 
 
 class InvertedMaxStableKernel(_Kernel):

@@ -33,6 +33,12 @@ _TINY = np.finfo(float).smallest_subnormal
 _GUMBEL_ASYMPTOTE = 30.0
 
 
+def log1mexp(t):
+    """log(1 - e^{-t}) for t >= 0 without cancellation at either end."""
+    with np.errstate(divide="ignore"):
+        return np.where(t < _LOG2, np.log(-np.expm1(-t)), np.log1p(-np.exp(-t)))
+
+
 def _check_p(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):

@@ -13,9 +13,7 @@ import numpy as np
 from scipy.special import erf, erfc, erfcinv, erfinv, ndtr, ndtri
 
 from . import margins
-from .errors import (RegimeError, UnsupportedLawError, UnsupportedSchemeError,
-                     ValidationError, build)
-from .kernels import _log1mexp
+from .errors import RegimeError, ValidationError, build
 
 __all__ = [
     "NormingScheme",
@@ -42,10 +40,11 @@ class NormingScheme:
         raise NotImplementedError
 
     def psi_a(self, t, x):
-        raise NotImplementedError
+        """The random walk M_t = M_{t-1} + eps_t unless a scheme says otherwise."""
+        return np.asarray(x, dtype=float)
 
     def psi_b(self, t, x):
-        raise NotImplementedError
+        return np.ones_like(np.asarray(x, dtype=float))
 
     def one_step_a(self, t, w):
         """One-step location map applied at time t (parity-aware for
@@ -121,12 +120,6 @@ class HuslerReissScheme(NormingScheme):
         v = np.asarray(v, dtype=float)
         return self.a(t, v) / np.sqrt(np.log(v))
 
-    def psi_a(self, t, x):
-        return np.asarray(x, dtype=float)
-
-    def psi_b(self, t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
 
 class DensityDecayScheme(NormingScheme):
     """Norming for inverted max-stable chains whose spectral density decays
@@ -171,9 +164,6 @@ class DensityDecayScheme(NormingScheme):
     def psi_a(self, t, x):
         drift = ((t - 1) / self.gamma ** 2) * math.log(self.kappa)
         return np.asarray(x, dtype=float) - drift
-
-    def psi_b(self, t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
 
 
 class NegativeHtScheme(NormingScheme):
@@ -234,8 +224,7 @@ _SCHEME_BUILDERS = {
 
 def make_norming(scheme_id, **params):
     """Construct a validated norming scheme from the catalogue."""
-    return build(_SCHEME_BUILDERS, "norming scheme", scheme_id, params,
-                 UnsupportedSchemeError)
+    return build(_SCHEME_BUILDERS, "norming scheme", scheme_id, params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +300,7 @@ def _logistic_law(r, nu, name):
     def ppf(p):
         with np.errstate(divide="ignore"):
             a = np.log(np.asarray(p, dtype=float)) / (nu - 1.0)
-        return log_r - nu * (a + _log1mexp(a))
+        return log_r - nu * (a + margins.log1mexp(a))
 
     return LimitLaw(name=name, cdf=cdf, ppf=ppf)
 
@@ -429,7 +418,7 @@ def _arch_law(theta1, kappa, sign, name):
 
 
 def _law_expar(**_):
-    raise UnsupportedLawError(
+    raise ValidationError(
         "no limiting kernel is available for the exponential autoregressive "
         "chain; simulate the actual chain instead")
 
@@ -452,8 +441,8 @@ _LAW_BUILDERS = {
 
 
 def limit_law(law_id, **params):
-    """Construct a catalogued limit law; unknown ids raise UnsupportedLawError."""
-    return build(_LAW_BUILDERS, "limit law", law_id, params, UnsupportedLawError)
+    """Construct a validated limit law from the catalogue."""
+    return build(_LAW_BUILDERS, "limit law", law_id, params)
 
 
 # ---------------------------------------------------------------------------

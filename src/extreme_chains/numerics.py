@@ -18,9 +18,10 @@ from .errors import ConvergenceError, ValidationError
 
 __all__ = ["ExpARLaw", "ArchStationaryLaw", "arch_tail_index", "arch_stationary_fit"]
 
-# 1/2 log(pi), as a double and the rounding error of that double
+# 1/2 log(pi), as a double and the rounding error of that double; 1/2 log(2)
 _HALF_LOG_PI = 0.5723649429247001
 _HALF_LOG_PI_LO = 5.132975581353913e-18
+_HALF_LOG_2 = 0.5 * math.log(2.0)
 
 
 def _product_error(a, b):
@@ -69,25 +70,34 @@ def _panel(edges, z):
     return p, ((z - lo) + (z - hi)) / (hi - lo)
 
 
+# The root u is about e / (2 theta1): from theta1 = 1e-299 up, kappa = 2u and
+# the hidden chain's innovations, a few hundred kappa at most, stay finite.
+_TAIL_THETA1_MIN = 1e-299
+
+
 def arch_tail_index(theta1):
     """Tail index kappa of the stationary volatility recursion.
 
     Solves ``E[(theta1 * W^2)^u] = 1`` for the positive root, i.e. the root of
     the convex ``g(u) = u log(2 theta1) + log Gamma(u + 1/2) - log(pi) / 2``,
-    and returns ``kappa = 2u``.  g(0) = 0 and g(1) = log theta1 < 0, so Newton's
-    method from the first doubling of u with g(u) >= 0 decreases to the root;
-    it stops when an iterate no longer decreases.  g is evaluated with the
-    rounding errors of ``u log(2 theta1)``, of ``u + 1/2``, of the sum and of
-    ``log(pi) / 2`` added back.  ``theta1 = 1`` gives exactly 2 since
-    ``E[W^2] = 1``.
+    and returns ``kappa = 2u``.  g(0) = 0, g(1) = log theta1 < 0 and g is
+    unbounded, so Newton's method from the first doubling of u with g(u) >= 0
+    decreases to the root; it stops when an iterate no longer decreases.
+    g is evaluated with the rounding errors of ``u log(2 theta1)``, of
+    ``u + 1/2``, of the sum and of ``log(pi) / 2`` added back; from u = 4096
+    up by Stirling's series, u (log(2 theta1 u) - 1) + log(2)/2 - 1/(24 u) to
+    double precision, whose terms do not cancel (2 theta1 u is near e).
+    ``theta1 = 1`` gives exactly 2 since ``E[W^2] = 1``.
     """
-    if not 0.0 < theta1 <= 1.0:
-        raise ValidationError("theta1 must lie in (0, 1]")
+    if not _TAIL_THETA1_MIN <= theta1 <= 1.0:
+        raise ValidationError(f"theta1 must lie in [{_TAIL_THETA1_MIN}, 1]")
     if theta1 == 1.0:
         return 2.0
     log_2t = math.log(2.0 * theta1)
 
     def g(u):
+        if u >= 4096.0:
+            return u * (math.log(2.0 * theta1 * u) - 1.0) + (_HALF_LOG_2 - 1.0 / (24.0 * u))
         a = u + 0.5
         a_err = 0.5 - (a - u)           # u >= 1, so u + 1/2 = a + a_err exactly
         p, lg = u * log_2t, float(gammaln(a))
@@ -100,8 +110,6 @@ def arch_tail_index(theta1):
     u = 1.0
     while g(u) < 0.0:
         u *= 2.0
-        if u > 1e6:
-            raise ConvergenceError("no positive root found for the moment equation")
     while (step := u - g(u) / (log_2t + float(psi(u + 0.5)))) < u:
         u = step
     return 2.0 * u

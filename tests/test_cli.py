@@ -456,6 +456,16 @@ class TestErrors:
         assert err["category"] == "config"
         assert "takes" in err["error"]
 
+    def test_hidden_arch_below_the_tail_index_floor_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bad.json", {
+            "kind": "hidden", "seed": 1, "example": "arch", "horizon": 2,
+            "n_paths": 16, "params": {"theta1": 1e-305}})
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["category"] == "config"
+        assert "theta1 must lie in [1e-299, 1]" in err["error"]
+
     @pytest.mark.parametrize("change,says", [
         ({"kernel": {"id": "inverted_max_stable", "family": "power_decay",
                      "s": math.inf}},
@@ -473,7 +483,7 @@ class TestErrors:
           "kernel": {"id": "gaussian_copula", "rho": 0.8},
           "scheme": {"id": "ht_canonical", "alpha": 0.64, "beta": 0.5},
           "limit_law": {"id": "gaussian_exponential", "rho": 0.8}},
-         "config key 'atom_cut' must be a positive finite number; got -5"),
+         "converge config has unknown key 'atom_cut'"),
         ({"init": {"x0": 0.0}}, "start x0 = 0.0 lies outside the open support"),
         ({"kind": "figure1", "x0": -1.0}, "start x0 = -1.0 lies outside the open support"),
         ({"kind": "converge", "v_grid": [6.0, 0.0],
@@ -535,6 +545,21 @@ def test_paths_outputs_worker_invariant(tmp_path, config, name):
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / w),
                          "--workers", w]) == 0
     assert read(tmp_path / "1" / name) == read(tmp_path / "2" / name)
+
+
+@pytest.mark.parametrize("theta1", [1e-10, 1e-299])
+def test_hidden_arch_at_small_theta1_gives_finite_rows(tmp_path, theta1):
+    # kappa ~ e/theta1: 2.7e10 and 2.7e299
+    n, T = 32, 3
+    cfg = write_config(tmp_path, "a.json", {
+        "kind": "hidden", "seed": 3, "example": "arch", "horizon": T,
+        "n_paths": n, "params": {"theta1": theta1}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "1"]) == 0
+    rows = np.loadtxt(tmp_path / "o" / "hidden_paths.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert rows.shape == (n * T, 5)
+    assert np.all(np.isfinite(rows))
 
 
 @pytest.mark.parametrize("beta1, beta2", [(0.5, 0.1), (0.1, 0.5)],

@@ -156,7 +156,7 @@ class TestKsDistance:
         interior = g1.sample(50_000, rng)
         escaped = np.full(50_000, -40.0)
         z = np.concatenate([interior, escaped])
-        ks, lo, hi = diagnostics.ks_against_limit(z, law, m=20.0)
+        ks, lo, hi = diagnostics.ks_against_limit(z, law)
         assert lo == pytest.approx(0.5, abs=1e-12)
         assert hi == 0.0
         assert ks < 0.01
@@ -423,7 +423,7 @@ def test_mixture_mass_escape_under_alpha2_norming():
     x1 = k.sample(np.full(100_000, v), rng)
     z = (x1 - k.alpha2 * v) / v ** k.beta2
     law = norming.limit_law("inverted_bev_logistic", gamma=0.9)
-    ks, lo, hi = diagnostics.ks_against_limit(z, law, m=20.0)
+    ks, lo, hi = diagnostics.ks_against_limit(z, law)
     assert abs(hi - lam) < 0.03
     assert lo == 0.0
     assert ks < 0.02

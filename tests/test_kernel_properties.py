@@ -9,6 +9,11 @@ floor shared with the root-finding path only have to cover u.  Each drawn
 uniform comes with its next float up, so monotonicity is tested between
 adjacent floats too.
 
+Under those quantiles, the root zeta of ``_logistic_zeta`` is the largest
+float whose rounded ``_logistic_L`` does not exceed L, over gamma in
+[0.01, 0.99], states up to 1e6 and uniforms up to 1 - 2^-53, with L and c
+formed as each kernel's ``ppf`` forms them.
+
 The root-finding quantiles of the asymmetric logistic and the inverted
 Husler-Reiss kernels meet the same bounds, except monotonicity between
 adjacent floats, which that path does not claim, and a draw costs at most
@@ -22,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extreme_chains import kernels
+from extreme_chains import kernels, margins
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None)
@@ -66,6 +71,25 @@ def test_bev_ppf_deep_states(gamma, x, us):
     # below 1/gamma, so the identity holds to that rounding on top of 1e-12.
     check_ppf(kernels.BevLogisticKernel(gamma), x, us,
               lambda y: 1e-12 + np.spacing(y) / gamma)
+
+
+@pytest.mark.parametrize("cls", [kernels.BevLogisticKernel,
+                                 kernels.InvertedBevLogisticKernel])
+@PROPERTY_SETTINGS
+@given(gamma=st.floats(0.01, 0.99), x=st.floats(0.0, 1e6, exclude_min=True),
+       us=UNIFORMS)
+def test_logistic_zeta_is_the_largest_float_within_L(cls, gamma, x, us):
+    m = cls(gamma)._m
+    u = np.array([0.0, U_TOP] + us)
+    if cls is kernels.BevLogisticKernel:
+        # the BEV quantile is the floor at u = 0 and finds no root there
+        u = u[u > 0.0]
+        L, log_c = -np.log(u), -margins.transform(x, margins.EXPONENTIAL, margins.GUMBEL)
+    else:
+        L, log_c = -np.log1p(-u), np.log(x)
+    z = kernels._logistic_zeta(L, log_c, m)
+    assert np.all(kernels._logistic_L(z, log_c, m) <= L), (x, u)
+    assert np.all(L < kernels._logistic_L(np.nextafter(z, np.inf), log_c, m)), (x, u)
 
 
 UNIT_BOX = st.floats(0.05, 0.95)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from extreme_chains import margins, norming, numerics
-from extreme_chains.errors import (RegimeError, UnsupportedLawError,
-                                   UnsupportedSchemeError, ValidationError)
+from extreme_chains.errors import RegimeError, ValidationError
 
 from _oracles import (AlternatingGaussianScheme, arch_law_mp, arch_law_ndtr_forms,
                       ks_statistic, logistic_law_mp, logistic_law_power_forms,
@@ -51,7 +50,9 @@ class TestMakeNorming:
                                  alpha_plus=-0.5, beta=0.2)
         with pytest.raises(ValidationError):
             norming.make_norming("alternating_gaussian", rho=0.8)
-        with pytest.raises(UnsupportedSchemeError):
+        with pytest.raises(ValidationError, match=(
+                r"^unknown norming scheme id 'mystery_scheme'; known: alternating_gaussian, "
+                r"density_decay, ht_canonical, husler_reiss, negative_ht$")):
             norming.make_norming("mystery_scheme")
 
     def test_location_dominates_scale(self):
@@ -323,9 +324,12 @@ class TestLimitLaws:
         assert law.name == "density_decay(c=4.0, gamma=1.0)"
 
     def test_expar_limit_unknown(self):
-        with pytest.raises(UnsupportedLawError):
+        with pytest.raises(ValidationError, match=(
+                r"^no limiting kernel is available for the exponential autoregressive "
+                r"chain; simulate the actual chain instead$")):
             norming.limit_law("expar")
-        with pytest.raises(UnsupportedLawError):
+        with pytest.raises(ValidationError,
+                           match=r"^unknown limit law id 'made_up_law'; known: arch_g_minus, "):
             norming.limit_law("made_up_law")
 
     @pytest.mark.parametrize("law_id,params", [

@@ -44,11 +44,21 @@ class TestArchTailIndex:
             worst = max(worst, float(abs(kappa - root)) / math.ulp(float(root)))
         assert worst <= 8.0
 
+    def test_small_theta1_within_2e_15_of_the_mpmath_root(self):
+        # kappa ~ e/theta1 up to 2.7e299, on both sides of the switch to Stirling at u = 4096
+        worst = 0.0
+        for t1 in np.geomspace(1e-299, 0.038, 240):
+            root = arch_tail_index_mp(float(t1))
+            worst = max(worst, float(abs(numerics.arch_tail_index(float(t1)) - root) / root))
+        assert worst <= 2e-15
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             numerics.arch_tail_index(0.0)
         with pytest.raises(ValidationError):
             numerics.arch_tail_index(1.2)
+        with pytest.raises(ValidationError, match=r"theta1 must lie in \[1e-299, 1\]"):
+            numerics.arch_tail_index(1e-305)
 
 
 class TestArchStationaryFit:
