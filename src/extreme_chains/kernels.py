@@ -12,10 +12,10 @@ value itself overflows.
 Sampling is one code path per kernel: ``sample(x, rng)`` is ``ppf(x, U)``
 with one uniform per draw, unless the defining mechanism gives a direct
 sampler ``_draw(x, rng)`` (conditional normal, volatility recursion,
-tail-switching recursion, the autoregression behind the exponential-AR chain,
-the mixture pick).  The logistic pair inverts its CDF exactly through the Wright omega
-function; the other kernels solve ``cdf(x, y) = u`` with scipy's elementwise
-``bracket_root`` and ``find_root``.
+tail-switching recursion, exponential autoregression, mixture pick, and
+Tawn's max construction, which draws the asymmetric logistic through the
+logistic pair's exact Wright-omega inverse).  Only the inverted max-stable
+kernels solve ``cdf(x, y) = u``, by scipy's ``bracket_root`` and ``find_root``.
 """
 
 import functools
@@ -277,27 +277,24 @@ def density_exp_decay(delta, gamma, kappa):
 _FLOOR = 1e-12      # smallest draw above the support floor
 
 
-def _inverse_cdf_sample(cdf, x, u, support_lo, state=()):
+def _inverse_cdf_sample(cdf, x, u, support_lo):
     """Vectorised inverse-CDF draw by scipy's elementwise root finders.
 
-    ``cdf(x, y, *state)`` must be nondecreasing in ``y``; ``state`` holds
-    arrays that ``cdf`` would otherwise derive from ``x`` at every call.
-    Where ``cdf`` already reaches ``u`` at ``support_lo`` the draw is
-    ``support_lo``.  Elsewhere ``bracket_root`` grows the bracket x -+ 1
-    (never below ``support_lo``) until it holds the root of ``cdf - u``, and
-    ``find_root`` (Chandrupatla's method) solves to float resolution.  A NaN
-    from ``cdf``, or a bracket or root that scipy cannot find, raises
-    SamplingError.
+    ``cdf(x, y)`` must be nondecreasing in ``y``.  Where ``cdf`` already
+    reaches ``u`` at ``support_lo`` the draw is ``support_lo``.  Elsewhere
+    ``bracket_root`` grows the bracket x -+ 1 (never below ``support_lo``)
+    until it holds the root of ``cdf(x, y) - u``, and ``find_root``
+    (Chandrupatla's method) solves to float resolution.  A NaN from ``cdf``,
+    or a bracket or root that scipy cannot find, raises SamplingError.
     """
     # imported on first use: the logistic pair and the direct samplers never
     # find a root, and scipy.optimize would add about 0.4 s to every CLI start
     from scipy.optimize.elementwise import bracket_root, find_root
 
-    x, u, *state = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                       np.asarray(u, dtype=float), *state)
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
 
-    def excess(y, x, u, *state):
-        val = cdf(x, y, *state)
+    def excess(y, x, u):
+        val = cdf(x, y)
         nan = np.isnan(val)
         if nan.any():
             i = int(np.argmax(nan))
@@ -312,13 +309,12 @@ def _inverse_cdf_sample(cdf, x, u, support_lo, state=()):
                                 f"(scipy status {int(res.status[i])})")
 
     y = np.full(x.shape, support_lo)
-    free = excess(y, x, u, *state) < 0.0
-    args = tuple(a[free] for a in (x, u, *state))
-    xs, us = args[:2]
+    free = excess(y, x, u) < 0.0
+    xs, us = x[free], u[free]
     found = bracket_root(excess, np.maximum(xs - 1.0, support_lo), xs + 1.0,
-                         xmin=support_lo, args=args)
+                         xmin=support_lo, args=(xs, us))
     check(found, "bracket_root", xs, us)
-    root = find_root(excess, found.bracket, args=args)
+    root = find_root(excess, found.bracket, args=(xs, us))
     check(root, "find_root", xs, us)
     y[free] = root.x
     return y
@@ -563,54 +559,58 @@ class InvertedBevLogisticKernel(_LogisticPairKernel):
         return np.maximum(y, _FLOOR)
 
 
-class AsymmetricLogisticKernel(_Kernel):
+class AsymmetricLogisticKernel(_LogisticPairKernel):
     """BEV copula with asymmetric logistic dependence, exponential margins.
 
     Mixes an extreme-following mode (weight phi1) with a return-to-body mode,
     so the one-step limit law has an atom at -infinity of mass 1 - phi1 under
-    the identity norming.
+    the identity norming.  On Frechet margins the pair is (max(X1, X2),
+    max(Y1, Y2)) (Tawn, 1988): X1 and Y1 independent with scales 1 - phi1 and
+    1 - phi2, and (X2/phi1, Y2/phi2) the logistic pair at gamma = nu; given
+    X = x, X1 attains x with probability 1 - phi1.
     """
+
+    kernel_id = "asymmetric_logistic"
 
     def __init__(self, phi1, phi2, nu):
         for nm, val in (("phi1", phi1), ("phi2", phi2), ("nu", nu)):
             if not 0.0 < val < 1.0:
                 raise ValidationError(f"{nm} must lie in (0, 1)")
-        if not phi2 / phi1 < math.inf:
-            raise ValidationError(f"phi2/phi1 overflows doubles at phi1 = {phi1}")
-        self.phi1 = float(phi1)
-        self.phi2 = float(phi2)
-        self.nu = float(nu)
+        if not (phi2 / phi1 < math.inf and 1.0 / nu < math.inf):
+            raise ValidationError(f"phi2/phi1 or 1/nu overflows at phi1 = {phi1}, nu = {nu}")
+        super().__init__(nu)
+        self.phi1, self.phi2 = float(phi1), float(phi2)
+        self.nu = self.gamma
         self.name = f"asymmetric_logistic({phi1}, {phi2}, {nu})"
+
+    def _g(self, x):
+        """g = log(x_F/phi1), the Gumbel state of X2/phi1 at X = x."""
+        return margins.transform(x, self.stationary_law, margins.GUMBEL) - math.log(self.phi1)
 
     @_conditional_cdf
     def cdf(self, x, y):
-        return self._cdf(x, y, margins.transform(x, self.stationary_law, margins.GUMBEL))
+        # with h = log(y_F/phi2) and zeta = _zeta(g - h), the cdf is
+        # [(1 - phi1) + phi1 e^{-m zeta}] exp(-e^{zeta - g}(1 - e^{-zeta}) - (1 - phi2)/y_F);
+        # zeta - g is formed as q - min(g, h), exact beyond x ~ 709
+        g, log_yf = self._g(x), margins.transform(y, self.stationary_law, margins.GUMBEL)
+        h = log_yf - math.log(self.phi2)
+        q = self.nu * np.log1p(np.exp(-np.abs(g - h) / self.nu))
+        zeta = np.maximum(g - h, 0.0) + q
+        expo = np.exp(q - np.minimum(g, h)) * -np.expm1(-zeta) \
+            + (1.0 - self.phi2) * np.exp(-log_yf)
+        return ((1.0 - self.phi1) + self.phi1 * np.exp(-self._m * zeta)) * np.exp(-expo)
 
-    def ppf(self, x, u):
-        # log x_F once, not at each of the root finder's ~15 cdf calls per draw
-        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
-        log_xf = margins.transform(x, self.stationary_law, margins.GUMBEL)
-        return _inverse_cdf_sample(self._cdf, x, u, self.support_lo + _FLOOR, (log_xf,))
-
-    def _cdf(self, x, y, log_xf):
-        # With d = log[(p2/y_F)^{1/nu} / (p1/x_F)^{1/nu}] and
-        # ell = log(1 + e^d) on the Frechet scale, the cdf is
-        #   [(1 - p1) + p1 e^{-(1-nu) ell}]
-        #     * exp(-p1 e^{nu ell}/x_F (1 - e^{-nu ell}) - (1 - p2)/y_F).
-        # It is evaluated from log x_F and log y_F, so states beyond x ~ 709
-        # stay finite, and nu ell - log x_F is formed without cancellation;
-        # y lies above the support floor and the value within [0, 1].
-        log_yf = margins.transform(y, self.stationary_law, margins.GUMBEL)
-        p1, p2, nu = self.phi1, self.phi2, self.nu
-        c = math.log(p2 / p1)
-        d = (c + log_xf - log_yf) / nu
-        q = np.log1p(np.exp(-np.abs(d)))
-        ell = np.maximum(d, 0.0) + q
-        log_joint = nu * q + np.maximum(c - log_yf, -log_xf)
-        expo = p1 * np.exp(log_joint) * -np.expm1(-nu * ell) \
-            + (1.0 - p2) * np.exp(-log_yf)
-        return np.clip(((1.0 - p1) + p1 * np.exp((nu - 1.0) * ell)) * np.exp(-expo),
-                       0.0, 1.0)
+    def _draw(self, x, rng):
+        # Where X1 attains x, e^zeta = 1 + E e^g (Y2 given X2 < x); elsewhere the BEV
+        # logistic draw at g.  Then log(Y2/phi2) = g - _d(zeta) and Y1 = (1 - phi2)/E1.
+        g = np.broadcast_to(self._g(x), x.shape)
+        x1 = rng.uniform(size=x.shape) >= self.phi1
+        E, E1 = (margins.nonzero_draws(rng.exponential, x.shape) for _ in range(2))
+        zeta = np.logaddexp(0.0, np.log(E) + g, out=np.empty(x.shape))
+        zeta[~x1] = _logistic_zeta(E[~x1], -g[~x1], self._m)
+        log_yf = np.maximum(math.log(self.phi2) + g - self._d(zeta),
+                            math.log(1.0 - self.phi2) - np.log(E1))
+        return np.maximum(margins.transform(log_yf, margins.GUMBEL, self.stationary_law), _FLOOR)
 
 
 class InvertedMaxStableKernel(_Kernel):

@@ -26,6 +26,7 @@ __all__ = [
     "GUMBEL",
     "GAUSSIAN",
     "transform",
+    "nonzero_draws",
 ]
 
 _LOG2 = math.log(2.0)
@@ -37,6 +38,17 @@ def log1mexp(t):
     """log(1 - e^{-t}) for t >= 0 without cancellation at either end."""
     with np.errstate(divide="ignore"):
         return np.where(t < _LOG2, np.log(-np.expm1(-t)), np.log1p(-np.exp(-t)))
+
+
+def nonzero_draws(draw, size):
+    """``draw(size=size)`` with every exact 0.0 redrawn.  numpy's ``uniform``
+    and ``exponential`` return 0.0 with probability about 2^-53 per value,
+    where a quantile or a log is infinite; the stream stays as it was until
+    a zero falls."""
+    v = draw(size=size)
+    while (zero := v == 0.0).any():
+        v[zero] = draw(size=int(zero.sum()))
+    return v
 
 
 def _check_p(p):

@@ -255,7 +255,7 @@ class LimitLaw:
         if self.has_atoms:
             raise RegimeError(
                 f"{self.name} carries atoms at +-inf; use a hidden-chain simulator")
-        return self.ppf(rng.uniform(size=n))
+        return self.ppf(margins.nonzero_draws(rng.uniform, n))
 
 
 def _gaussian_law(sd, name):

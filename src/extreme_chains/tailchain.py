@@ -155,15 +155,16 @@ def hidden_asym_logistic(phi1, phi2, nu, T, n, rng):
     pre, cp, after = t < tb, t == tb, t > tb
     regime = np.where(pre, REGIME_EXTREME, REGIME_BODY).astype(np.int8)
 
-    M = np.empty((n, T))
-    M[:, 0] = np.where(cp[:, 0], rng.exponential(size=n), g1.sample(n, rng))
-    for i in range(1, T):
-        M[:, i] = np.where(pre[:, i], M[:, i - 1] + g1.sample(n, rng),
-                           rng.exponential(size=n))
-        live = after[:, i]
+    # column 0 holds M_0 = 0, so step 1 adds its G1 increment like any other;
+    # each path draws only the variate its regime uses
+    M = np.zeros((n, T + 1))
+    for i in range(1, T + 1):
+        walk, restart, live = pre[:, i - 1], cp[:, i - 1], after[:, i - 1]
+        M[walk, i] = M[walk, i - 1] + g1.sample(int(walk.sum()), rng)
+        M[restart, i] = rng.exponential(size=int(restart.sum()))
         if live.any():
             M[live, i] = kernel.sample(np.maximum(M[live, i - 1], 1e-12), rng)
-    return HiddenChainPaths(M, regime, cp, B=B)
+    return HiddenChainPaths(M[:, 1:], regime, cp, B=B)
 
 
 def _flip_changepoints(B):

@@ -126,6 +126,29 @@ def ks_statistic(sample, cdf):
                      np.max(np.abs(F - np.arange(0, n) / n))))
 
 
+class ZerosFirst:
+    """A seeded generator whose first call of ``method`` returns zeros, as
+    numpy's ``uniform`` and ``exponential`` do with probability about 2^-53
+    per value; every later call and every other method draws as usual."""
+
+    def __init__(self, method, seed=0):
+        self._rng = np.random.default_rng(seed)
+        self._method = method
+        self._fresh = True
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name != self._method:
+            return draw
+
+        def first_zeros(size=None):
+            if self._fresh:
+                self._fresh = False
+                return np.zeros(size)
+            return draw(size=size)
+        return first_zeros
+
+
 def symmetric_cdf(cumhaz):
     """The cdf of a law symmetric about 0 from the cumulative hazard of its
     absolute value, Lambda(s) = -log P(|Y| > s): P(Y <= y) is

@@ -23,10 +23,9 @@ def _run_python(args):
                           capture_output=True, text=True, timeout=300)
 
 
-# demo 03 takes about 5 s, most of it asymmetric-logistic root finding; it
-# joins this list once that kernel samples without a root (ROADMAP item 1)
 @pytest.mark.parametrize("demo", ["01_tail_chain_convergence.py",
                                   "02_figure_envelopes.py",
+                                  "03_hidden_tail_chains.py",
                                   "04_negative_dependence_and_chi.py"])
 def test_demo_runs(demo):
     done = _run_python([str(DEMOS / demo)])

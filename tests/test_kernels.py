@@ -9,7 +9,7 @@ from extreme_chains import kernels, margins, norming
 from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
                                    ValidationError)
 
-from _oracles import (density_moments_mp, dkw_bound, gaussian_score_mp,
+from _oracles import (ZerosFirst, density_moments_mp, dkw_bound, gaussian_score_mp,
                       ks_statistic)
 
 np.seterr(all="ignore")
@@ -397,6 +397,26 @@ class TestKernelSample:
             y = k.sample(np.full(n, x0), rng)
             d = ks_statistic(y, lambda s: k.cdf(np.full(s.shape, x0), s))
             assert d < 0.006, k.name
+
+    @pytest.mark.parametrize("phi1, phi2, nu", [(0.5, 0.4, 0.3), (0.3, 0.6, 0.4),
+                                                (0.8, 0.2, 0.7), (0.5, 0.5, 0.152)])
+    def test_asymmetric_logistic_draw_is_uniform_through_cdf(self, phi1, phi2, nu):
+        # cdf(x, Y) of 20k draws by Tawn's construction is uniform: KS below
+        # the 1e-3 critical value 1.949/sqrt(n), from x = 1e-3 to 1e6
+        k = kernels.AsymmetricLogisticKernel(phi1, phi2, nu)
+        rng = np.random.default_rng(26)
+        n = 20_000
+        for x in (1e-3, 0.05, 2.0, 9.0, 30.0, 700.0, 1e4, 1e6):
+            y = k.sample(np.full(n, x), rng)
+            assert np.all(np.isfinite(y) & (y > 0.0)), x
+            d = ks_statistic(k.cdf(np.full(n, x), y), lambda u: u)
+            assert d < 1.949 / math.sqrt(n), (x, d)
+
+    def test_asymmetric_logistic_draw_redraws_a_zero_exponential(self):
+        # an exponential of exactly 0.0 would put Y2 at +inf
+        k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
+        y = k.sample(np.array([0.05, 2.0, 9.0, 700.0]), ZerosFirst("exponential"))
+        assert np.all(np.isfinite(y))
 
     def test_gaussian_conditional_mean(self):
         rng = np.random.default_rng(2)

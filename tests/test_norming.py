@@ -7,9 +7,9 @@ import pytest
 from extreme_chains import margins, norming, numerics
 from extreme_chains.errors import RegimeError, ValidationError
 
-from _oracles import (AlternatingGaussianScheme, arch_law_mp, arch_law_ndtr_forms,
-                      ks_statistic, logistic_law_mp, logistic_law_power_forms,
-                      update_limit_quotients)
+from _oracles import (AlternatingGaussianScheme, ZerosFirst, arch_law_mp,
+                      arch_law_ndtr_forms, ks_statistic, logistic_law_mp,
+                      logistic_law_power_forms, update_limit_quotients)
 
 
 class TestMakeNorming:
@@ -348,6 +348,19 @@ class TestLimitLaws:
         rng = np.random.default_rng(17)
         sample = law.sample(100_000, rng)
         assert ks_statistic(sample, law.cdf) < 0.006
+
+    @pytest.mark.parametrize("law_id,params", [
+        ("gaussian_exponential", {"rho": 0.8}),
+        ("bev_logistic", {"gamma": 0.5}),
+        ("density_decay", {"c": 4.0, "gamma": 1.0}),
+        ("arch_g_plus", {"theta1": 0.7, "kappa": 3.17}),
+        ("arch_g_minus", {"theta1": 0.7, "kappa": 3.17}),
+    ])
+    def test_sample_redraws_a_zero_uniform(self, law_id, params):
+        # ppf(0.0) is -inf for every continuous law; a uniform that falls on
+        # exactly 0.0 is drawn again
+        law = norming.limit_law(law_id, **params)
+        assert np.all(np.isfinite(law.sample(5, ZerosFirst("uniform"))))
 
 
 # ---------------------------------------------------------------------------
