@@ -1,26 +1,14 @@
-"""The demos and README's library tour run end to end, and the demos use only
-the package's public names."""
+"""The demos and README's library tour run end to end, each demo prints its
+reference text, and the demos use only the package's public names."""
 
 import ast
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from make_reference import REFERENCE, ROOT, run_python
+
 DEMOS = ROOT / "demos"
-
-
-def _run_python(args):
-    """``python args`` from the repository root with ``src`` on the path."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", ["01_tail_chain_convergence.py",
@@ -28,9 +16,9 @@ def _run_python(args):
                                   "03_hidden_tail_chains.py",
                                   "04_negative_dependence_and_chi.py"])
 def test_demo_runs(demo):
-    done = _run_python([str(DEMOS / demo)])
+    done = run_python([str(DEMOS / demo)])
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip()
+    assert done.stdout == (REFERENCE / "demos" / demo).with_suffix(".txt").read_text()
 
 
 def test_readme_python_blocks_run_in_order():
@@ -38,7 +26,7 @@ def test_readme_python_blocks_run_in_order():
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                         re.S | re.M)
     assert blocks
-    done = _run_python(["-c", "\n".join(blocks)])
+    done = run_python(["-c", "\n".join(blocks)])
     assert done.returncode == 0, done.stderr[-2000:]
 
 
