@@ -24,8 +24,7 @@ X1 = k.sample(np.full(50_000, 30.0), rng)
 print(f"mass escaping 20 units below v = 30: {np.mean(X1 - 30 < -20):.3f}"
       " (limit: 1 - phi1 = 0.5)")
 
-X = diagnostics.conditional_forward_sim(
-    k, margins.EXPONENTIAL, diagnostics.Exceedance(9.0), 20, 30_000, rng)
+X = diagnostics.conditional_forward_sim(k, diagnostics.Exceedance(9.0), 20, 30_000, rng)
 tv = diagnostics.changepoint_law_check(X, tailchain.RatioThreshold(0.5), 0.5)
 print(f"TV(first crossing of X_t <= X_t-1 / 2, Geometric(1/2)) = {tv:.4f}")
 

@@ -10,15 +10,14 @@ asymptotically dependent and independent kernels.
 
 import numpy as np
 
-from extreme_chains import (diagnostics, kernels, margins, norming, tailchain)
+from extreme_chains import diagnostics, kernels, norming, tailchain
 
 rng = np.random.default_rng(3)
 n = 50_000
 
 print("=== alternating extremes under negative dependence ===")
 k = kernels.make_kernel("gaussian_copula", rho=-0.8, margin="laplace")
-X = diagnostics.conditional_forward_sim(
-    k, margins.LAPLACE, diagnostics.FixedX0(20.0), 4, n, rng)
+X = diagnostics.conditional_forward_sim(k, diagnostics.FixedX0(20.0), 4, n, rng)
 for t in range(1, 5):
     frac = np.mean(np.sign(X[:, t]) == (-1) ** t)
     print(f"t = {t}: P(sign(X_t) = (-1)^t) = {frac:.4f}, "
@@ -46,8 +45,7 @@ cases = [
      kernels.make_kernel("inverted_bev_logistic", gamma=0.5)),
 ]
 print(f"{'u':>8}" + "".join(f"{name.split()[0]:>16}" for name, _ in cases))
-rows = {name: diagnostics.chi_estimate(kern, margins.EXPONENTIAL, 1, u_grid,
-                                       n, seed=5)
+rows = {name: diagnostics.chi_estimate(kern, 1, u_grid, n, seed=5)
         for name, kern in cases}
 for j, u in enumerate(u_grid):
     line = f"{u:8.3f}"

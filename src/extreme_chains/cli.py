@@ -119,8 +119,7 @@ def _task_simulate_chunk(args):
             else diagnostics.Exceedance(config["init"]["u"]))
     n = config["n_paths"]
     X = diagnostics.conditional_forward_sim(
-        kern, kern.stationary_law, init, config["horizon"],
-        _chunk_size(n, chunk), rng)
+        kern, init, config["horizon"], _chunk_size(n, chunk), rng)
     return _write_part(part, _first_path(n, chunk), 0, X)
 
 
@@ -168,8 +167,7 @@ def _task_figure1_chain(args):
     # each envelope summarises one step's n states at a time; no path
     # matrix is formed
     states = diagnostics.forward_states(
-        kern, kern.stationary_law, diagnostics.FixedX0(x0), T, n,
-        _rng_for(config["seed"], 3, idx, 0))
+        kern, diagnostics.FixedX0(x0), T, n, _rng_for(config["seed"], 3, idx, 0))
     env_actual = diagnostics.quantile_envelope(islice(states, 1, None),
                                                source="actual", t_start=1)
     env_tc = None
@@ -214,8 +212,8 @@ def _task_chi_row(args):
     kern = _build_kernel(config["kernel"])
     u = float(config["u_grid"][j])
     rows = diagnostics.chi_estimate(
-        kern, kern.stationary_law, config["t"], [u],
-        config["n_paths"], seed=_derived_seed(config["seed"], 5, j))
+        kern, config["t"], [u], config["n_paths"],
+        seed=_derived_seed(config["seed"], 5, j))
     return rows[0]
 
 
@@ -324,8 +322,8 @@ def _run_negdep(config, out_dir, workers):
     kern = _build_kernel({"id": "gaussian_copula", "rho": config["rho"],
                           "margin": "laplace"})
     states = diagnostics.forward_states(
-        kern, kern.stationary_law, diagnostics.FixedX0(config["x0"]),
-        config["horizon"], config["n_paths"], _rng_for(config["seed"], 6, 0))
+        kern, diagnostics.FixedX0(config["x0"]), config["horizon"],
+        config["n_paths"], _rng_for(config["seed"], 6, 0))
     path = os.path.join(out_dir, "negdep_signs.csv")
     rows = [[t, repr(float(np.mean(np.sign(x) == (-1.0) ** t)))]
             for t, x in enumerate(states) if t > 0]

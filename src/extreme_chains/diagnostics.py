@@ -63,34 +63,34 @@ class Exceedance:
         if not lu < np.inf:
             raise DomainError(f"threshold {self.u} beyond the law's numeric range "
                               f"(Laplace value {lu})")
-        U = rng.uniform(size=n)
+        U = margins.nonzero_draws(rng.uniform, n)
         if lu >= 0.0:
             return law.from_laplace(lu - np.log1p(-U))
         lap = margins.LAPLACE
         return law.from_laplace(lap.isf(lap.sf(lu) * (1.0 - U)))
 
 
-def forward_states(kernel, law, init, T, n, rng):
+def forward_states(kernel, init, T, n, rng):
     """Yield X_0, ..., X_T of n paths, one n-vector per step: ``init``
-    (FixedX0 or Exceedance) draws X_0 from ``law``, then each step is one
-    ``kernel.sample`` of the step before.  Only the step just drawn is held,
-    so a consumer that summarises each step as it arrives runs in O(n)
-    memory whatever the horizon."""
+    (FixedX0 or Exceedance) draws X_0 from ``kernel.stationary_law``, then
+    each step is one ``kernel.sample`` of the step before.  Only the step
+    just drawn is held, so a consumer that summarises each step as it
+    arrives runs in O(n) memory whatever the horizon."""
     if n < 1 or T < 0:
         raise ValidationError("need n >= 1 and T >= 0")
-    x = init.draw(law, n, rng)
+    x = init.draw(kernel.stationary_law, n, rng)
     yield x
     for _ in range(T):
         x = kernel.sample(x, rng)
         yield x
 
 
-def conditional_forward_sim(kernel, law, init, T, n, rng):
+def conditional_forward_sim(kernel, init, T, n, rng):
     """The (n, T + 1) array of n paths X_0..X_T, filled step by step from
     ``forward_states``, so the same generator gives the same paths.  A
     consumer that reads one step at a time should iterate
     ``forward_states`` instead: this array is O(n T)."""
-    states = forward_states(kernel, law, init, T, n, rng)
+    states = forward_states(kernel, init, T, n, rng)
     x0 = next(states)
     X = np.empty((n, T + 1))
     X[:, 0] = x0
@@ -99,9 +99,9 @@ def conditional_forward_sim(kernel, law, init, T, n, rng):
     return X
 
 
-def _state_at(kernel, law, init, t, n, rng):
+def _state_at(kernel, init, t, n, rng):
     """X_t of n paths from ``forward_states``, holding one step at a time."""
-    for x in forward_states(kernel, law, init, t, n, rng):
+    for x in forward_states(kernel, init, t, n, rng):
         pass
     return x
 
@@ -110,7 +110,7 @@ def normalized_samples(kernel, v, scheme, t, n, rng):
     """n draws of (X_t - a_t(v)) / b_t(v) given X_0 = v (forward simulation)."""
     if t < 1:
         raise ValidationError("need t >= 1")
-    x = _state_at(kernel, kernel.stationary_law, FixedX0(v), t, n, rng)
+    x = _state_at(kernel, FixedX0(v), t, n, rng)
     return (x - scheme.a(t, v)) / scheme.b(t, v)
 
 
@@ -222,8 +222,9 @@ class ChiRow:
 _MIN_EXCEED = 50   # a chi row with fewer lag-t exceedances is flagged
 
 
-def chi_estimate(kernel, law, t, u_grid, n, seed):
-    """Empirical chi_t(u) = Pr(F(X_t) > u | F(X_0) > u) per threshold u.
+def chi_estimate(kernel, t, u_grid, n, seed):
+    """Empirical chi_t(u) = Pr(F(X_t) > u | F(X_0) > u) per threshold u,
+    with F the kernel's stationary law.
 
     The conditioning is exact (inverse-CDF above the threshold); rows whose
     lag-t exceedance count falls below 50 are flagged.
@@ -234,8 +235,8 @@ def chi_estimate(kernel, law, t, u_grid, n, seed):
             raise DomainError("u grid must lie inside (0, 1)")
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=int(seed), spawn_key=(0xC1, j)))
-        x_u = float(law.ppf(u))
-        hits = law.cdf(_state_at(kernel, law, Exceedance(x_u), t, n, rng)) > u
+        x_u = float(kernel.stationary_law.ppf(u))
+        hits = kernel.stationary_law.cdf(_state_at(kernel, Exceedance(x_u), t, n, rng)) > u
         cnt = int(hits.sum())
         rows.append(ChiRow(float(u), float(hits.mean()), cnt, n, cnt < _MIN_EXCEED))
     return rows

@@ -1,7 +1,7 @@
-"""Bivariate transition kernels with exact conditional CDFs and quantiles.
+"""Bivariate transition kernels with exact conditional CDFs.
 
 Every kernel declares its stationary law (exponential, Laplace or Gaussian)
-and exposes ``cdf(x, y)`` (vectorised in either argument), ``ppf(x, u)`` and
+and exposes ``cdf(x, y)`` (vectorised in either argument) and
 ``sample(x, rng)``.  A kernel whose closed form sits on another scale moves
 states there with ``margins.transform``: the Gaussian copula reads
 ``margins.GAUSSIAN``, and the BEV logistic and asymmetric logistic kernels,
@@ -9,13 +9,14 @@ extreme-value copulas written on Frechet margins, read ``margins.GUMBEL``, the
 log of the Frechet value, which stays finite beyond x ~ 709 where the Frechet
 value itself overflows.
 
-Sampling is one code path per kernel: ``sample(x, rng)`` is ``ppf(x, U)``
-with one uniform per draw, unless the defining mechanism gives a direct
-sampler ``_draw(x, rng)`` (conditional normal, volatility recursion,
-tail-switching recursion, exponential autoregression, mixture pick, and
-Tawn's max construction, which draws the asymmetric logistic through the
-logistic pair's exact Wright-omega inverse).  Only the inverted max-stable
-kernels solve ``cdf(x, y) = u``, by scipy's ``bracket_root`` and ``find_root``.
+Sampling is one code path per kernel.  Only the kernels that draw
+``ppf(x, U)``, one uniform per draw, have a quantile ``ppf(x, u)``: the BEV
+logistic pair, exact through the Wright omega function, and the inverted
+max-stable kernels, which solve ``cdf(x, y) = u`` by scipy's ``bracket_root``
+and ``find_root``.  The others draw by their defining mechanism in ``_draw``:
+conditional normal, volatility recursion, tail-switching recursion,
+exponential autoregression, mixture pick, and Tawn's max construction (the
+asymmetric logistic, through the logistic pair's Wright-omega inverse).
 """
 
 import functools
@@ -402,8 +403,8 @@ def _conditional_cdf(cdf):
 
 class _Kernel:
     """Each kernel states its ``stationary_law`` and writes its formulas:
-    ``cdf`` under ``_conditional_cdf``, and ``ppf`` or ``_draw`` where it
-    has a closed form or a direct sampler."""
+    ``cdf`` under ``_conditional_cdf``, and either ``ppf``, through which
+    the default ``_draw`` maps one uniform per state, or its own ``_draw``."""
 
     stationary_law = margins.EXPONENTIAL
     ht_alpha_beta = None
@@ -438,11 +439,6 @@ class _Kernel:
 
     def cdf(self, x, y):
         raise NotImplementedError
-
-    def ppf(self, x, u):
-        """Conditional quantile F^{-1}(u | x); a root of ``cdf`` by default."""
-        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
-        return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
 
     def sample(self, x, rng):
         """One draw per state; a scalar state gives a float."""
@@ -632,6 +628,11 @@ class InvertedMaxStableKernel(_Kernel):
         with np.errstate(over="ignore"):
             return 1.0 + v1 * np.exp(x * one_minus_v)
 
+    def ppf(self, x, u):
+        """Conditional quantile F^{-1}(u | x), the root of ``cdf(x, y) = u``."""
+        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
+        return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
+
 
 class ExpARKernel(_Kernel):
     """Exponential autoregression S' = phi S + E, with constant slowly varying norming, on
@@ -708,7 +709,7 @@ class RootzenSmithKernel(_Kernel):
 
     def _draw(self, x, rng):
         flip = rng.uniform(size=x.shape) < self.p_flip
-        fresh = margins.LAPLACE.ppf(rng.uniform(size=x.shape))
+        fresh = margins.LAPLACE.ppf(margins.nonzero_draws(rng.uniform, x.shape))
         return np.where(flip, -x, fresh)
 
 

@@ -251,7 +251,7 @@ def hidden_rootzen_smith(T, n, rng, p=0.5):
     regime = np.where(body, REGIME_BODY, REGIME_EXTREME).astype(np.int8)
     run = body & ~cp
     kernel = kernels.RootzenSmithKernel(p_flip=1.0 - p)
-    M = np.where(cp, margins.LAPLACE.ppf(rng.uniform(size=n))[:, None], 0.0)
+    M = np.where(cp, margins.LAPLACE.ppf(margins.nonzero_draws(rng.uniform, n))[:, None], 0.0)
     for i in range(1, T):
         live = run[:, i]
         if live.any():

@@ -13,7 +13,9 @@ a time, and the update-function quotients are formed from a scheme's norming
 at a finite threshold.  The norming forms that the package replaced by one
 implementation (the alternating Gaussian scheme as its own class, the power
 forms of the logistic laws and the normal forms of the ARCH innovation laws)
-are kept as references next to the laws in mpmath.
+are kept as references next to the laws in mpmath.  The one exception is
+``root_ppf``, the reference inverse of a kernel whose draw is not a quantile:
+the package's root finder on the kernel's own ``cdf``.
 """
 
 import itertools
@@ -21,6 +23,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from extreme_chains import kernels
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -127,14 +131,15 @@ def ks_statistic(sample, cdf):
 
 
 class ZerosFirst:
-    """A seeded generator whose first call of ``method`` returns zeros, as
-    numpy's ``uniform`` and ``exponential`` do with probability about 2^-53
-    per value; every later call and every other method draws as usual."""
+    """A seeded generator whose first call of ``method`` after ``skip`` calls
+    returns zeros, as numpy's ``uniform`` and ``exponential`` do with
+    probability about 2^-53 per value; every other call and every other
+    method draws as usual."""
 
-    def __init__(self, method, seed=0):
+    def __init__(self, method, seed=0, skip=0):
         self._rng = np.random.default_rng(seed)
         self._method = method
-        self._fresh = True
+        self._calls = -skip
 
     def __getattr__(self, name):
         draw = getattr(self._rng, name)
@@ -142,11 +147,18 @@ class ZerosFirst:
             return draw
 
         def first_zeros(size=None):
-            if self._fresh:
-                self._fresh = False
-                return np.zeros(size)
-            return draw(size=size)
+            self._calls += 1
+            return np.zeros(size) if self._calls == 1 else draw(size=size)
         return first_zeros
+
+
+def root_ppf(kernel, x, u):
+    """The conditional quantile F^{-1}(u | x) of ``kernel``: the root of
+    ``kernel.cdf(x, y) = u`` by ``kernels._inverse_cdf_sample``, above the
+    support floor plus ``kernels._FLOOR``, once the kernel's own checks pass
+    every state and every u."""
+    x, u = np.broadcast_arrays(kernel._check_x(x), kernel._check_u(u))
+    return kernels._inverse_cdf_sample(kernel.cdf, x, u, kernel.support_lo + kernels._FLOOR)
 
 
 def symmetric_cdf(cumhaz):

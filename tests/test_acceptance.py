@@ -225,7 +225,7 @@ def test_criterion_06_husler_reiss_remainder():
 def asym_paths():
     k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
     X = diagnostics.conditional_forward_sim(
-        k, margins.EXPONENTIAL, diagnostics.Exceedance(9.0), 25, N_DEFAULT,
+        k, diagnostics.Exceedance(9.0), 25, N_DEFAULT,
         rng_for(7, 0))
     return k, X
 
@@ -365,7 +365,7 @@ def test_criterion_09_sign_flips_match_changepoints():
 def negdep_paths():
     k = kernels.make_kernel("gaussian_copula", rho=-0.8, margin="laplace")
     return diagnostics.conditional_forward_sim(
-        k, margins.LAPLACE, diagnostics.FixedX0(20.0), 3, N_DEFAULT,
+        k, diagnostics.FixedX0(20.0), 3, N_DEFAULT,
         rng_for(10, 0))
 
 
@@ -403,8 +403,7 @@ U_GRID = (0.90, 0.95, 0.975, 0.99, 0.995)
 
 def test_criterion_11_bev_logistic_stabilizes():
     k = kernels.make_kernel("bev_logistic", gamma=0.5)
-    rows = diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1, U_GRID,
-                                    N_DEFAULT, seed=SEED + 11)
+    rows = diagnostics.chi_estimate(k, 1, U_GRID, N_DEFAULT, seed=SEED + 11)
     usable = [r for r in rows if r.n_exceed >= 1000]
     last = usable[-1]
     target = 2.0 - 2.0 ** 0.5
@@ -422,8 +421,7 @@ def test_criterion_11_bev_logistic_stabilizes():
 def test_criterion_11_asymptotic_independence_decay(kernel_spec, label):
     spec = dict(kernel_spec)
     k = kernels.make_kernel(spec.pop("id"), **spec)
-    rows = diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1, U_GRID,
-                                    N_DEFAULT, seed=SEED + 12)
+    rows = diagnostics.chi_estimate(k, 1, U_GRID, N_DEFAULT, seed=SEED + 12)
     est = [r.estimate for r in rows]
     violations = sum(1 for a, b in zip(est, est[1:]) if b >= a)
     ok = violations <= 1

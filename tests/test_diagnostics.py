@@ -8,7 +8,7 @@ import pytest
 from extreme_chains import diagnostics, kernels, margins, norming, tailchain
 from extreme_chains.errors import DomainError, ValidationError
 
-from _oracles import dkw_bound, ks_statistic
+from _oracles import ZerosFirst, dkw_bound, ks_statistic
 
 np.seterr(all="ignore")
 
@@ -19,13 +19,13 @@ class TestConditionalForwardSim:
         # X_0 - u is exactly unit exponential on the exponential scale
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.Exceedance(9.0), 0, 100_000, rng)
+            k, diagnostics.Exceedance(9.0), 0, 100_000, rng)
         assert ks_statistic(X[:, 0] - 9.0, margins.EXPONENTIAL.cdf) < 0.006
 
     def test_fixed_x0_zero_horizon(self, rng):
         k = kernels.make_kernel("rootzen_smith")
         X = diagnostics.conditional_forward_sim(
-            k, margins.LAPLACE, diagnostics.FixedX0(10.0), 0, 50, rng)
+            k, diagnostics.FixedX0(10.0), 0, 50, rng)
         assert X.shape == (50, 1)
         assert np.all(X == 10.0)
 
@@ -33,7 +33,7 @@ class TestConditionalForwardSim:
         # MC oracle: the median of X_1 | X_0 = 10 sits near a(10) + b(10) * 0
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.FixedX0(10.0), 1, 10_000, rng)
+            k, diagnostics.FixedX0(10.0), 1, 10_000, rng)
         med = np.median(X[:, 1])
         se = 1.2533 * X[:, 1].std() / math.sqrt(X.shape[0])
         # finite-level bias is positive and of order log(v)-ish / sqrt(v)
@@ -51,18 +51,24 @@ class TestConditionalForwardSim:
         assert np.unique(x0).size == n
         assert ks_statistic(x0 - u, margins.EXPONENTIAL.cdf) < dkw_bound(n)
 
+    @pytest.mark.parametrize("u", [5.0, -1.0], ids=["above_median", "below_median"])
+    def test_exceedance_redraws_a_zero_uniform(self, u):
+        # U = 0 would start a path at u itself, not above it
+        x0 = diagnostics.Exceedance(u).draw(margins.LAPLACE, 50, ZerosFirst("uniform"))
+        assert np.all(x0 > u)
+
     def test_threshold_beyond_range(self, rng):
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
         with pytest.raises(DomainError):
             diagnostics.conditional_forward_sim(
-                k, margins.EXPONENTIAL, diagnostics.Exceedance(1e310), 1, 10, rng)
+                k, diagnostics.Exceedance(1e310), 1, 10, rng)
 
 
-def stacked_forward_sim(kernel, law, init, T, n, rng):
+def stacked_forward_sim(kernel, init, T, n, rng):
     # reference: the path matrix filled column by column, each step drawn
     # from a view of the column before
     X = np.empty((n, T + 1))
-    X[:, 0] = init.draw(law, n, rng)
+    X[:, 0] = init.draw(kernel.stationary_law, n, rng)
     for t in range(1, T + 1):
         X[:, t] = kernel.sample(X[:, t - 1], rng)
     return X
@@ -76,29 +82,29 @@ class TestForwardStates:
          diagnostics.FixedX0(10.0), 2_000),
         ("arch_laplace", {"theta0": 1.0, "theta1": 0.7},
          diagnostics.Exceedance(5.0), 2_000),
-        # finds its quantiles by root finding
+        # draws by Tawn's construction, several variates per state
         ("asymmetric_logistic", {"phi1": 0.5, "phi2": 0.5, "nu": 0.152},
          diagnostics.Exceedance(9.0), 40),
     ])
     def test_stream_equals_stack(self, kernel_id, params, init, n):
         k = kernels.make_kernel(kernel_id, **params)
-        law, T = k.stationary_law, 4
+        T = 4
         states = list(diagnostics.forward_states(
-            k, law, init, T, n, np.random.default_rng(3)))
+            k, init, T, n, np.random.default_rng(3)))
         assert len(states) == T + 1
         assert all(x.shape == (n,) for x in states)
         X = np.column_stack(states)
         assert np.array_equal(X, diagnostics.conditional_forward_sim(
-            k, law, init, T, n, np.random.default_rng(3)))
+            k, init, T, n, np.random.default_rng(3)))
         assert np.array_equal(X, stacked_forward_sim(
-            k, law, init, T, n, np.random.default_rng(3)))
+            k, init, T, n, np.random.default_rng(3)))
 
     def test_checks_before_the_first_state(self):
         k = kernels.make_kernel("rootzen_smith")
         for T, n in ((-1, 10), (2, 0)):
             with pytest.raises(ValidationError):
                 next(diagnostics.forward_states(
-                    k, margins.LAPLACE, diagnostics.FixedX0(1.0), T, n,
+                    k, diagnostics.FixedX0(1.0), T, n,
                     np.random.default_rng(0)))
 
 
@@ -118,7 +124,7 @@ class TestNormalizedSamples:
         z = diagnostics.normalized_samples(k, 10.0, s, 1, 1000, rng2)
         rng3 = np.random.default_rng(0)
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.FixedX0(10.0), 1, 1000, rng3)
+            k, diagnostics.FixedX0(10.0), 1, 1000, rng3)
         np.testing.assert_allclose(z, X[:, 1] - 10.0)
 
     def test_scale_only_all_positive(self, rng):
@@ -238,9 +244,9 @@ class TestQuantileEnvelope:
         k = kernels.make_kernel(kernel_id, **params)
         init, T, n = diagnostics.FixedX0(10.0), 6, 5_000
         X = diagnostics.conditional_forward_sim(
-            k, k.stationary_law, init, T, n, np.random.default_rng(8))[:, 1:]
+            k, init, T, n, np.random.default_rng(8))[:, 1:]
         states = diagnostics.forward_states(
-            k, k.stationary_law, init, T, n, np.random.default_rng(8))
+            k, init, T, n, np.random.default_rng(8))
         next(states)
         env = diagnostics.quantile_envelope(states, t_start=1)
         q025, q975 = np.quantile(X, [0.025, 0.975], axis=0)
@@ -255,7 +261,7 @@ class TestQuantileEnvelope:
         # asymptotically dependent chain stays within +-3 of the start
         k = kernels.make_kernel("bev_logistic", gamma=0.152)
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.FixedX0(10.0), 3, 10_000, rng)
+            k, diagnostics.FixedX0(10.0), 3, 10_000, rng)
         env = diagnostics.quantile_envelope(X[:, 1:], t_start=1)
         assert np.all(env.q025 > 7.0)
         assert np.all(env.q975 < 13.0)
@@ -270,35 +276,32 @@ class TestChiEstimate:
             def sample(self, x, rng):
                 return margins.LAPLACE.ppf(rng.uniform(size=np.shape(x)))
 
-        rows = diagnostics.chi_estimate(FreshKernel(), margins.LAPLACE, 1,
-                                        [0.8, 0.9, 0.95], 100_000, seed=5)
+        rows = diagnostics.chi_estimate(FreshKernel(), 1, [0.8, 0.9, 0.95], 100_000,
+                                        seed=5)
         for row in rows:
             assert abs(row.estimate - (1.0 - row.u)) < 0.01
 
     def test_bev_logistic_stabilizes(self):
         k = kernels.make_kernel("bev_logistic", gamma=0.5)
-        rows = diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1,
-                                        [0.9, 0.95, 0.99], 50_000, seed=6)
+        rows = diagnostics.chi_estimate(k, 1, [0.9, 0.95, 0.99], 50_000, seed=6)
         assert abs(rows[-1].estimate - (2.0 - 2.0 ** 0.5)) < 0.03
         assert not rows[-1].flagged
 
     def test_gaussian_copula_decays(self):
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
-        rows = diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1,
-                                        [0.9, 0.95, 0.99, 0.995], 50_000, seed=7)
+        rows = diagnostics.chi_estimate(k, 1, [0.9, 0.95, 0.99, 0.995], 50_000, seed=7)
         est = [r.estimate for r in rows]
         assert all(b < a for a, b in zip(est, est[1:]))
 
     def test_flagged_rows(self):
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
-        rows = diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1, [0.999],
-                                        100, seed=8)
+        rows = diagnostics.chi_estimate(k, 1, [0.999], 100, seed=8)
         assert rows[0].flagged
 
     def test_u_domain(self):
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="exponential")
         with pytest.raises(DomainError):
-            diagnostics.chi_estimate(k, margins.EXPONENTIAL, 1, [1.2], 100, seed=9)
+            diagnostics.chi_estimate(k, 1, [1.2], 100, seed=9)
 
 
 class TestChangepointLaw:
@@ -324,7 +327,7 @@ class TestChangepointLaw:
         rng = np.random.default_rng(12)
         k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.Exceedance(9.0), 20, 20_000, rng)
+            k, diagnostics.Exceedance(9.0), 20, 20_000, rng)
         tv = diagnostics.changepoint_law_check(
             X, tailchain.RatioThreshold(0.5), 0.5)
         assert tv < 0.05
@@ -336,7 +339,7 @@ class TestChangepointLaw:
             k1={"id": "gaussian_copula", "rho": 0.95, "margin": "exponential"},
             k2={"id": "inverted_bev_logistic", "gamma": 0.9})
         X = diagnostics.conditional_forward_sim(
-            k, margins.EXPONENTIAL, diagnostics.Exceedance(9.0), 20, 20_000, rng)
+            k, diagnostics.Exceedance(9.0), 20, 20_000, rng)
         tv = diagnostics.changepoint_law_check(
             X, tailchain.RatioThreshold(k.alpha1 / 2.0), 0.5)
         assert tv < 0.05

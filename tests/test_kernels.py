@@ -10,7 +10,7 @@ from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
                                    ValidationError)
 
 from _oracles import (ZerosFirst, density_moments_mp, dkw_bound, gaussian_score_mp,
-                      ks_statistic)
+                      ks_statistic, root_ppf)
 
 np.seterr(all="ignore")
 
@@ -286,8 +286,9 @@ def test_non_finite_state_is_refused(kernel_id, x, request):
 def test_deep_state_contract(kernel_id, request):
     # far out (x up to 1e6, where e^-x is far below the smallest double)
     # every kernel still draws finite values, its cdf is monotone in y and in
-    # [0, 1], and a continuous kernel's ppf inverts its cdf up to the cdf's
-    # conditioning; the volatility chain refuses a state whose |Y| overflows
+    # [0, 1], and a continuous kernel's ppf (the root of its cdf where it has
+    # none) inverts its cdf up to the cdf's conditioning; the volatility
+    # chain refuses a state whose |Y| overflows
     spec = CONTRACT_SPECS[kernel_id]
     k = (request.getfixturevalue(spec) if isinstance(spec, str)
          else kernels.make_kernel(kernel_id, **spec))
@@ -310,8 +311,32 @@ def test_deep_state_contract(kernel_id, request):
         assert np.all((c >= 0.0) & (c <= 1.0)) and np.all(np.diff(c) >= 0.0), x
         if kernel_id != "rootzen_smith":        # the one kernel with an atom
             xs = np.full(u.shape, x)
-            gap = np.abs(k.cdf(xs, k.ppf(xs, u)) - u).max()
+            y = k.ppf(xs, u) if hasattr(k, "ppf") else root_ppf(k, xs, u)
+            gap = np.abs(k.cdf(xs, y) - u).max()
             assert gap <= 1e-12 + 1e-15 * x, (x, gap)
+
+
+@pytest.mark.parametrize("kernel_id", ["arch_laplace", "asymmetric_logistic", "expar",
+                                       "gaussian_copula", "ht_mixture", "rootzen_smith"])
+def test_direct_sampler_is_uniform_through_cdf(kernel_id, request):
+    # the kernels whose draw is not ppf(x, U): each draw, mapped through the
+    # kernel's own cdf and randomised across a jump (rootzen_smith's atom at
+    # -x), is uniform, with KS below the 1e-3 critical value 1.949/sqrt(n);
+    # the volatility chain refuses x >= 1e4
+    spec = CONTRACT_SPECS[kernel_id]
+    k = (request.getfixturevalue(spec) if isinstance(spec, str)
+         else kernels.make_kernel(kernel_id, **spec))
+    rng = np.random.default_rng(29)
+    n = 20_000
+    for x in (2.0, 30.0, 700.0, 2000.0, 1e4, 1e6):
+        if kernel_id == "arch_laplace" and x >= 1e4:
+            break
+        xs = np.full(n, x)
+        y = k.sample(xs, rng)
+        below = k.cdf(xs, np.nextafter(y, -np.inf))
+        v = below + rng.uniform(size=n) * (k.cdf(xs, y) - below)
+        d = ks_statistic(v, lambda u: u)
+        assert d < 1.949 / math.sqrt(n), (x, d)
 
 
 BIG = np.finfo(float).max
@@ -418,6 +443,13 @@ class TestKernelSample:
         y = k.sample(np.array([0.05, 2.0, 9.0, 700.0]), ZerosFirst("exponential"))
         assert np.all(np.isfinite(y))
 
+    def test_rootzen_smith_draw_redraws_a_zero_uniform(self):
+        # the second uniform picks the fresh Laplace draw, whose quantile
+        # refuses 0.0
+        k = kernels.make_kernel("rootzen_smith")
+        y = k.sample(np.full(4, 5.0), ZerosFirst("uniform", skip=1))
+        assert np.all(np.isfinite(y))
+
     def test_gaussian_conditional_mean(self):
         rng = np.random.default_rng(2)
         k = kernels.make_kernel("gaussian_copula", rho=0.8, margin="gaussian")
@@ -453,8 +485,7 @@ class TestKernelSample:
         k = kernels.make_kernel(kernel_id, gamma=0.152)
         x = rng.exponential(size=2000) * 5.0 + 0.05
         u = rng.uniform(size=2000)
-        np.testing.assert_allclose(k.ppf(x, u), kernels._Kernel.ppf(k, x, u),
-                                   rtol=2e-10)
+        np.testing.assert_allclose(k.ppf(x, u), root_ppf(k, x, u), rtol=2e-10)
 
     @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
     def test_closed_form_ppf_floor(self, kernel_id):
@@ -466,7 +497,7 @@ class TestKernelSample:
     @pytest.mark.parametrize("kernel_id, params", [
         ("bev_logistic", {"gamma": 0.3}),
         ("inverted_bev_logistic", {"gamma": 0.3}),
-        ("asymmetric_logistic", {"phi1": 0.5, "phi2": 0.5, "nu": 0.152}),
+        ("inverted_max_stable", {"family": "husler_reiss", "gamma": 1.0}),
     ], ids=["bev_logistic", "inverted_bev_logistic", "root_finding"])
     @pytest.mark.parametrize("u", [math.nan, -0.1, 1.0, 1.5])
     def test_ppf_refuses_u_outside_unit_interval(self, kernel_id, params, u):
@@ -481,7 +512,7 @@ class TestKernelSample:
         # the cdf keeps ~5e-13 of mass below the floor at x = 9, so u = 0
         # and any u up to that mass draw the floor
         k = kernels.make_kernel("asymmetric_logistic", phi1=0.5, phi2=0.5, nu=0.152)
-        y = k.ppf(np.full(2, 9.0), [0.0, 1e-13])
+        y = root_ppf(k, np.full(2, 9.0), [0.0, 1e-13])
         np.testing.assert_array_equal(y, kernels._FLOOR)
 
     def test_stationarity_catalogue(self, arch_kernel_07, expar_kernel):

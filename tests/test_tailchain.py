@@ -6,7 +6,7 @@ import pytest
 from extreme_chains import margins, norming, tailchain
 from extreme_chains.errors import RegimeError, ValidationError
 
-from _oracles import EULER_GAMMA, dkw_bound, ks_statistic
+from _oracles import EULER_GAMMA, ZerosFirst, dkw_bound, ks_statistic
 
 np.seterr(all="ignore")
 
@@ -350,6 +350,11 @@ class TestHiddenRootzenSmith:
         for t in (1, 2, 3, 4):
             assert abs(np.mean(term == t) - 0.5 ** t) < 0.01
 
+    def test_restart_redraws_a_zero_uniform(self):
+        # the restart's Laplace quantile refuses a uniform of 0.0
+        h = tailchain.hidden_rootzen_smith(6, 200, ZerosFirst("uniform"))
+        assert np.all(np.isfinite(h.M))
+
 
 @pytest.fixture(scope="module")
 def arch_paths():
@@ -497,7 +502,7 @@ class TestForwardVersusLimitProcess:
             rng_v = np.random.default_rng(np.random.SeedSequence(
                 entropy=43, spawn_key=(j,)))
             X = diagnostics.conditional_forward_sim(
-                k, k.stationary_law, diagnostics.FixedX0(float(v)), 3,
+                k, diagnostics.FixedX0(float(v)), 3,
                 self.N, rng_v)
             for t in (1, 2, 3):
                 z = (X[:, t] - scheme.a(t, v)) / scheme.b(t, v)
@@ -518,7 +523,7 @@ class TestForwardVersusLimitProcess:
         limit = tailchain.simulate_tail_chain(scheme, K, 3, self.N, rng)
         for v in (2.0, 4.0, 6.0):
             X = diagnostics.conditional_forward_sim(
-                k, k.stationary_law, diagnostics.FixedX0(v), 3, self.N, rng)
+                k, diagnostics.FixedX0(v), 3, self.N, rng)
             for t in (1, 2, 3):
                 z = (X[:, t] - scheme.a(t, v)) / scheme.b(t, v)
                 assert two_sample_ks(z, limit.M[:, t - 1]) < 0.01, (v, t)
