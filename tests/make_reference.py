@@ -47,7 +47,7 @@ def read_csv(path):
 def run_config(name, out_dir):
     """``{file name: (header, rows, sha256)}`` of the CSVs that config
     ``name`` writes into ``out_dir`` at one worker."""
-    from extreme_chains import cli
+    from extreme_chains import cli      # run as a script, main puts src/ on the path first
     outputs = cli.run_experiment(CONFIGS[name], str(out_dir), workers=1)
     return {os.path.basename(p): read_csv(p) for p, _ in outputs}
 
