@@ -39,10 +39,6 @@ class RegimeError(ExtremeChainsError):
     """Simulator invoked outside its theorem regime (e.g. limit law with atoms)."""
 
 
-class SamplingError(ExtremeChainsError):
-    """Inverse-CDF sampling failed at the state and uniform its message names."""
-
-
 def _finite(number):
     """Whether ``number`` is finite as a double (an int too large for one is not)."""
     try:

@@ -9,25 +9,26 @@ extreme-value copulas written on Frechet margins, read ``margins.GUMBEL``, the
 log of the Frechet value, which stays finite beyond x ~ 709 where the Frechet
 value itself overflows.
 
-Sampling is one code path per kernel.  Only the kernels that draw
-``ppf(x, U)``, one uniform per draw, have a quantile ``ppf(x, u)``: the BEV
-logistic pair, exact through the Wright omega function, and the inverted
-max-stable kernels, which solve ``cdf(x, y) = u`` by scipy's ``bracket_root``
-and ``find_root``.  The others draw by their defining mechanism in ``_draw``:
-conditional normal, volatility recursion, tail-switching recursion,
-exponential autoregression, mixture pick, and Tawn's max construction (the
-asymmetric logistic, through the logistic pair's Wright-omega inverse).
+Sampling is one code path per kernel, and no kernel finds a root.  Only the
+BEV logistic pair draws ``ppf(x, U)``, one uniform per draw, through its
+quantile ``ppf(x, u)``, exact through the Wright omega function.  The others
+draw by their defining mechanism in ``_draw``: conditional normal, volatility
+recursion, tail-switching recursion, exponential autoregression, mixture
+pick, Tawn's max construction (the asymmetric logistic, through the logistic
+pair's Wright-omega inverse), and for the inverted max-stable kernels the
+conditional representation of Dombry, Eyi-Minko and Ribatet (2013), Y = x /
+max(W, R), from two inverse tables (``numerics.inverse_table``) that do not
+depend on x.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, wrightomega
+from scipy.special import erfcx, log_ndtr, ndtr, wrightomega
 
 from . import margins, numerics
-from .errors import (AccuracyError, DomainError, SamplingError, ValidationError,
-                     build, from_spec)
+from .errors import AccuracyError, DomainError, ValidationError, build, from_spec
 
 __all__ = [
     "ExponentMeasure",
@@ -56,27 +57,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class ExponentMeasure:
-    """Bivariate exponent function V with partial derivative V_1.
+    """Bivariate exponent function V, homogeneous of order -1, read through
+    the terms at (1, w) that the inverted kernel needs.
 
-    Subclasses provide what the inverted kernel reads, ``unit_terms(w)``: the
-    pair V_1(1, w) and the cancellation-safe 1 - V(1, w).  The general
-    evaluations follow by homogeneity: V is of order -1 and V_1 of order -2,
-    so V(x, y) = V(1, y/x)/x and V_1(x, y) = V_1(1, y/x)/x^2.
+    Subclasses provide ``unit_terms(w)``, the pair V_1(1, w) and the
+    cancellation-safe 1 - V(1, w), for its cdf; and for its draw
+    ``neg_log_psi(t)``, -log psi(e^t) for psi(r) = V(1, r) - 1 and its slope
+    in t, and ``draw_log_w(rng, shape)``, log W for P(W <= w) = -V_1(1, w).
+    ``log_w_knots`` are the log w where these are not smooth.
     """
 
     name = "exponent"
-
-    def V(self, x, y):
-        x, y = _positive_pair(x, y)
-        return self.V_unit(y / x) / x
-
-    def V1(self, x, y):
-        x, y = _positive_pair(x, y)
-        return self.unit_terms(y / x)[0] / (x * x)
-
-    def V_unit(self, w):
-        """V(1, w)."""
-        return 1.0 - self.unit_terms(w)[1]
+    log_w_knots = ()
 
     def unit_terms(self, w):
         """V_1(1, w), the partial derivative in the first slot at (1, w), and
@@ -84,16 +76,18 @@ class ExponentMeasure:
         raise NotImplementedError
 
 
-def _positive_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("exponent measure arguments must be positive")
-    return x, y
+# Below this gamma, Husler-Reiss psi is the integral of the Mills ratio, where
+# the two normal forms cancel to about 1e-16 |t| / gamma; 8 Gauss-Legendre
+# nodes hold it to 1e-15 over a range of width gamma.
+_HR_MILLS_GAMMA = 0.1
 
 
 class HuslerReiss(ExponentMeasure):
-    """Husler-Reiss dependence: V(x,y) = Phi(g/2 + log(y/x)/g)/x + (x<->y)."""
+    """Husler-Reiss dependence: V(x,y) = Phi(g/2 + log(y/x)/g)/x + (x<->y).
+
+    log W = g (N - g/2) for a standard normal N, and psi(e^t) = e^-t Phi(d1)
+    - Phi(d2), a call price, with d1 = g/2 - t/g and d2 = d1 - g.
+    """
 
     name = "husler_reiss"
 
@@ -110,15 +104,42 @@ class HuslerReiss(ExponentMeasure):
         z = g / 2.0 + lw / g
         return -ndtr(z), ndtr(-z) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
 
+    def neg_log_psi(self, t):
+        """psi(e^t) by put-call parity for t <= 0 (expm1(-t) plus the put), as
+        the call for t > 0, and for small gamma from a = -d1 = t/g - g/2 up as
+        phi(d2) times the integral of 1 - s m(s) over [a, a + g], m the Mills
+        ratio, which is m(a) - m(a + g); the slope is e^-t Phi(d1) / psi."""
+        g = self.gamma
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            a = t / g - g / 2.0
+            log_psi = np.log(np.where(t <= 0.0,
+                                      np.expm1(-t) + ndtr(a + g) - np.exp(-t) * ndtr(a),
+                                      np.exp(-t) * ndtr(-a) - ndtr(-a - g)))
+            if g < _HR_MILLS_GAMMA:
+                nodes, weights = np.polynomial.legendre.leggauss(8)
+                s = a[..., None] + 0.5 * g * (nodes + 1.0)
+                mills = math.sqrt(0.5 * math.pi) * erfcx(s / math.sqrt(2.0))
+                area = 0.5 * g * ((1.0 - s * mills) @ weights)
+                log_phi = -0.5 * (a + g) ** 2 - 0.5 * math.log(2.0 * math.pi)
+                log_psi = np.where(a >= -20.0, log_phi + np.log(area), log_psi)
+            return -log_psi, np.exp(log_ndtr(-a) - t - log_psi)
 
-# Requested accuracy of every density-family integral (absolute below 1).
+    def draw_log_w(self, rng, shape):
+        return self.gamma * (rng.standard_normal(shape) - self.gamma / 2.0)
+
+
+# Requested accuracy of every density-family integral (absolute below 1), and
+# the absolute tolerance that leaves only the relative one.
 _QUAD_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
-def _integrate(h, lo, hi, knots=()):
-    """The integrals of h(u) and u h(u) over [lo, hi] (arrays of bounds in
-    [0, 1]), stacked on a new first axis, by one scipy tanh-sinh call
-    (Takahasi and Mori, 1974), each range cut at the ``knots`` inside it.
+def _integrate(h, lo, hi, knots=(), atol=0.1 * _QUAD_TOL, center=0.0):
+    """The integrals of h(u) and (u - center) h(u) over [lo, hi] (arrays of
+    bounds in [0, 1]), stacked on a new first axis, by one scipy tanh-sinh
+    call (Takahasi and Mori, 1974), each range cut at the ``knots`` inside it.
+    ``atol=_TINY`` asks for relative accuracy alone, which tiny integrals need.
 
     tanhsinh is asked for a decade more than _QUAD_TOL: its error estimate is
     not a bound, and at _QUAD_TOL itself it let a 1e-11 error through.
@@ -132,8 +153,8 @@ def _integrate(h, lo, hi, knots=()):
     inner = np.clip(np.reshape(knots, (-1,) + (1,) * lo.ndim), lo, hi)
     edges = np.concatenate([lo[None], inner, hi[None]])
     power = np.reshape([0.0, 1.0], (2,) + (1,) * edges.ndim)
-    res = tanhsinh(lambda u, k: u ** k * h(u), edges[:-1], edges[1:], args=(power,),
-                   atol=0.1 * _QUAD_TOL, rtol=0.1 * _QUAD_TOL)
+    res = tanhsinh(lambda u, k, c: (u - c) ** k * h(u), edges[:-1], edges[1:],
+                   args=(power, center), atol=atol, rtol=0.1 * _QUAD_TOL)
     # tanhsinh gives NaN on a piece with no float strictly inside it (a bound
     # within an ulp of a knot or of 1), whose integral is below an ulp of h
     empty = np.nextafter(edges[:-1], np.inf) >= edges[1:]
@@ -148,6 +169,13 @@ def _integrate(h, lo, hi, knots=()):
     return val
 
 
+# The W table of a density family: log w from -12, below which P(W <= w) is
+# h(1) w to 1e-5 relative, in steps of 4 to where the logit of P(W <= w)
+# passes 38, beyond every uniform double (the logit of 2^-53 is -36.7).
+_LOG_W_GRID = np.arange(-12.0, 41.0, 4.0)
+_LOGIT_TOP = 38.0
+
+
 class DensityFamily(ExponentMeasure):
     """Exponent measure from a spectral density h on [0, 1], a numpy function
     of an array that is smooth but at the ``knots``.
@@ -155,7 +183,9 @@ class DensityFamily(ExponentMeasure):
     Requires total mass 2 and first moment 1 (checked at construction):
     V(x,y) = int max(w/x, (1-w)/y) h(w) dw.  Everything follows from the
     cumulative moments H0(s) = int_0^s h and H1(s) = int_0^s u h(u) du at
-    s = 1/(1+w).
+    s = 1/(1+w): U = 1/(1 + W) has density u h(u), so P(W > w) = H1, and
+    psi(w) = (s H0 - H1)/(1 - s).  W is drawn through a table of log W
+    against the logit of P(W <= w).
     """
 
     name = "density_family"
@@ -163,27 +193,62 @@ class DensityFamily(ExponentMeasure):
     def __init__(self, h, knots=()):
         self.h = h
         self.knots = knots
+        self.log_w_knots = tuple(math.log((1.0 - k) / k) for k in knots if 0.0 < k < 1.0)
         mass, mean = _integrate(h, 0.0, 1.0, self.knots)
         if abs(mass - 2.0) > 1e-8:
             raise ValidationError(f"density mass {mass} != 2 (tol 1e-8)")
         if abs(mean - 1.0) > 1e-8:
             raise ValidationError(f"density first moment {mean} != 1 (tol 1e-8)")
 
-    def _moments(self, w):
-        """(H0, H1) at s = 1/(1 + w), stacked on a new first axis.
-
-        Above s = 1/2 each is its total (2 or 1) less the integral over
-        [s, 1], so the integrator meets the density's behaviour at 0 and 1 (a
-        cusp, a jump or an integrable pole) only at an end of its range.
-        """
-        s = 1.0 / (1.0 + np.asarray(w, dtype=float))
-        low = s <= 0.5
-        part = _integrate(self.h, np.where(low, 0.0, s), np.where(low, s, 1.0), self.knots)
-        return np.where(low, part, np.reshape([2.0, 1.0], (2,) + (1,) * s.ndim) - part)
+    def _moments(self, w, relative=False):
+        """s = 1/(1 + w), H1 = P(W > w), 1 - H1, s H0 - H1 and H0 - H1, none
+        a difference of near equals: from the mass m and the moment c about s
+        of h over [0, s] where s <= 1/2, else over [s, 1] (so that the
+        integrator meets the density's behaviour at 0 and 1, a cusp, a jump
+        or an integrable pole, only at an end of its range).  ``relative``
+        makes those over [0, s] accurate to their own size, in a call of
+        their own."""
+        w = np.asarray(w, dtype=float)
+        s = 1.0 / (1.0 + w)
+        r, low = w * s, s <= 0.5                # r = 1 - s
+        lo, hi = np.where(low, 0.0, s), np.where(low, s, 1.0)
+        mc = np.empty((2,) + s.shape)
+        for side, atol in (((low, _TINY), (~low, 0.1 * _QUAD_TOL)) if relative
+                           else ((np.ones_like(low), 0.1 * _QUAD_TOL),)):
+            if side.any():
+                mc[:, side] = _integrate(self.h, lo[side], hi[side], self.knots, atol, s[side])
+        m, c = mc
+        q = s * m + c
+        return (s, np.where(low, q, 1.0 - q), np.where(low, 1.0 - q, q),
+                np.where(low, -c, s - r + c), np.where(low, r * m - c, 1.0 - r * m + c))
 
     def unit_terms(self, w):
-        H0, H1 = self._moments(w)
-        return -(1.0 - H1), H1 - (H0 - H1) / w
+        s, _, below, k, _ = self._moments(w)
+        return -below, -k / (w * s)
+
+    def neg_log_psi(self, t):
+        # the slope is (H0 - H1) s / (s H0 - H1)
+        w = np.exp(t)
+        s, _, _, k, lower = self._moments(w, relative=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return t - np.log1p(w) - np.log(k), lower * s / k
+
+    @functools.cached_property
+    def _w_table(self):
+        def logit(t):
+            # and its slope: the density of U at s times -ds/dt = w s^2, over
+            # P(W <= w) P(W > w)
+            w = np.exp(t)
+            s, above, below, _, _ = self._moments(w, relative=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(below / above), w * s ** 3 * self.h(s) / (above * below)
+
+        return numerics.inverse_table(logit, np.union1d(_LOG_W_GRID, self.log_w_knots),
+                                      (-_LOGIT_TOP, _LOGIT_TOP))
+
+    def draw_log_w(self, rng, shape):
+        p = margins.nonzero_draws(rng.uniform, shape)
+        return self._w_table(np.log(p) - np.log1p(-p))
 
 
 def density_constant():
@@ -278,49 +343,6 @@ def density_exp_decay(delta, gamma, kappa):
 _FLOOR = 1e-12      # smallest draw above the support floor
 
 
-def _inverse_cdf_sample(cdf, x, u, support_lo):
-    """Vectorised inverse-CDF draw by scipy's elementwise root finders.
-
-    ``cdf(x, y)`` must be nondecreasing in ``y``.  Where ``cdf`` already
-    reaches ``u`` at ``support_lo`` the draw is ``support_lo``.  Elsewhere
-    ``bracket_root`` grows the bracket x -+ 1 (never below ``support_lo``)
-    until it holds the root of ``cdf(x, y) - u``, and ``find_root``
-    (Chandrupatla's method) solves to float resolution.  A NaN from ``cdf``,
-    or a bracket or root that scipy cannot find, raises SamplingError.
-    """
-    # imported on first use: the logistic pair and the direct samplers never
-    # find a root, and scipy.optimize would add about 0.4 s to every CLI start
-    from scipy.optimize.elementwise import bracket_root, find_root
-
-    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
-    def excess(y, x, u):
-        val = cdf(x, y)
-        nan = np.isnan(val)
-        if nan.any():
-            i = int(np.argmax(nan))
-            xi, ui = (float(np.broadcast_to(a, nan.shape).flat[i]) for a in (x, u))
-            raise SamplingError(f"cdf returned NaN at x={xi!r}, u={ui!r}")
-        return val - u
-
-    def check(res, what, xs, us):
-        if not np.all(res.success):
-            i = int(np.argmin(res.success))
-            raise SamplingError(f"{what} failed at x={float(xs[i])!r}, u={float(us[i])!r} "
-                                f"(scipy status {int(res.status[i])})")
-
-    y = np.full(x.shape, support_lo)
-    free = excess(y, x, u) < 0.0
-    xs, us = x[free], u[free]
-    found = bracket_root(excess, np.maximum(xs - 1.0, support_lo), xs + 1.0,
-                         xmin=support_lo, args=(xs, us))
-    check(found, "bracket_root", xs, us)
-    root = find_root(excess, found.bracket, args=(xs, us))
-    check(root, "find_root", xs, us)
-    y[free] = root.x
-    return y
-
-
 # The logistic pair shares one conditional tail, z^{-m} exp(c (1 - z)) with
 # m = (1 - gamma)/gamma and z = e^zeta >= 1: the survival function of the
 # inverted kernel (c = x) and the CDF of the BEV kernel (c = 1/x_F, x_F the
@@ -403,8 +425,9 @@ def _conditional_cdf(cdf):
 
 class _Kernel:
     """Each kernel states its ``stationary_law`` and writes its formulas:
-    ``cdf`` under ``_conditional_cdf``, and either ``ppf``, through which
-    the default ``_draw`` maps one uniform per state, or its own ``_draw``."""
+    ``cdf`` under ``_conditional_cdf``, and either a closed-form ``ppf``,
+    through which the default ``_draw`` maps one uniform per state, or its
+    own ``_draw``."""
 
     stationary_law = margins.EXPONENTIAL
     ht_alpha_beta = None
@@ -609,11 +632,24 @@ class AsymmetricLogisticKernel(_LogisticPairKernel):
         return np.maximum(margins.transform(log_yf, margins.GUMBEL, self.stationary_law), _FLOOR)
 
 
+# The R table: log r from -40, where psi(r) = 1/r - 1 to double precision, in
+# steps of 20 to where -log psi passes 690; beyond, R carries x e^-690 at most.
+_LOG_R_GRID = np.arange(-40.0, 701.0, 20.0)
+_LOG_PSI_TOP = 690.0
+
+
 class InvertedMaxStableKernel(_Kernel):
     """Inverted max-stable copula kernel on exponential margins.
 
     cdf(x, y) = 1 + V_1(1, x/y) exp(x - x V(1, x/y)), evaluated through the
     cancellation-safe 1 - V of ``unit_terms`` so states 30+ units out stay exact.
+
+    Given X = x, Y = x / max(W, R) (Dombry, Eyi-Minko and Ribatet, 2013), W
+    and R independent with laws free of x: P(W <= w) = -V_1(1, w), drawn by
+    the exponent measure, and P(R <= r) = exp(-x psi(r)), psi(r) = V(1, r) -
+    1, so R = psi^-1(E/x) for a unit exponential E, read from a table of log
+    r against -log psi built on the first draw.  Beyond the table R follows
+    its end slopes: psi = 1/r - 1 below and the last slope above.
     """
 
     def __init__(self, exponent):
@@ -628,10 +664,16 @@ class InvertedMaxStableKernel(_Kernel):
         with np.errstate(over="ignore"):
             return 1.0 + v1 * np.exp(x * one_minus_v)
 
-    def ppf(self, x, u):
-        """Conditional quantile F^{-1}(u | x), the root of ``cdf(x, y) = u``."""
-        x, u = np.broadcast_arrays(self._check_x(x), self._check_u(u))
-        return _inverse_cdf_sample(self.cdf, x, u, self.support_lo + _FLOOR)
+    @functools.cached_property
+    def _r_table(self):
+        grid = np.union1d(_LOG_R_GRID, self.exponent.log_w_knots)
+        return numerics.inverse_table(self.exponent.neg_log_psi, grid, (-np.inf, _LOG_PSI_TOP))
+
+    def _draw(self, x, rng):
+        log_w = self.exponent.draw_log_w(rng, x.shape)
+        e = margins.nonzero_draws(rng.exponential, x.shape)
+        log_r = self._r_table(np.log(x) - np.log(e))
+        return np.maximum(x * np.exp(-np.maximum(log_w, log_r)), _FLOOR)
 
 
 class ExpARKernel(_Kernel):

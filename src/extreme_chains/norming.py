@@ -341,7 +341,7 @@ def _exp_exponential_law(c, rate, name):
 
     def ppf(p):
         p = np.asarray(p, dtype=float)
-        return np.log(-np.log1p(-p) / c) / rate
+        return (np.log(-np.log1p(-p)) - math.log(c)) / rate
 
     return LimitLaw(name=name, cdf=cdf, ppf=ppf)
 

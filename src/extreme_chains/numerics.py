@@ -5,8 +5,9 @@ recursion (a Newton root of its moment equation, and one Nystrom solve of its
 stationarity equation by parts, tabulated on Chebyshev panels).  Both laws
 are given as a cumulative hazard Lambda(s) = -log P(S > s) and its inverse
 (for ARCH, of S = |Y|), which map the kernels' exponential and Laplace states
-straight onto each chain's own scale.  Everything here runs on numpy and
-``scipy.special``.
+straight onto each chain's own scale.  And the inverse tables from which the
+inverted max-stable kernels draw, on the same Chebyshev panels.  Everything
+here runs on numpy and ``scipy.special``.
 """
 
 import math
@@ -16,7 +17,8 @@ from scipy.special import gammaln, ndtr, psi
 
 from .errors import ConvergenceError, ValidationError
 
-__all__ = ["ExpARLaw", "ArchStationaryLaw", "arch_tail_index", "arch_stationary_fit"]
+__all__ = ["ExpARLaw", "ArchStationaryLaw", "InverseTable", "arch_tail_index",
+           "arch_stationary_fit", "inverse_table"]
 
 # 1/2 log(pi), as a double and the rounding error of that double; 1/2 log(2)
 _HALF_LOG_PI = 0.5723649429247001
@@ -331,6 +333,103 @@ def arch_stationary_fit(theta0, theta1):
             f"(tol {_ARCH_TABLE_TOL:g})")
     law.residual = residual
     return law
+
+
+# Inverse tables: the largest residual, the most panels, and the fractions of
+# the gap to the grid point beyond an end, from either side, at which that
+# end is tried.
+_INVERSE_TOL = 1e-9
+_INVERSE_PANELS = 1024
+_APPROACH = np.append(np.arange(1.0, 17.0) / 32.0, 2.0 ** -np.arange(6.0, 1075.0))
+
+
+class InverseTable:
+    """t(y) for an increasing f(t) = y: a Chebyshev series in y on each panel
+    between ``edges``, and beyond them the line through each end with f's
+    slope there.  ``residual`` is the largest |f(t(y)) - y|, to first order,
+    found at the panel edges and halfway between neighbouring nodes."""
+
+    def __init__(self, edges, series, ends, slopes, residual):
+        self._edges, self._series = edges, series
+        self._ends, self._slopes, self.residual = ends, slopes, residual
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        lo, hi = self._edges[[0, -1]]
+        t = _series(self._series, *_panel(self._edges, np.clip(y, lo, hi)))
+        return np.where(y < lo, self._ends[0] + (y - lo) / self._slopes[0],
+                        np.where(y > hi, self._ends[1] + (y - hi) / self._slopes[1], t))
+
+
+def _spread(ta, tb, q):
+    """The points at fractions q of [ta, tb]: of its range in log |t| where it
+    lies on one side of 0, exactly ta and tb at q = 0 and 1, else in t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geometric = np.sign(ta) * np.abs(ta) ** (1.0 - q) * np.abs(tb) ** q
+    return np.where(np.sign(ta) == np.sign(tb), geometric, ta + (tb - ta) * q)
+
+
+def inverse_table(f, t, y_range=(-np.inf, np.inf)):
+    """The inverse of an increasing function, ``f(t)`` returning f and its
+    slope elementwise, as an :class:`InverseTable`.
+
+    The table spans the run of the ascending grid ``t``, from its first point
+    with f in ``y_range``, over which f stays in range and increases, each end
+    moved towards the grid point beyond it while f stays in range: by 32
+    equal steps, and by steps that halve the gap from either side, but not
+    within 1e-4 of that point, where f may blow up.
+    Its panels are first the ones between those points.  On each, f is taken
+    at the Chebyshev points of its range in t, or in log |t| where that lies
+    on one side of 0 (so that f blowing up at 0 takes a few rounds), and t is
+    interpolated in y there as a Chebyshev series; f at the panel's ends and
+    halfway between its nodes gives the residual, the miss in t times f's
+    slope.  A panel whose residual exceeds 1e-9 is cut in four, at the
+    quarters of the same range; more than 1024 panels raise ConvergenceError.
+    """
+    x = _chebyshev(_ARCH_CHEB)[0]
+    z = np.concatenate([[-1.0], x, 0.5 * (x[1:] + x[:-1]), [1.0]])
+    t = np.asarray(t, dtype=float)
+    y = f(t)[0]
+    ok = (y >= y_range[0]) & (y <= y_range[1])
+    if not ok.any():
+        raise ConvergenceError(f"no grid point maps into {y_range}")
+    i = int(np.argmax(ok))
+    j = i + int(np.logical_and.accumulate(ok[i:] & np.append(True, y[i + 1:] > y[i:-1])).sum())
+    edges = [t[i:j]]
+    for good, bad in ((i, i - 1), (j - 1, j)):
+        if 0 <= bad < t.size:
+            gap = t[bad] - t[good]
+            near = np.unique(np.concatenate([t[good] + gap * _APPROACH, t[bad] - gap * _APPROACH]))
+            near = near[(near != t[good]) & (np.abs(near - t[bad]) >= 1e-4 * abs(t[bad]))]
+            near = near[::1 if gap > 0.0 else -1]
+            yn = f(near)[0]
+            keep = np.logical_and.accumulate((yn >= y_range[0]) & (yn <= y_range[1])).sum()
+            edges.append(near[keep - 1:keep])
+    edges = np.unique(np.concatenate(edges))
+    todo, done = np.stack([edges[:-1], edges[1:]], axis=1), []
+    while todo.size:
+        if len(todo) + sum(map(len, done)) > _INVERSE_PANELS:
+            raise ConvergenceError(f"inverse table needs more than {_INVERSE_PANELS} panels")
+        ta, tb = todo[:, :1], todo[:, 1:]
+        tz = _spread(ta, tb, 0.5 * (z + 1.0))
+        yz, slope = (v.reshape(tz.shape) for v in f(tz.ravel()))
+        ya, yb, n = yz[:, :1], yz[:, -1:], x.size + 1
+        coef = np.linalg.solve(np.polynomial.chebyshev.chebvander(
+            ((yz[:, 1:n] - ya) + (yz[:, 1:n] - yb)) / (yb - ya), x.size - 1),
+            (tz[:, 1:n] - ta)[..., None])[..., 0]
+        fit = (coef.T, ta[:, 0])
+        miss = np.abs(_series(fit, np.arange(len(todo))[:, None],
+                              ((yz - ya) + (yz - yb)) / (yb - ya)) - tz) * slope
+        fine = np.max(miss, axis=1) <= _INVERSE_TOL
+        done.append(np.concatenate([ya, yb, coef, ta, np.max(miss, axis=1)[:, None]],
+                                   axis=1)[fine])
+        cut = _spread(ta[~fine], tb[~fine], np.linspace(0.0, 1.0, 5))
+        todo = np.stack([cut[:, :-1], cut[:, 1:]], axis=2).reshape(-1, 2)
+    done = np.concatenate(done)
+    done = done[np.argsort(done[:, 0])]
+    ends = edges[[0, -1]]
+    return InverseTable(np.append(done[:, 0], done[-1, 1]), (done[:, 2:-2].T, done[:, -2]),
+                        ends, f(ends)[1], float(np.max(done[:, -1])))
 
 
 _EXPAR_FLAT = 2.0 ** -60          # a panel that moves G by less ends the integration

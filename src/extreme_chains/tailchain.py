@@ -205,8 +205,8 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
     transitions it degenerates to a pure scaling or an innovation-only draw
     depending on the ordering of beta1 and beta2.  The case table, and the
     scale n^alpha_t (the product of the active alphas), follow from the
-    latent path before any value is drawn; each step then draws both
-    innovations and applies its case.  ``latent`` overrides the
+    latent path before any value is drawn; each step then draws each path's
+    innovation from its mode's law and applies its case.  ``latent`` overrides the
     Bernoulli(lam) draws (row-wise) for scenario tests.
     """
     _check_horizon(T, n)
@@ -230,13 +230,17 @@ def hidden_ht_mixture(lam, mode1, mode2, T, n, rng, latent=None):
     forgets = (case == MIX_CASE_INNOV1_ONLY) | (case == MIX_CASE_INNOV2_ONLY)
     scales = case >= MIX_CASE_A1_SCALE
 
+    def innovations(b):     # G1 where B holds, G2 where it does not
+        eps = np.empty(n)
+        eps[b], eps[~b] = G1.sample(int(b.sum()), rng), G2.sample(int((~b).sum()), rng)
+        return eps
+
     M = np.empty((n, T))
-    M[:, 0] = np.where(B[:, 0], G1.sample(n, rng), G2.sample(n, rng))
+    M[:, 0] = innovations(B[:, 0])
     for i in range(1, T):
-        eps1, eps2 = G1.sample(n, rng), G2.sample(n, rng)
         scale = n_alpha[:, i - 1]
         past = alpha[:, i] * M[:, i - 1]
-        innov = np.where(B[:, i], scale ** b1 * eps1, scale ** b2 * eps2)
+        innov = np.where(B[:, i], scale ** b1, scale ** b2) * innovations(B[:, i])
         M[:, i] = np.select([forgets[:, i], scales[:, i]], [innov, past], past + innov)
     return HiddenChainPaths(M, regime, cp, B=B, case=case)
 
@@ -270,18 +274,18 @@ def hidden_arch(theta0, theta1, T, n, rng):
     _check_horizon(T, n)
     kappa = numerics.arch_tail_index(theta1)
     gp = norming.limit_law("arch_g_plus", theta1=theta1, kappa=kappa)
-    gm = norming.limit_law("arch_g_minus", theta1=theta1, kappa=kappa)
     B = rng.uniform(size=(n, T)) < 0.5
     cp = _flip_changepoints(B)
     # k odd inside [T^B_k, T^B_{k+1}) -> lower-tail regime, G_- innovations
     use_minus = np.cumsum(cp, axis=1) % 2 == 1
     regime = np.where(use_minus, REGIME_NEG, REGIME_EXTREME).astype(np.int8)
     sign = np.where(cp, -1.0, 1.0)
+    # G- innovations are -G+ ones, as G-(x) = 1 - G+(-x)
+    innov_sign = np.where(use_minus, -1.0, 1.0)
     M = np.empty((n, T))
-    M[:, 0] = np.where(use_minus[:, 0], gm.sample(n, rng), gp.sample(n, rng))
+    M[:, 0] = innov_sign[:, 0] * gp.sample(n, rng)
     for i in range(1, T):
-        eps = np.where(use_minus[:, i], gm.sample(n, rng), gp.sample(n, rng))
-        M[:, i] = sign[:, i] * M[:, i - 1] + eps
+        M[:, i] = sign[:, i] * M[:, i - 1] + innov_sign[:, i] * gp.sample(n, rng)
     return HiddenChainPaths(M, regime, cp, B=B)
 
 

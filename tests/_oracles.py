@@ -13,9 +13,11 @@ a time, and the update-function quotients are formed from a scheme's norming
 at a finite threshold.  The norming forms that the package replaced by one
 implementation (the alternating Gaussian scheme as its own class, the power
 forms of the logistic laws and the normal forms of the ARCH innovation laws)
-are kept as references next to the laws in mpmath.  The one exception is
-``root_ppf``, the reference inverse of a kernel whose draw is not a quantile:
-the package's root finder on the kernel's own ``cdf``.
+are kept as references next to the laws in mpmath.  The exceptions read a
+kernel's own formulas: ``root_ppf``, the reference inverse of a kernel whose
+draw is not a quantile, finds the root of the kernel's ``cdf`` with scipy's
+root finders, and ``exponent_V`` and ``exponent_V1`` give an exponent
+measure's V and V_1 from its unit terms by homogeneity.
 """
 
 import itertools
@@ -152,13 +154,72 @@ class ZerosFirst:
         return first_zeros
 
 
+class RootFindingError(Exception):
+    """The reference inverse met a NaN from ``cdf`` or a bracket or root that
+    scipy could not find, at the state and uniform its message names."""
+
+
+def inverse_cdf_sample(cdf, x, u, support_lo):
+    """The root of ``cdf(x, y) = u`` in y by scipy's elementwise root finders,
+    for a ``cdf`` nondecreasing in y.
+
+    Where ``cdf`` already reaches ``u`` at ``support_lo`` the root is
+    ``support_lo``.  Elsewhere ``bracket_root`` grows the bracket x -+ 1
+    (never below ``support_lo``) until it holds the root of ``cdf(x, y) -
+    u``, and ``find_root`` (Chandrupatla's method) solves to float
+    resolution.  A NaN from ``cdf``, or a bracket or root that scipy cannot
+    find, raises RootFindingError.
+    """
+    from scipy.optimize.elementwise import bracket_root, find_root
+
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+
+    def excess(y, x, u):
+        val = cdf(x, y)
+        nan = np.isnan(val)
+        if nan.any():
+            i = int(np.argmax(nan))
+            xi, ui = (float(np.broadcast_to(a, nan.shape).flat[i]) for a in (x, u))
+            raise RootFindingError(f"cdf returned NaN at x={xi!r}, u={ui!r}")
+        return val - u
+
+    def check(res, what, xs, us):
+        if not np.all(res.success):
+            i = int(np.argmin(res.success))
+            raise RootFindingError(f"{what} failed at x={float(xs[i])!r}, u={float(us[i])!r} "
+                                   f"(scipy status {int(res.status[i])})")
+
+    y = np.full(x.shape, support_lo)
+    free = excess(y, x, u) < 0.0
+    xs, us = x[free], u[free]
+    found = bracket_root(excess, np.maximum(xs - 1.0, support_lo), xs + 1.0,
+                         xmin=support_lo, args=(xs, us))
+    check(found, "bracket_root", xs, us)
+    root = find_root(excess, found.bracket, args=(xs, us))
+    check(root, "find_root", xs, us)
+    y[free] = root.x
+    return y
+
+
 def root_ppf(kernel, x, u):
     """The conditional quantile F^{-1}(u | x) of ``kernel``: the root of
-    ``kernel.cdf(x, y) = u`` by ``kernels._inverse_cdf_sample``, above the
-    support floor plus ``kernels._FLOOR``, once the kernel's own checks pass
-    every state and every u."""
+    ``kernel.cdf(x, y) = u`` by :func:`inverse_cdf_sample`, above the support
+    floor plus ``kernels._FLOOR``, once the kernel's own checks pass every
+    state and every u."""
     x, u = np.broadcast_arrays(kernel._check_x(x), kernel._check_u(u))
-    return kernels._inverse_cdf_sample(kernel.cdf, x, u, kernel.support_lo + kernels._FLOOR)
+    return inverse_cdf_sample(kernel.cdf, x, u, kernel.support_lo + kernels._FLOOR)
+
+
+def exponent_V(em, x, y):
+    """V(x, y) = V(1, y/x)/x from ``em.unit_terms``, V(1, w) = 1 - (1 - V(1, w))."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return (1.0 - em.unit_terms(y / x)[1]) / x
+
+
+def exponent_V1(em, x, y):
+    """V_1(x, y) = V_1(1, y/x)/x^2 from ``em.unit_terms``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return em.unit_terms(y / x)[0] / (x * x)
 
 
 def symmetric_cdf(cumhaz):

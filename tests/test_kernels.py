@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -6,10 +10,10 @@ import pytest
 from scipy.stats import norm
 
 from extreme_chains import kernels, margins, norming
-from extreme_chains.errors import (AccuracyError, DomainError, SamplingError,
-                                   ValidationError)
+from extreme_chains.errors import AccuracyError, DomainError, ValidationError
 
-from _oracles import (ZerosFirst, density_moments_mp, dkw_bound, gaussian_score_mp,
+from _oracles import (RootFindingError, ZerosFirst, density_moments_mp, dkw_bound,
+                      exponent_V, exponent_V1, gaussian_score_mp, inverse_cdf_sample,
                       ks_statistic, root_ppf)
 
 np.seterr(all="ignore")
@@ -31,23 +35,24 @@ class TestExponentMeasures:
     def test_hr_value_at_unit(self):
         for g in (0.5, 1.0, 2.0):
             hr = kernels.HuslerReiss(g)
-            assert hr.V(1.0, 1.0) == pytest.approx(2.0 * norm.cdf(g / 2.0), abs=1e-14)
+            assert exponent_V(hr, 1.0, 1.0) == pytest.approx(2.0 * norm.cdf(g / 2.0), abs=1e-14)
 
     def test_margin_constraint(self):
         for em in (kernels.HuslerReiss(1.0), kernels.density_constant()):
             for x in (0.5, 1.0, 3.0):
-                assert em.V(x, 1e9) == pytest.approx(1.0 / x, rel=1e-6)
+                assert exponent_V(em, x, 1e9) == pytest.approx(1.0 / x, rel=1e-6)
 
     def test_homogeneity(self):
         for em in (kernels.HuslerReiss(0.8), kernels.density_constant()):
             for (x, y) in [(1.0, 2.0), (0.3, 0.9), (4.0, 0.5)]:
                 for s in (0.5, 2.0, 7.0):
-                    assert em.V(s * x, s * y) == pytest.approx(em.V(x, y) / s, rel=1e-8)
+                    assert exponent_V(em, s * x, s * y) == pytest.approx(
+                        exponent_V(em, x, y) / s, rel=1e-8)
 
     def test_constant_density_value(self):
         # V(1,1) = int max(w, 1-w) * 2 dw = 3/2
         em = kernels.density_constant()
-        assert em.V(1.0, 1.0) == pytest.approx(1.5, abs=1e-14)
+        assert exponent_V(em, 1.0, 1.0) == pytest.approx(1.5, abs=1e-14)
         # h = 2 has H0(s) = 2s and H1(s) = s^2 at s = 1/(1+w); in closed form
         # 1 - H1 = w(2+w)s^2, H0 - H1 = (1+2w)s^2 and 1 - V(1, w) = -s/w
         w = np.logspace(-6.0, 6.0, 61)
@@ -57,7 +62,7 @@ class TestExponentMeasures:
         # V1 = -(1 - H1) keeps absolute, not relative, precision as w -> 0
         v1, one_minus_v = em.unit_terms(w)
         np.testing.assert_allclose(v1, -upper, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(em.V_unit(w), upper + lower / w, rtol=1e-12)
+        np.testing.assert_allclose(exponent_V(em, 1.0, w), upper + lower / w, rtol=1e-12)
         np.testing.assert_allclose(one_minus_v, -s / w, rtol=1e-12)
 
     def test_density_moment_validation(self):
@@ -72,20 +77,13 @@ class TestExponentMeasures:
             kernels.DensityFamily(lambda w: 2.0 + np.sin(1e5 * w))
         assert np.isfinite(err.value.best)
 
-    def test_domain_errors(self):
-        em = kernels.HuslerReiss(1.0)
-        with pytest.raises(DomainError):
-            em.V(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            em.V1(1.0, 0.0)
-
     def test_v1_matches_difference_quotient(self):
-        # V1 and V come from unit_terms by homogeneity
+        # V1 and V from unit_terms by homogeneity
         for em in (kernels.HuslerReiss(1.3), kernels.density_constant()):
             for (x, y) in [(1.0, 1.0), (2.0, 0.7), (0.4, 1.9)]:
                 h = 1e-6 * x
-                fd = (em.V(x + h, y) - em.V(x - h, y)) / (2.0 * h)
-                assert em.V1(x, y) == pytest.approx(fd, rel=1e-5), em.name
+                fd = (exponent_V(em, x + h, y) - exponent_V(em, x - h, y)) / (2.0 * h)
+                assert exponent_V1(em, x, y) == pytest.approx(fd, rel=1e-5), em.name
 
     def test_power_decay_family_constructs(self):
         # s near 0 puts a cusp (s > 0) or a jump (s = 0) at the origin
@@ -98,7 +96,7 @@ class TestExponentMeasures:
     def test_exp_decay_family_constructs(self):
         fam = kernels.density_exp_decay(0.0, 1.0, 1.0)
         # moments validated at construction; every V(1, 1) lies in [1, 2]
-        assert 1.0 <= float(fam.V(1.0, 1.0)) <= 2.0
+        assert 1.0 <= float(exponent_V(fam, 1.0, 1.0)) <= 2.0
 
     def test_exp_decay_infeasible_bump_is_a_validation_error(self):
         # m0 = 1.765872 (mpmath) would need the bump's mean at 1.712953, so its
@@ -136,7 +134,8 @@ MOMENT_WS = np.concatenate([np.exp(np.arange(-12.0, 13.0, 2.0)),
 ], ids=["logistic_0.2", "logistic_0.3", "logistic_0.45", "logistic_0.5",
         "power_decay_0", "power_decay_0.2", "power_decay_0.4", "exp_decay_0_1_1"])
 def test_density_moments_match_mpmath(family, params):
-    H0, H1 = getattr(kernels, f"density_{family}")(*params)._moments(MOMENT_WS)
+    _, H1, _, _, lower = getattr(kernels, f"density_{family}")(*params)._moments(MOMENT_WS)
+    H0 = lower + H1
     ref0, ref1 = density_moments_mp(family, params, MOMENT_WS)
     np.testing.assert_allclose(H0, ref0, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(H1, ref1, rtol=0.0, atol=1e-12)
@@ -317,17 +316,19 @@ def test_deep_state_contract(kernel_id, request):
 
 
 @pytest.mark.parametrize("kernel_id", ["arch_laplace", "asymmetric_logistic", "expar",
-                                       "gaussian_copula", "ht_mixture", "rootzen_smith"])
+                                       "gaussian_copula", "ht_mixture", "inverted_max_stable",
+                                       "rootzen_smith"])
 def test_direct_sampler_is_uniform_through_cdf(kernel_id, request):
     # the kernels whose draw is not ppf(x, U): each draw, mapped through the
     # kernel's own cdf and randomised across a jump (rootzen_smith's atom at
     # -x), is uniform, with KS below the 1e-3 critical value 1.949/sqrt(n);
-    # the volatility chain refuses x >= 1e4
+    # the volatility chain refuses x >= 1e4.  The inverted Husler-Reiss
+    # kernel, whose draw reads two tables, takes 200k draws
     spec = CONTRACT_SPECS[kernel_id]
     k = (request.getfixturevalue(spec) if isinstance(spec, str)
          else kernels.make_kernel(kernel_id, **spec))
     rng = np.random.default_rng(29)
-    n = 20_000
+    n = 200_000 if kernel_id == "inverted_max_stable" else 20_000
     for x in (2.0, 30.0, 700.0, 2000.0, 1e4, 1e6):
         if kernel_id == "arch_laplace" and x >= 1e4:
             break
@@ -337,6 +338,71 @@ def test_direct_sampler_is_uniform_through_cdf(kernel_id, request):
         v = below + rng.uniform(size=n) * (k.cdf(xs, y) - below)
         d = ks_statistic(v, lambda u: u)
         assert d < 1.949 / math.sqrt(n), (x, d)
+
+
+# the spectral densities whose inverted kernels the table tests draw from
+DENSITY_SPECS = {"logistic_0.3": {"family": "logistic", "gamma": 0.3},
+                 "constant": {"family": "constant"},
+                 "power_decay_0.2": {"family": "power_decay", "s": 0.2},
+                 "exp_decay_0_1_1": {"family": "exp_decay", "delta": 0.0, "gamma": 1.0,
+                                     "kappa": 1.0}}
+
+
+@functools.cache
+def density_kernel(case):
+    """One inverted density-family kernel per case, so its tables are built once."""
+    return kernels.make_kernel("inverted_max_stable", **DENSITY_SPECS[case])
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_SPECS))
+def test_density_family_draw_is_uniform_through_cdf(case):
+    # 5k draws by the conditional representation, through the kernel's own
+    # cdf (a quadrature per point), are uniform: KS below 1.949/sqrt(n)
+    k = density_kernel(case)
+    rng = np.random.default_rng(31)
+    n = 5_000
+    for x in (2.0, 30.0, 700.0, 1e6):
+        xs = np.full(n, x)
+        y = k.sample(xs, rng)
+        assert np.all(np.isfinite(y) & (y > 0.0)), x
+        d = ks_statistic(k.cdf(xs, y), lambda u: u)
+        assert d < 1.949 / math.sqrt(n), (x, d)
+
+
+@pytest.mark.parametrize("case", [f"husler_reiss_{g}" for g in (0.2, 1.0, 3.0)]
+                         + sorted(DENSITY_SPECS))
+def test_inverse_tables_hold_their_residual(case):
+    # each table meets its own function within 1e-9 halfway between its
+    # nodes: -log psi for R, and the logit of P(W <= w) for a density's W
+    if case.startswith("husler_reiss"):
+        k = kernels.make_kernel("inverted_max_stable", family="husler_reiss",
+                                gamma=float(case.split("_")[-1]))
+        tables = [k._r_table]
+    else:
+        k = density_kernel(case)
+        tables = [k._r_table, k.exponent._w_table]
+    for table in tables:
+        assert table.residual <= 1e-9, (case, table.residual)
+
+
+def test_sampling_loads_no_root_finder_or_interpolator():
+    # in a fresh process, building and sampling every contract kernel (the
+    # density families aside, as scipy's tanhsinh itself loads scipy.optimize)
+    # leaves scipy.optimize and scipy.interpolate unloaded
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    code = ("import sys, numpy as np\n"
+            "from extreme_chains import kernels\n"
+            f"specs = {CONTRACT_SPECS!r}\n"
+            "specs.update(arch_laplace={'theta0': 1.0, 'theta1': 0.7}, expar={'phi': 0.8})\n"
+            "for kid, spec in specs.items():\n"
+            "    y = kernels.make_kernel(kid, **spec).sample(np.full(100, 5.0),\n"
+            "                                                np.random.default_rng(0))\n"
+            "    assert np.all(np.isfinite(y)), kid\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') "
+            "if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 BIG = np.finfo(float).max
@@ -463,7 +529,7 @@ class TestKernelSample:
         k = kernels.make_kernel("inverted_bev_logistic", gamma=0.152)
         x = rng.exponential(size=500) + 1.0
         u = rng.uniform(size=500)
-        y = kernels._inverse_cdf_sample(k.cdf, x, u, 1e-12)
+        y = inverse_cdf_sample(k.cdf, x, u, 1e-12)
         assert np.max(np.abs(k.cdf(x, y) - u)) < 1e-10
 
     @pytest.mark.parametrize("nan_region", [
@@ -475,8 +541,8 @@ class TestKernelSample:
             y = np.broadcast_to(y, np.broadcast(x, y).shape)
             return np.where(nan_region(y), np.nan, 1.0 - np.exp(-np.maximum(y, 0.0)))
         x = np.full(4, 10.0)
-        with pytest.raises(SamplingError):
-            kernels._inverse_cdf_sample(cdf, x, np.full(4, 1.0 - np.exp(-10.0)), 1e-12)
+        with pytest.raises(RootFindingError):
+            inverse_cdf_sample(cdf, x, np.full(4, 1.0 - np.exp(-10.0)), 1e-12)
 
     @pytest.mark.parametrize("kernel_id", ["bev_logistic", "inverted_bev_logistic"])
     def test_closed_form_ppf_matches_bisection(self, kernel_id):
@@ -501,12 +567,13 @@ class TestKernelSample:
     ], ids=["bev_logistic", "inverted_bev_logistic", "root_finding"])
     @pytest.mark.parametrize("u", [math.nan, -0.1, 1.0, 1.5])
     def test_ppf_refuses_u_outside_unit_interval(self, kernel_id, params, u):
-        # neither inf, NaN, the floor nor a SamplingError: a DomainError naming u
+        # neither inf, NaN, the floor nor a root-finding error: a DomainError naming u
         k = kernels.make_kernel(kernel_id, **params)
+        ppf = k.ppf if hasattr(k, "ppf") else (lambda x, u: root_ppf(k, x, u))
         with pytest.raises(DomainError, match=f"got {u}"):
-            k.ppf(np.full(3, 5.0), np.array([0.2, u, 0.7]))
+            ppf(np.full(3, 5.0), np.array([0.2, u, 0.7]))
         with pytest.raises(DomainError, match=f"got {u}"):
-            k.ppf(5.0, u)
+            ppf(5.0, u)
 
     def test_asymmetric_logistic_ppf_floor(self):
         # the cdf keeps ~5e-13 of mass below the floor at x = 9, so u = 0

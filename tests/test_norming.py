@@ -319,6 +319,13 @@ class TestLimitLaws:
         with pytest.raises(ValidationError):
             norming.limit_law("density_decay", **params)
 
+    @pytest.mark.parametrize("law_id,params", [
+        ("density_decay", {"c": 4.0, "gamma": 1.0}), ("husler_reiss", {"gamma": 1.0})])
+    def test_exp_exponential_quantile_is_finite_at_subnormal_p(self, law_id, params):
+        # -log1p(-p) / c underflowed to 0 at p = 5e-324 with c > 1, giving -inf
+        q = float(norming.limit_law(law_id, **params).ppf(5e-324))
+        assert math.isfinite(q), q
+
     def test_density_decay_law_derives_c_from_delta(self):
         law = norming.limit_law("density_decay", gamma=1.0, delta=0.0)
         assert law.name == "density_decay(c=4.0, gamma=1.0)"
