@@ -337,7 +337,9 @@ def arch_stationary_fit(theta0, theta1):
 
 # Inverse tables: the largest residual, the most panels, and the fractions of
 # the gap to the grid point beyond an end, from either side, at which that
-# end is tried.
+# end is tried.  The tables' t is a log, so a miss in t of a few ulps of 1 is
+# a draw within a few ulps, and counts as none.
+_EPS = np.finfo(float).eps
 _INVERSE_TOL = 1e-9
 _INVERSE_PANELS = 1024
 _APPROACH = np.append(np.arange(1.0, 17.0) / 32.0, 2.0 ** -np.arange(6.0, 1075.0))
@@ -347,7 +349,8 @@ class InverseTable:
     """t(y) for an increasing f(t) = y: a Chebyshev series in y on each panel
     between ``edges``, and beyond them the line through each end with f's
     slope there.  ``residual`` is the largest |f(t(y)) - y|, to first order,
-    found at the panel edges and halfway between neighbouring nodes."""
+    found at the panel edges and halfway between neighbouring nodes where t
+    misses by more than four ulps of 1."""
 
     def __init__(self, edges, series, ends, slopes, residual):
         self._edges, self._series = edges, series
@@ -383,7 +386,8 @@ def inverse_table(f, t, y_range=(-np.inf, np.inf)):
     on one side of 0 (so that f blowing up at 0 takes a few rounds), and t is
     interpolated in y there as a Chebyshev series; f at the panel's ends and
     halfway between its nodes gives the residual, the miss in t times f's
-    slope.  A panel whose residual exceeds 1e-9 is cut in four, at the
+    slope, where the miss exceeds four ulps of 1 (t is a log in both
+    tables).  A panel whose residual exceeds 1e-9 is cut in four, at the
     quarters of the same range; more than 1024 panels raise ConvergenceError.
     """
     x = _chebyshev(_ARCH_CHEB)[0]
@@ -419,7 +423,8 @@ def inverse_table(f, t, y_range=(-np.inf, np.inf)):
             (tz[:, 1:n] - ta)[..., None])[..., 0]
         fit = (coef.T, ta[:, 0])
         miss = np.abs(_series(fit, np.arange(len(todo))[:, None],
-                              ((yz - ya) + (yz - yb)) / (yb - ya)) - tz) * slope
+                              ((yz - ya) + (yz - yb)) / (yb - ya)) - tz)
+        miss = np.where(miss <= 4.0 * _EPS, 0.0, miss * slope)
         fine = np.max(miss, axis=1) <= _INVERSE_TOL
         done.append(np.concatenate([ya, yb, coef, ta, np.max(miss, axis=1)[:, None]],
                                    axis=1)[fine])
