@@ -97,20 +97,16 @@ class HuslerReiss(ExponentMeasure):
         self.gamma = float(gamma)
 
     def unit_terms(self, w):
-        # V_1 is exact: the two density terms cancel, leaving -Phi(z)
-        g = self.gamma
-        w = np.asarray(w, dtype=float)
-        lw = np.log(w)
-        z = g / 2.0 + lw / g
-        return -ndtr(z), ndtr(-z) - (1.0 / w) * ndtr(g / 2.0 - lw / g)
+        # V_1 is exact (the two density terms cancel, leaving -Phi(z)); 1 - V = -psi
+        lw = np.log(np.asarray(w, dtype=float))
+        return -ndtr(self.gamma / 2.0 + lw / self.gamma), -np.exp(self._log_psi(lw))
 
-    def neg_log_psi(self, t):
-        """psi(e^t) by put-call parity for t <= 0 (expm1(-t) plus the put), as
-        the call for t > 0, and for small gamma from a = -d1 = t/g - g/2 up as
-        phi(d2) times the integral of 1 - s m(s) over [a, a + g], m the Mills
-        ratio, which is m(a) - m(a + g); the slope is e^-t Phi(d1) / psi."""
-        g = self.gamma
-        t = np.asarray(t, dtype=float)
+    def _log_psi(self, t):
+        """log psi(e^t) by put-call parity for t <= 0 (expm1(-t) plus the put),
+        as the call for t > 0, and for small gamma from a = -d1 = t/g - g/2 up
+        as phi(d2) times the integral of 1 - s m(s) over [a, a + g], m the
+        Mills ratio, which is m(a) - m(a + g)."""
+        g, t = self.gamma, np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
             a = t / g - g / 2.0
             log_psi = np.log(np.where(t <= 0.0,
@@ -122,8 +118,14 @@ class HuslerReiss(ExponentMeasure):
                 mills = math.sqrt(0.5 * math.pi) * erfcx(s / math.sqrt(2.0))
                 area = 0.5 * g * ((1.0 - s * mills) @ weights)
                 log_phi = -0.5 * (a + g) ** 2 - 0.5 * math.log(2.0 * math.pi)
-                log_psi = np.where(a >= -20.0, log_phi + np.log(area), log_psi)
-            return -log_psi, np.exp(log_ndtr(-a) - t - log_psi)
+                # at a = inf the call is 0 and the integral 0 times inf
+                log_psi = np.where((a >= -20.0) & (a < np.inf), log_phi + np.log(area), log_psi)
+        return log_psi
+
+    def neg_log_psi(self, t):
+        log_psi = self._log_psi(t)
+        with np.errstate(all="ignore"):         # the slope is e^-t Phi(d1) / psi
+            return -log_psi, np.exp(log_ndtr(self.gamma / 2.0 - t / self.gamma) - t - log_psi)
 
     def draw_log_w(self, rng, shape):
         return self.gamma * (rng.standard_normal(shape) - self.gamma / 2.0)
@@ -200,21 +202,19 @@ class DensityFamily(ExponentMeasure):
         if abs(mean - 1.0) > 1e-8:
             raise ValidationError(f"density first moment {mean} != 1 (tol 1e-8)")
 
-    def _moments(self, w, relative=False):
+    def _moments(self, w):
         """s = 1/(1 + w), H1 = P(W > w), 1 - H1, s H0 - H1 and H0 - H1, none
         a difference of near equals: from the mass m and the moment c about s
         of h over [0, s] where s <= 1/2, else over [s, 1] (so that the
         integrator meets the density's behaviour at 0 and 1, a cusp, a jump
-        or an integrable pole, only at an end of its range).  ``relative``
-        makes those over [0, s] accurate to their own size, in a call of
-        their own."""
+        or an integrable pole, only at an end of its range).  Those over
+        [0, s] are accurate to their own size, in a call of their own."""
         w = np.asarray(w, dtype=float)
         s = 1.0 / (1.0 + w)
         r, low = w * s, s <= 0.5                # r = 1 - s
         lo, hi = np.where(low, 0.0, s), np.where(low, s, 1.0)
         mc = np.empty((2,) + s.shape)
-        for side, atol in (((low, _TINY), (~low, 0.1 * _QUAD_TOL)) if relative
-                           else ((np.ones_like(low), 0.1 * _QUAD_TOL),)):
+        for side, atol in ((low, _TINY), (~low, 0.1 * _QUAD_TOL)):
             if side.any():
                 mc[:, side] = _integrate(self.h, lo[side], hi[side], self.knots, atol, s[side])
         m, c = mc
@@ -229,7 +229,7 @@ class DensityFamily(ExponentMeasure):
     def neg_log_psi(self, t):
         # the slope is (H0 - H1) s / (s H0 - H1)
         w = np.exp(t)
-        s, _, _, k, lower = self._moments(w, relative=True)
+        s, _, _, k, lower = self._moments(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             return t - np.log1p(w) - np.log(k), lower * s / k
 
@@ -239,7 +239,7 @@ class DensityFamily(ExponentMeasure):
             # and its slope: the density of U at s times -ds/dt = w s^2, over
             # P(W <= w) P(W > w)
             w = np.exp(t)
-            s, above, below, _, _ = self._moments(w, relative=True)
+            s, above, below, _, _ = self._moments(w)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.log(below / above), w * s ** 3 * self.h(s) / (above * below)
 
@@ -762,8 +762,11 @@ _ARCH_THETA1_MIN = 0.038
 class ArchLaplaceKernel(_Kernel):
     """Squared-volatility recursion Y' = sqrt(theta0 + theta1 Y^2) W on
     standard Laplace margins, through the stationary law of Y that
-    :func:`numerics.arch_stationary_fit` solves: a Laplace state x is
-    Y = sign(x) Lambda^-1(|x|), Lambda(s) = -log P(|Y| > s)."""
+    :func:`numerics.arch_stationary_fit` solves, carried as log|Y| = log
+    Lambda^-1(|x|), Lambda(s) = -log P(|Y| > s), so that every finite Laplace
+    state x draws.  Beyond |x| ~ 1e16 a step's O(kappa) spread is below an
+    ulp of x: draws round to +-x, and log|Y| no longer resolves 1/2 log theta1,
+    so cdf(x, x) is Phi(1) for Phi(theta1^-1/2); every other y gives 0 or 1."""
 
     stationary_law = margins.LAPLACE
 
@@ -775,36 +778,28 @@ class ArchLaplaceKernel(_Kernel):
                                   "P(|Y| > 1e5 sqrt(theta0)) underflows doubles")
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
-        self._sqrt_theta = math.sqrt(self.theta0), math.sqrt(self.theta1)
         self.law = numerics.arch_stationary_fit(theta0, theta1)
         self.name = f"arch_laplace(theta0={theta0}, theta1={theta1})"
 
-    def _state(self, x):
-        """The volatility-chain state Y of Laplace state x (+-inf past doubles)."""
-        with np.errstate(over="ignore"):
-            return np.copysign(self.law.inverse_cumhaz(np.abs(x)), x)
+    def _log_state(self, x):
+        """log|Y| of Laplace state x: -inf at 0, finite at every finite x."""
+        return self.law.log_inverse_cumhaz(np.abs(x))
 
-    def _volatility(self, x):
-        # sqrt(theta0 + theta1 Y^2) without forming Y^2, which overflows deep out
-        y = self._state(x)
-        if np.isinf(y).any():
-            raise DomainError(f"{self.name}: conditioning state {x[np.isinf(y)][0]} "
-                              "lies beyond the volatility scale (|Y| overflows doubles)")
-        return np.hypot(self._sqrt_theta[0], self._sqrt_theta[1] * y)
+    def _log_volatility(self, x):
+        # log sigma, sigma^2 = theta0 + theta1 Y^2
+        return 0.5 * np.logaddexp(math.log(self.theta0),
+                                  math.log(self.theta1) + 2.0 * self._log_state(x))
 
     @_conditional_cdf
     def cdf(self, x, y):
-        return ndtr(self._state(y) / self._volatility(x))
+        # ndtr is exactly 0 or 1 beyond |z| = e^4, so the ratio stops there
+        ratio = np.exp(np.minimum(self._log_state(y) - self._log_volatility(x), 4.0))
+        return ndtr(np.copysign(ratio, y))
 
     def _draw(self, x, rng):
-        vol, w = self._volatility(x), rng.standard_normal(x.shape)
-        with np.errstate(over="ignore"):
-            z = vol * w
-        lam = self.law.cumhaz(np.abs(z))
-        # beyond the largest double, in the Pareto tail: Lambda(vol) + kappa log|w|
-        over = np.isinf(z)
-        lam[over] = self.law.cumhaz(vol[over]) + self.law.kappa * np.log(np.abs(w[over]))
-        return np.copysign(lam, z)
+        w = rng.standard_normal(x.shape)
+        log_w = np.log(np.abs(w), where=w != 0.0, out=np.full(x.shape, -np.inf))
+        return np.copysign(self.law.cumhaz_at_log(self._log_volatility(x) + log_w), w)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Chebyshev panels), and the tail index and stationary law of the ARCH(1)
 recursion (a Newton root of its moment equation, and one Nystrom solve of its
 stationarity equation by parts, tabulated on Chebyshev panels).  Both laws
 are given as a cumulative hazard Lambda(s) = -log P(S > s) and its inverse
-(for ARCH, of S = |Y|), which map the kernels' exponential and Laplace states
-straight onto each chain's own scale.  And the inverse tables from which the
-inverted max-stable kernels draw, on the same Chebyshev panels.  Everything
-here runs on numpy and ``scipy.special``.
+(for ARCH, of S = |Y| and in log s), which map the kernels' exponential and
+Laplace states straight onto each chain's own scale.  And the inverse tables
+from which the inverted max-stable kernels draw, on the same Chebyshev
+panels.  Everything here runs on numpy and ``scipy.special``.
 """
 
 import math
@@ -224,45 +224,45 @@ class ArchStationaryLaw:
     """Stationary law of the squared-volatility recursion, from a solved table.
 
     The law is symmetric, so it is carried by the cumulative hazard of |Y|,
-    Lambda(s) = -log P(|Y| > s), and its inverse: a standard Laplace state x
-    is Y = sign(x) Lambda^-1(|x|).  Y scales with sqrt(theta0), so the table
-    is of s = |Y| / sqrt(theta0).  On the Chebyshev panel p between ``edges``,
-    Lambda is ``m_edges[p]`` + (s - ``edges[p]``) times a series in s, so that
-    it is exact at every edge (0 at 0); on the panels between the edges'
-    images Lambda^-1 is a series in m (in log s beyond ``_ARCH_SPLIT``), and
-    0 at 0.  Beyond ``tail`` (1e5 sqrt(theta0)) the tail is exactly Pareto:
-    Lambda(s) = Lambda(tail) + kappa log(s / tail).
+    Lambda(s) = -log P(|Y| > s), and its inverse, both in log s: a standard
+    Laplace state x is log|Y| = log Lambda^-1(|x|).  The table is of s = |Y| /
+    sqrt(theta0).  On the Chebyshev panel p between ``edges``, Lambda is
+    ``m_edges[p]`` + (s - ``edges[p]``) times a series in s, exact at every
+    edge (0 at 0); on the panels between the edges' images Lambda^-1 is a
+    series in m (in log s beyond ``_ARCH_SPLIT``).  Beyond ``tail`` (1e5
+    sqrt(theta0)) the tail is exactly Pareto, Lambda(s) = Lambda(tail) +
+    kappa log(s / tail), linear in log s, so every finite m has a finite log s.
     """
 
     def __init__(self, theta0, theta1, kappa, edges, m_edges, slope, quantile):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self.kappa = float(kappa)
-        self._scale = math.sqrt(self.theta0)
+        self._log_scale = 0.5 * math.log(self.theta0)
         self._edges, self._m_edges = edges, m_edges
         self._slope, self._quantile = slope, quantile
         self._log_s = edges[:-1] >= _ARCH_SPLIT
-        self.tail = self._scale * float(edges[-1])
+        self._log_top, self._m_top = math.log(edges[-1]), float(m_edges[-1])
+        self.tail = math.sqrt(self.theta0) * float(edges[-1])
 
-    def cumhaz(self, s):
-        """Lambda(s) = -log P(|Y| > s), for s >= 0."""
-        t = np.asarray(s, dtype=float) / self._scale
-        top, m_top = self._edges[-1], self._m_edges[-1]
-        inner = np.minimum(t, top)
+    def cumhaz_at_log(self, t):
+        """Lambda(e^t) = -log P(|Y| > e^t); 0 at t = -inf."""
+        u = np.asarray(t, dtype=float) - self._log_scale
+        inner = np.exp(np.minimum(u, self._log_top))
         p, z = _panel(self._edges, inner)
         lam = self._m_edges[p] + (inner - self._edges[p]) * _series(self._slope, p, z)
-        pareto = m_top + self.kappa * np.log(np.maximum(t, top) / top)
-        return np.where(t <= top, np.minimum(lam, m_top), pareto)
+        pareto = self._m_top + self.kappa * (np.maximum(u, self._log_top) - self._log_top)
+        return np.where(u <= self._log_top, np.minimum(lam, self._m_top), pareto)
 
-    def inverse_cumhaz(self, m):
-        """The s >= 0 with Lambda(s) = m, for m >= 0; exactly 0 at m = 0."""
+    def log_inverse_cumhaz(self, m):
+        """log s for the s >= 0 with Lambda(s) = m, for m >= 0; -inf at m = 0."""
         m = np.asarray(m, dtype=float)
-        top, m_top = self._edges[-1], self._m_edges[-1]
-        p, z = _panel(self._m_edges, np.minimum(m, m_top))
+        p, z = _panel(self._m_edges, np.minimum(m, self._m_top))
         v = _series(self._quantile, p, z)
-        s = np.clip(np.where(self._log_s[p], np.exp(v), v), 0.0, top)
-        pareto = top * np.exp((np.maximum(m, m_top) - m_top) / self.kappa)
-        return self._scale * np.where(m > m_top, pareto, np.where(m > 0.0, s, 0.0))
+        log_s = np.where(self._log_s[p], v, np.log(np.maximum(v, np.finfo(float).tiny)))
+        log_s = np.where(m > 0.0, np.minimum(log_s, self._log_top), -np.inf)
+        pareto = self._log_top + (np.maximum(m, self._m_top) - self._m_top) / self.kappa
+        return self._log_scale + np.where(m > self._m_top, pareto, log_s)
 
 
 def arch_stationary_fit(theta0, theta1):
@@ -323,9 +323,10 @@ def arch_stationary_fit(theta0, theta1):
                             _cheb_fit(vinv, slope), _cheb_fit(vinv, s))
 
     scale = math.sqrt(theta0)
+    log_check = np.log(scale * check, where=check > 0.0, out=np.full(check.shape, -np.inf))
     residual = max(
-        float(np.max(np.abs(law.cumhaz(scale * check) - m_check))),
-        float(np.max(np.abs(law.inverse_cumhaz(m_check) / scale - check)
+        float(np.max(np.abs(law.cumhaz_at_log(log_check) - m_check))),
+        float(np.max(np.abs(np.exp(law.log_inverse_cumhaz(m_check)) / scale - check)
                      / np.maximum(check, 1.0))))
     if not residual <= _ARCH_TABLE_TOL:
         raise ConvergenceError(

@@ -7,7 +7,8 @@ freshly simulated states and the root of the moment equation in mpmath, the
 exponential-autoregression law is its alternating series summed in mpmath,
 the Gumbel value of an exponential state and its inverse are evaluated in
 mpmath, the spectral-density moments are mpmath quadratures of the densities
-rebuilt from their definitions, the brute-force simulators and change-point
+rebuilt from their definitions (the exponential-decay core in closed form, by
+its incomplete gamma function), the brute-force simulators and change-point
 rules below are written directly against the defining recursions, one path at
 a time, and the update-function quotients are formed from a scheme's norming
 at a finite threshold.  The norming forms that the package replaced by one
@@ -17,7 +18,9 @@ are kept as references next to the laws in mpmath.  The exceptions read a
 kernel's own formulas: ``root_ppf``, the reference inverse of a kernel whose
 draw is not a quantile, finds the root of the kernel's ``cdf`` with scipy's
 root finders, and ``exponent_V`` and ``exponent_V1`` give an exponent
-measure's V and V_1 from its unit terms by homogeneity.
+measure's V and V_1 from its unit terms by homogeneity, and ``arch_cumhaz``
+and ``arch_inverse_cumhaz`` read the ARCH law's maps on the log scale of s
+back on s.
 """
 
 import itertools
@@ -69,15 +72,21 @@ def exponential_from_gumbel_mp(g, dps=80):
 
 
 def _spectral_density_mp(family, params):
-    """A spectral density of ``kernels`` rebuilt in mpmath from its definition,
-    with the points where it is not smooth: the logistic density, or the power
-    or exponential decay at 0 plus the quartic bump on [a, b] that meets the
-    mass-2, mean-1 constraints."""
+    """A spectral density of ``kernels`` rebuilt in mpmath from its definition
+    as a part g for quadrature, the points where g is not smooth, and the
+    moments int_0^s u^k (h - g)(u) du of the rest in closed form: the logistic
+    density, or the power decay at 0 plus the quartic bump on [a, b] that
+    meets the mass-2, mean-1 constraints, all by quadrature; or the
+    exponential decay at 0, in closed form, plus that bump."""
     mpf = mpmath.mpf
+
+    def closed(k, s):
+        return 0
+
     if family == "logistic":
         (g,) = map(mpf, params)
         return (lambda w: (1 / g - 1) * (w * (1 - w)) ** (-1 - 1 / g)
-                * (w ** (-1 / g) + (1 - w) ** (-1 / g)) ** (g - 2)), ()
+                * (w ** (-1 / g) + (1 - w) ** (-1 / g)) ** (g - 2)), (), closed
     if family == "power_decay":
         (s,) = map(mpf, params)
         a, b = mpf(0.05), mpf(0.55)
@@ -89,33 +98,41 @@ def _spectral_density_mp(family, params):
         delta, gamma, kappa = map(mpf, params)
         a = mpf(0.15)
 
-        def core(w):
-            return w ** delta * mpmath.exp(-kappa * w ** -gamma)
+        def core(w):                # the decay is in closed form
+            return 0
 
-        m0 = mpmath.quad(core, [0, 1])
-        m1 = mpmath.quad(lambda w: w * core(w), [0, 1])
+        def closed(k, s):
+            # int_0^s u^(k + delta) exp(-kappa u^-gamma) du: with v = kappa
+            # u^-gamma, kappa^p / gamma Gamma(-p, kappa s^-gamma), p = (delta
+            # + k + 1) / gamma; at (0, 1, 1) s E_2(1/s) for k = 0 and s^2
+            # E_3(1/s) for k = 1
+            p = (delta + k + 1) / gamma
+            return kappa ** p / gamma * mpmath.gammainc(-p, kappa * mpf(s) ** -gamma)
+
+        m0, m1 = closed(0, 1), closed(1, 1)
         b = 2 * (1 - m1) / (2 - m0) - a
         c2 = (2 - m0) / ((b - a) ** 5 / 30)
 
     def h(w):
         return core(w) + (c2 * (w - a) ** 2 * (b - w) ** 2 if a < w < b else 0)
 
-    return h, (a, b)
+    return h, (a, b), closed
 
 
 def density_moments_mp(family, params, ws, dps=30):
     """(H0, H1) at s = 1/(1 + w) for each w of ``ws``, H0(s) = int_0^s h and
     H1(s) = int_0^s u h(u) du, for the spectral density ``family`` of
     ``kernels`` with ``params``: mpmath.quad over [0, s] at ``dps`` digits,
-    split at the density's edges."""
+    split at the density's edges, of all but the exp-decay core, which is in
+    closed form (quad misses its mass below small s, e^-1/s, by up to 1e-2)."""
     with mpmath.workdps(dps):
-        h, knots = _spectral_density_mp(family, params)
+        g, knots, closed = _spectral_density_mp(family, params)
         out = []
         for w in ws:
             s = 1 / (1 + mpmath.mpf(w))
             pts = [0, *(k for k in knots if k < s), s]
-            out.append((float(mpmath.quad(h, pts)),
-                        float(mpmath.quad(lambda u: u * h(u), pts))))
+            out.append((float(mpmath.quad(g, pts) + closed(0, s)),
+                        float(mpmath.quad(lambda u: u * g(u), pts) + closed(1, s))))
     return np.array(out).T
 
 
@@ -231,6 +248,21 @@ def symmetric_cdf(cumhaz):
         half = 0.5 * np.exp(-cumhaz(np.abs(y)))
         return np.where(y < 0.0, half, 1.0 - half)
     return cdf
+
+
+def arch_cumhaz(law):
+    """Lambda(s) = -log P(|Y| > s) of a ``numerics.ArchStationaryLaw``, from
+    its map on the log scale of s, Lambda(e^t); 0 at s = 0."""
+    def cumhaz(s):
+        s = np.asarray(s, dtype=float)
+        return law.cumhaz_at_log(np.log(s, where=s > 0.0, out=np.full(s.shape, -np.inf)))
+    return cumhaz
+
+
+def arch_inverse_cumhaz(law):
+    """Lambda^-1(m) of a ``numerics.ArchStationaryLaw``, e to the power of its
+    log-scale inverse; 0 at m = 0."""
+    return lambda m: np.exp(law.log_inverse_cumhaz(m))
 
 
 def simulate_arch_states(theta0, theta1, n_draws, seed, lanes=50_000, burn=1500):

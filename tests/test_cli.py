@@ -235,19 +235,23 @@ class TestErrors:
             "init": {"u": 1e310}, "horizon": 1, "n_paths": 10})
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
-    def test_arch_state_beyond_the_volatility_scale_exits_3(self, tmp_path, capsys):
-        # every X_0 > 2300 overflows |Y| at theta1 = 0.7: refused, not drawn as inf
+    @pytest.mark.parametrize("u", [2300.0, 1e4])
+    def test_arch_state_beyond_the_volatility_scale_runs(self, tmp_path, u):
+        # every X_0 > 2300 overflows |Y| at theta1 = 0.7, but not log|Y|:
+        # the run draws finite rows, and every X_0 exceeds u
         cfg = write_config(tmp_path, "deep.json", {
             "kind": "simulate", "seed": 1,
             "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
-            "init": {"u": 2300.0}, "horizon": 1, "n_paths": 100})
+            "init": {"u": u}, "horizon": 1, "n_paths": 100})
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out),
-                         "--workers", "1"]) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["category"] == "numeric"
-        assert "conditioning state 2300." in err["error"]
-        assert os.listdir(out) == []      # no CSV, part file or staging directory
+                         "--workers", "1"]) == 0
+        with open(out / "paths.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = np.array([float(v) for _, _, v in rows])
+        x0 = [float(v) for _, t, v in rows if t == "0"]
+        assert len(rows) == 200 and np.all(np.isfinite(values))
+        assert len(x0) == 100 and min(x0) > u
 
     def test_deep_threshold_runs(self, tmp_path):
         # P(X > 700) = e^-700 is below 1e-300; the start is drawn on the
@@ -662,15 +666,17 @@ def _fail_on_task_1(name, args):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("config, name, task, code", [
+    # the Laplace threshold of u = 1e200 on Gaussian margins is inf, so the
+    # start fails inside the chunk task
     ({"kind": "simulate", "seed": 1,
-      "kernel": {"id": "arch_laplace", "theta0": 1.0, "theta1": 0.7},
-      "init": {"u": 2300.0}, "horizon": 1, "n_paths": 100}, "paths.csv", None, 3),
+      "kernel": {"id": "gaussian_copula", "rho": 0.5, "margin": "gaussian"},
+      "init": {"u": 1e200}, "horizon": 1, "n_paths": 100}, "paths.csv", None, 3),
     ({"kind": "hidden", "seed": 1, "example": "arch", "horizon": 2, "n_paths": 16,
       "params": {"theta1": 1.5}}, "hidden_paths.csv", None, 2),
     (dict(FIG1_CONFIG, n_paths=40), "chain_i.csv", "_task_figure1_chain", 3),
     (_CONVERGE_CONFIG, "convergence.csv", "_task_converge_row", 3),
     (_CHI_SMALL_CONFIG, "chi.csv", "_task_chi_row", 3),
-], ids=["arch_simulate_exit_3", "hidden_arch_exit_2", "figure1", "converge", "chi"])
+], ids=["simulate_exit_3", "hidden_arch_exit_2", "figure1", "converge", "chi"])
 def test_failed_run_leaves_out_as_it_found_it(tmp_path, monkeypatch, config, name,
                                              task, code, workers):
     # an earlier run's output and manifest stay byte-identical, and no part

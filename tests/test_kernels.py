@@ -65,6 +65,32 @@ class TestExponentMeasures:
         np.testing.assert_allclose(exponent_V(em, 1.0, w), upper + lower / w, rtol=1e-12)
         np.testing.assert_allclose(one_minus_v, -s / w, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-8])
+    def test_hr_one_minus_v_is_relative_at_small_gamma(self, gamma):
+        # 1 - V(1, w) = -psi(w), psi = Phi(g/2 + log w/g) + Phi(g/2 - log w/g)/w
+        # - 1, within 1e-12 relative of mpmath (300 digits hold psi ~ e^-450)
+        w = np.exp(gamma * np.array([1.0, 3.0, 10.0, 30.0]))
+        one_minus_v = kernels.HuslerReiss(gamma).unit_terms(w)[1]
+        with mpmath.workdps(300):
+            g = mpmath.mpf(gamma)
+            psi = [float(mpmath.ncdf(g / 2 + mpmath.log(wi) / g)
+                         + mpmath.ncdf(g / 2 - mpmath.log(wi) / g) / wi - 1)
+                   for wi in map(mpmath.mpf, w)]
+        np.testing.assert_allclose(-one_minus_v, psi, rtol=1e-12, atol=0.0)
+
+    def test_exp_decay_one_minus_v_is_relative_in_the_tail(self):
+        # below the bump (s < 0.15) h is exp(-1/u), so H0 = s E_2(1/s), H1 =
+        # s^2 E_3(1/s) and psi = (s H0 - H1)/(1 - s) = s^2 (E_2 - E_3)/(1 - s)
+        w = np.array([10.0, 100.0, 600.0])
+        one_minus_v = kernels.density_exp_decay(0.0, 1.0, 1.0).unit_terms(w)[1]
+        with mpmath.workdps(40):
+            psi = []
+            for wi in w:
+                s = 1 / (1 + mpmath.mpf(wi))
+                psi.append(float(s * s * (mpmath.expint(2, 1 / s) - mpmath.expint(3, 1 / s))
+                                 / (1 - s)))
+        np.testing.assert_allclose(-one_minus_v, psi, rtol=1e-11, atol=0.0)
+
     def test_density_moment_validation(self):
         with pytest.raises(ValidationError):
             kernels.DensityFamily(lambda w: 1.0)          # mass 1, not 2
@@ -139,10 +165,15 @@ def test_density_moments_match_mpmath(family, params):
     ref0, ref1 = density_moments_mp(family, params, MOMENT_WS)
     np.testing.assert_allclose(H0, ref0, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(H1, ref1, rtol=0.0, atol=1e-12)
+    # and to their own size: H1 = s m + c, m and c the mass and the moment
+    # about s below s, is at worst 1.6e-12 off (logistic_0.2 at w = 3.466)
+    np.testing.assert_allclose(H0, ref0, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(H1, ref1, rtol=1e-11, atol=0.0)
 
 
 def test_density_family_cdf_integrates_once(monkeypatch):
-    # V_1(1, w) and 1 - V(1, w) share one (H0, H1) integral per cdf call
+    # V_1(1, w) and 1 - V(1, w) share one (H0, H1) integral per w: one call
+    # for the w with s = 1/(1 + w) <= 1/2, relative, one for the others
     kern = kernels.InvertedMaxStableKernel(kernels.density_logistic(0.3))
     calls = []
     integrate = kernels._integrate
@@ -154,7 +185,7 @@ def test_density_family_cdf_integrates_once(monkeypatch):
     monkeypatch.setattr(kernels, "_integrate", counted)
     ys = np.linspace(0.5, 20.0, 200)
     assert np.all(np.isfinite(kern.cdf(np.full(ys.shape, 9.0), ys)))
-    assert len(calls) == 1
+    assert len(calls) == 2 and sum(np.size(lo) for _, lo, *_ in calls) == ys.size
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +317,13 @@ def test_deep_state_contract(kernel_id, request):
     # far out (x up to 1e6, where e^-x is far below the smallest double)
     # every kernel still draws finite values, its cdf is monotone in y and in
     # [0, 1], and a continuous kernel's ppf (the root of its cdf where it has
-    # none) inverts its cdf up to the cdf's conditioning; the volatility
-    # chain refuses a state whose |Y| overflows
+    # none) inverts its cdf up to the cdf's conditioning
     spec = CONTRACT_SPECS[kernel_id]
     k = (request.getfixturevalue(spec) if isinstance(spec, str)
          else kernels.make_kernel(kernel_id, **spec))
     rng = np.random.default_rng(23)
     u = np.linspace(0.01, 0.99, 25)
     for x in (700.0, 2000.0, 1e4, 1e6):
-        if kernel_id == "arch_laplace" and x >= 1e4:
-            with pytest.raises(DomainError, match="overflows doubles"):
-                k.sample(np.full(500, x), rng)
-            with pytest.raises(DomainError, match="overflows doubles"):
-                k.cdf(x, 1.0)
-            continue
         y = k.sample(np.full(500, x), rng)
         assert np.all(np.isfinite(y)), (x, y[~np.isfinite(y)][:3])
         grid = np.geomspace(1e-6, 10.0 * x, 80)
@@ -315,14 +339,15 @@ def test_deep_state_contract(kernel_id, request):
             assert gap <= 1e-12 + 1e-15 * x, (x, gap)
 
 
-@pytest.mark.parametrize("kernel_id", ["arch_laplace", "asymmetric_logistic", "expar",
-                                       "gaussian_copula", "ht_mixture", "inverted_max_stable",
+@pytest.mark.parametrize("kernel_id", ["arch_laplace", "asymmetric_logistic", "bev_logistic",
+                                       "expar", "gaussian_copula", "ht_mixture",
+                                       "inverted_bev_logistic", "inverted_max_stable",
                                        "rootzen_smith"])
 def test_direct_sampler_is_uniform_through_cdf(kernel_id, request):
-    # the kernels whose draw is not ppf(x, U): each draw, mapped through the
-    # kernel's own cdf and randomised across a jump (rootzen_smith's atom at
-    # -x), is uniform, with KS below the 1e-3 critical value 1.949/sqrt(n);
-    # the volatility chain refuses x >= 1e4.  The inverted Husler-Reiss
+    # every kernel with one contract spec: each draw (ppf(x, U) for the
+    # logistic pair), mapped through the kernel's own cdf and randomised
+    # across a jump (rootzen_smith's atom at -x), is uniform, with KS below
+    # the 1e-3 critical value 1.949/sqrt(n).  The inverted Husler-Reiss
     # kernel, whose draw reads two tables, takes 200k draws
     spec = CONTRACT_SPECS[kernel_id]
     k = (request.getfixturevalue(spec) if isinstance(spec, str)
@@ -330,8 +355,6 @@ def test_direct_sampler_is_uniform_through_cdf(kernel_id, request):
     rng = np.random.default_rng(29)
     n = 200_000 if kernel_id == "inverted_max_stable" else 20_000
     for x in (2.0, 30.0, 700.0, 2000.0, 1e4, 1e6):
-        if kernel_id == "arch_laplace" and x >= 1e4:
-            break
         xs = np.full(n, x)
         y = k.sample(xs, rng)
         below = k.cdf(xs, np.nextafter(y, -np.inf))
@@ -691,10 +714,11 @@ class TestDeepArchStates:
     xs = np.array([680.0, 690.0, 691.0, 700.0, 1000.0])
 
     def test_state_map_is_finite_increasing_and_odd(self, arch_kernel_07):
-        y = arch_kernel_07._state(self.xs)
-        assert np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0) and y[0] > 0.0
-        assert np.array_equal(arch_kernel_07._state(-self.xs), -y)
-        assert arch_kernel_07._state(0.0) == 0.0
+        # through log|Y|, even in x, so that Y = sign(x) |Y| is odd
+        log_y = arch_kernel_07._log_state(self.xs)
+        assert np.all(np.isfinite(log_y)) and np.all(np.diff(log_y) > 0.0) and log_y[0] > 0.0
+        assert np.array_equal(arch_kernel_07._log_state(-self.xs), log_y)
+        assert arch_kernel_07._log_state(0.0) == -np.inf
 
     def test_cdf_tells_deep_states_apart(self, arch_kernel_07):
         lo, hi = arch_kernel_07.cdf(695.0, np.array([700.0, 720.0]))
@@ -705,17 +729,18 @@ class TestDeepArchStates:
         for x in self.xs:
             assert np.all(np.isfinite(arch_kernel_07.sample(np.full(1000, x), rng)))
 
-    @pytest.mark.parametrize("x", [2300.0, -2300.0, 1e4])
-    def test_state_beyond_the_volatility_scale_is_refused(self, arch_kernel_07, x):
+    @pytest.mark.parametrize("x", [2300.0, -2300.0, 1e4, 1e300])
+    def test_state_beyond_the_volatility_scale_draws(self, arch_kernel_07, x):
         # |Y| = Lambda^-1(|x|) overflows doubles from Laplace 2250.3 at
-        # theta1 = 0.7: the state is refused, where it used to draw +-inf
-        with pytest.raises(DomainError, match=f"state {x}"):
-            arch_kernel_07.sample(np.full(3, x), np.random.default_rng(5))
-        with pytest.raises(DomainError, match=f"state {x}"):
-            arch_kernel_07.cdf(x, 2.0)
+        # theta1 = 0.7, but log|Y| does not: the state draws finite values,
+        # and its cdf lies in [0, 1]
+        y = arch_kernel_07.sample(np.full(1000, x), np.random.default_rng(5))
+        assert np.all(np.isfinite(y))
+        c = arch_kernel_07.cdf(np.full(5, x), np.array([-2.0 * x, -x, 2.0, x, 2.0 * x]))
+        assert np.all((c >= 0.0) & (c <= 1.0)) and np.all(np.diff(c * np.sign(x)) >= 0.0)
 
     def test_draws_next_to_the_edge_are_finite(self, arch_kernel_07):
-        # sigma(x) W may overflow although sigma(x) does not
+        # just inside the state where |Y| itself would overflow doubles
         y = arch_kernel_07.sample(np.full(20_000, 2250.0), np.random.default_rng(5))
         assert np.all(np.isfinite(y)) and np.abs(y).max() > 2250.5
 
@@ -723,11 +748,12 @@ class TestDeepArchStates:
         assert list(arch_kernel_07.cdf(5.0, np.array([5000.0, -5000.0]))) == [1.0, 0.0]
 
     def test_draws_at_2000_follow_the_recursion(self, arch_kernel_07):
+        # log|Y'| = log sigma + log|W|, log sigma = 1/2 log(1 + 0.7 Y^2)
         law = arch_kernel_07.law
         y = arch_kernel_07.sample(np.full(500, 2000.0), np.random.default_rng(11))
-        z = (np.hypot(1.0, math.sqrt(0.7) * law.inverse_cumhaz(2000.0))
-             * np.random.default_rng(11).standard_normal(500))
-        assert np.array_equal(y, np.copysign(law.cumhaz(np.abs(z)), z))
+        w = np.random.default_rng(11).standard_normal(500)
+        log_sigma = 0.5 * np.logaddexp(0.0, math.log(0.7) + 2.0 * law.log_inverse_cumhaz(2000.0))
+        assert np.array_equal(y, np.copysign(law.cumhaz_at_log(log_sigma + np.log(np.abs(w))), w))
 
 
 @pytest.mark.parametrize("margin", ["exponential", "laplace"])

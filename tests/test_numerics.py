@@ -11,9 +11,9 @@ from scipy.integrate import quad
 from extreme_chains import numerics
 from extreme_chains.errors import ConvergenceError, ValidationError
 
-from _oracles import (arch_tail_index_mp, dkw_bound, expar_series, ks_statistic,
-                      simulate_arch_states, simulate_centered_expar, symmetric_cdf,
-                      trapezoid_mean_from_cdf)
+from _oracles import (arch_cumhaz, arch_inverse_cumhaz, arch_tail_index_mp, dkw_bound,
+                      expar_series, ks_statistic, simulate_arch_states, simulate_centered_expar,
+                      symmetric_cdf, trapezoid_mean_from_cdf)
 
 
 class TestArchTailIndex:
@@ -96,15 +96,15 @@ class TestArchStationaryFit:
         # independent of the solve: P(|Y| > s) = 2 Phibar(s / sqrt(theta0))
         # + int_0^inf d/dr[2 Phibar(s / sigma(r))] P(|Y| > r) dr, with
         # sigma(r)^2 = theta0 + theta1 r^2, integrated by QUADPACK on the law's
-        # own P(|Y| > r) = exp(-law.cumhaz(r))
+        # own P(|Y| > r) = exp(-cumhaz(r))
         theta0, theta1 = 2.0, 0.7
-        law = numerics.arch_stationary_fit(theta0, theta1)
+        cumhaz = arch_cumhaz(numerics.arch_stationary_fit(theta0, theta1))
 
         def integrand(r, s):
             sig2 = theta0 + theta1 * r * r
             v = s / math.sqrt(sig2)
             dens = math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-            return 2.0 * dens * s * theta1 * r / sig2 ** 1.5 * math.exp(-law.cumhaz(r))
+            return 2.0 * dens * s * theta1 * r / sig2 ** 1.5 * math.exp(-cumhaz(r))
 
         # beyond r = 1e9 the integral is below sf(1e9) ~ 1e-28
         edges = [0.0] + list(np.geomspace(0.1, 1e9, 11))
@@ -113,14 +113,14 @@ class TestArchStationaryFit:
             for lo, hi in zip(edges[:-1], edges[1:]):
                 total += quad(integrand, lo, hi, args=(s,), epsabs=0.0,
                               epsrel=1e-11, limit=200)[0]
-            assert total / math.exp(-law.cumhaz(s)) == pytest.approx(1.0, abs=1e-9), s
+            assert total / math.exp(-cumhaz(s)) == pytest.approx(1.0, abs=1e-9), s
 
     def test_matches_direct_simulation(self, arch_law_07):
         # one state per lane after a burn-in that forgets the start, so the
         # 1e6 draws are independent and the DKW bound applies
         states = simulate_arch_states(1.0, 0.7, 1_000_000, seed=11,
                                       lanes=1_000_000, burn=60)
-        cdf = symmetric_cdf(arch_law_07.cumhaz)
+        cdf = symmetric_cdf(arch_cumhaz(arch_law_07))
         assert ks_statistic(states, cdf) < dkw_bound(states.size, alpha=1e-3)
 
     def test_tail_matches_direct_simulation(self):
@@ -130,7 +130,7 @@ class TestArchStationaryFit:
         states = np.abs(simulate_arch_states(0.5, 0.3, 1_000_000, seed=12,
                                              lanes=1_000_000, burn=60))
         for p in (1e-3, 1e-4):
-            k = np.count_nonzero(states > law.inverse_cumhaz(-math.log(p)))
+            k = np.count_nonzero(states > arch_inverse_cumhaz(law)(-math.log(p)))
             assert abs(k - p * states.size) < 5.0 * math.sqrt(p * states.size), p
 
     def test_underflowing_tail_raises(self):
@@ -150,37 +150,37 @@ class TestArchStationary:
     P(Y <= y) is exp(-Lambda(|y|)) / 2 below 0 and one less that above."""
 
     def test_symmetry_at_zero(self, arch_law_07):
-        assert symmetric_cdf(arch_law_07.cumhaz)(0.0) == 0.5
+        assert symmetric_cdf(arch_cumhaz(arch_law_07))(0.0) == 0.5
 
     def test_lower_endpoint(self, arch_law_07):
         # |Y| >= 0, and Laplace 0 is Y = 0
-        assert arch_law_07.cumhaz(0.0) == 0.0
-        assert arch_law_07.inverse_cumhaz(0.0) == 0.0
+        assert arch_cumhaz(arch_law_07)(0.0) == 0.0
+        assert arch_inverse_cumhaz(arch_law_07)(0.0) == 0.0
 
     def test_symmetry_identity(self, arch_law_07):
-        cdf = symmetric_cdf(arch_law_07.cumhaz)
+        cdf = symmetric_cdf(arch_cumhaz(arch_law_07))
         xs = np.linspace(-8.0, 8.0, 81)
         assert np.max(np.abs(cdf(xs) + cdf(-xs) - 1.0)) < 1e-15
 
     def test_tail_formula_beyond_tail(self, arch_law_07):
-        law = arch_law_07
+        law, cumhaz = arch_law_07, arch_cumhaz(arch_law_07)
         x = 3.0 * law.tail
-        assert math.exp(-law.cumhaz(x)) == pytest.approx(
-            math.exp(-law.cumhaz(law.tail)) * 3.0 ** -law.kappa, rel=1e-12)
+        assert math.exp(-cumhaz(x)) == pytest.approx(
+            math.exp(-cumhaz(law.tail)) * 3.0 ** -law.kappa, rel=1e-12)
 
     def test_tail_slope_matches_kappa(self, arch_law_07):
         # beyond the tail point the tail is exactly Pareto with the solved kappa
         law = arch_law_07
         xs = np.geomspace(law.tail * 1.05, law.tail * 8.0, 40)
-        slope = np.polyfit(np.log(xs), -law.cumhaz(xs), 1)[0]
+        slope = np.polyfit(np.log(xs), -arch_cumhaz(law)(xs), 1)[0]
         assert abs(-slope - law.kappa) / law.kappa < 1e-9
 
     def test_quantile_round_trip(self, arch_law_07):
         ps = np.linspace(1e-5, 1.0 - 1e-5, 301)
-        xs = np.copysign(arch_law_07.inverse_cumhaz(-np.log(2.0 * np.minimum(ps, 1.0 - ps))),
+        xs = np.copysign(arch_inverse_cumhaz(arch_law_07)(-np.log(2.0 * np.minimum(ps, 1.0 - ps))),
                          ps - 0.5)
         assert np.all(np.diff(xs) >= 0.0)
-        back = symmetric_cdf(arch_law_07.cumhaz)(xs)
+        back = symmetric_cdf(arch_cumhaz(arch_law_07))(xs)
         assert np.max(np.abs(back - ps)) < 1e-9   # table interpolation error
 
     def test_theta1_one_has_kappa_two(self):
