@@ -4,7 +4,8 @@ Labels and integer columns must match exactly and float columns within
 1e-13 of max(|x|, 1): the ARCH law's linear solve moves its paths by a few
 ulps across BLAS thread counts, and numpy's SIMD exp and log may differ by an
 ulp on another CPU.  So the sha256 is not asserted; the test prints the files
-whose digest differs (``pytest -s``), for a change to quote.  After a change
+whose digest differs (``pytest -s``), each with the largest move among its
+sampled rows in units of max(|x|, 1), for a change to quote.  After a change
 that moves a stream, ``python tests/make_reference.py`` rewrites the reference.
 """
 
@@ -19,19 +20,27 @@ from make_reference import CONFIGS, REFERENCE, run_config
 FLOAT_RTOL = 1e-13
 
 
-def _field_matches(got, want):
+def _field_move(got, want):
+    """How far ``got`` lies from ``want``: 0 or inf for labels and integers,
+    which must match exactly, else in units of max(|want|, 1)."""
     try:
         int(want)
-        return got == want
+        return 0.0 if got == want else math.inf
     except ValueError:
         pass
     try:
         a, b = float(got), float(want)
     except ValueError:
-        return got == want
-    if math.isnan(b):
-        return math.isnan(a)
-    return a == b or abs(a - b) <= FLOAT_RTOL * max(abs(b), 1.0)
+        return 0.0 if got == want else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(b), 1.0)
+
+
+def _field_matches(got, want):
+    return _field_move(got, want) <= FLOAT_RTOL
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -44,12 +53,14 @@ def test_outputs_match_reference(name, tmp_path):
         ref = reference[file]
         assert header == ref["header"], file
         assert len(rows) == ref["rows"], file
+        largest = 0.0
         for j, want in enumerate(csv.reader(ref["sample"])):
             got = rows[j * ref["step"]]
             assert len(got) == len(want) and all(map(_field_matches, got, want)), \
                 f"{file} row {j * ref['step'] + 1}: {got} != {want}"
+            largest = max([largest, *map(_field_move, got, want)])
         if digest != ref["sha256"]:
-            moved.append(file)
+            moved.append(f"{file} (largest sampled move {largest:.3g})")
     print(f"{name}: sha256 differs for {', '.join(moved) or 'no file'}")
 
 
