@@ -95,11 +95,18 @@ class HuslerReiss(ExponentMeasure):
         if gamma <= 0.0:
             raise ValidationError("husler_reiss gamma must be positive")
         self.gamma = float(gamma)
+        # ndtr is 0 or 1 beyond |z| = 40, so log w is clipped where |z| passes
+        # it: lw / gamma stays finite at the smallest gamma
+        self._lw_cap = self.gamma * (self.gamma / 2.0 + 40.0)
+        # and log W = gamma z is held at -1.8e308, below every log R, where it
+        # would pass the largest double
+        self._z_lo = -float(np.finfo(float).max) / self.gamma
 
     def unit_terms(self, w):
         # V_1 is exact (the two density terms cancel, leaving -Phi(z)); 1 - V = -psi
         lw = np.log(np.asarray(w, dtype=float))
-        return -ndtr(self.gamma / 2.0 + lw / self.gamma), -np.exp(self._log_psi(lw))
+        z = self.gamma / 2.0 + np.clip(lw, -self._lw_cap, self._lw_cap) / self.gamma
+        return -ndtr(z), -np.exp(self._log_psi(lw))
 
     def _log_psi(self, t):
         """log psi(e^t) by put-call parity for t <= 0 (expm1(-t) plus the put),
@@ -128,7 +135,7 @@ class HuslerReiss(ExponentMeasure):
             return -log_psi, np.exp(log_ndtr(self.gamma / 2.0 - t / self.gamma) - t - log_psi)
 
     def draw_log_w(self, rng, shape):
-        return self.gamma * (rng.standard_normal(shape) - self.gamma / 2.0)
+        return self.gamma * np.maximum(rng.standard_normal(shape) - self.gamma / 2.0, self._z_lo)
 
 
 # Requested accuracy of every density-family integral (absolute below 1), and
@@ -321,8 +328,16 @@ def density_exp_decay(delta, gamma, kappa):
     if gamma <= 0.0 or kappa <= 0.0:
         raise ValidationError("exp decay needs gamma > 0 and kappa > 0")
 
+    # below w_lo, w^-gamma or kappa w^-gamma would pass e^700: there kappa
+    # w^-gamma is the exp of its log, held at 709 (where exp(-it) is 0)
+    log_kappa = math.log(kappa)
+    w_lo = math.exp((max(log_kappa, 0.0) - 700.0) / gamma)
+    cap = (709.0 - log_kappa) / gamma
+
     def core(w):
-        return w ** delta * np.exp(-kappa * w ** -gamma)
+        deep = np.exp(log_kappa + gamma * np.minimum(-np.log(w), cap))
+        decay = np.where(w > w_lo, kappa * np.maximum(w, w_lo) ** -gamma, deep)
+        return w ** delta * np.exp(-decay)
 
     a = 0.15
     m0, m1 = _integrate(core, 0.0, 1.0)

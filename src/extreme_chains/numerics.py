@@ -568,7 +568,9 @@ class ExpARLaw:
         s = np.interp(u, known, nodes)
         for _ in range(5):                      # Lambda' = 1 - G(s/phi) / G(s)
             lam = self.cumhaz(s)
-            slope = -np.expm1(lam - self.cumhaz(s / phi))
+            with np.errstate(over="ignore"):        # beyond 1.8e308, where G = 0
+                lag = s / phi
+            slope = -np.expm1(lam - self.cumhaz(lag))
             s = np.maximum(s - (np.log(lam) - u) * lam / slope, nodes[0])
         self._s_lo = float(s[-1])
         self._icoef, first = _cheb_fit(vinv, s[:-1].reshape(count, n))
@@ -578,11 +580,13 @@ class ExpARLaw:
         """Lambda(s) = -log P(S > s); 0 at and below s = 0."""
         s = np.asarray(s, dtype=float)
         inside = np.clip(s, self._s_lo, self.tail)
-        p = np.clip((np.log(self.tail / inside) / self._step).astype(int), 0, self._edges.size - 2)
+        # log tail - log s, not log(tail / s), which overflows where phi is tiny
+        depth = math.log(self.tail) - np.log(inside)
+        p = np.clip((depth / self._step).astype(int), 0, self._edges.size - 2)
         lo, hi = self._edges[p + 1], self._edges[p]
         x = ((inside - lo) + (inside - hi)) / (hi - lo)
         lam = _chebval(self._coef, p, x) + self._linear[p] * (inside - self.log_a0)
-        low = _EXPAR_FLOOR / self._s_lo * np.maximum(s, 0.0)
+        low = _EXPAR_FLOOR / self._s_lo * np.clip(s, 0.0, self._s_lo)
         return np.where(s >= self.tail, s - self.log_a0, np.where(s > self._s_lo, lam, low))
 
     def inverse_cumhaz(self, y):

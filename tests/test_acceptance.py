@@ -21,8 +21,6 @@ from extreme_chains import (cli, diagnostics, kernels, margins, norming,
 
 from _oracles import (hill_tail_index, ks_statistic, simulate_arch_states)
 
-np.seterr(all="ignore")
-
 SEED = 20260808
 N_DEFAULT = 100_000
 

@@ -10,8 +10,6 @@ from extreme_chains.errors import DomainError, ValidationError
 
 from _oracles import ZerosFirst, dkw_bound, ks_statistic
 
-np.seterr(all="ignore")
-
 
 class TestConditionalForwardSim:
 

@@ -16,8 +16,6 @@ from _oracles import (RootFindingError, ZerosFirst, density_moments_mp, dkw_boun
                       exponent_V, exponent_V1, gaussian_score_mp, inverse_cdf_sample,
                       ks_statistic, root_ppf)
 
-np.seterr(all="ignore")
-
 
 def stationarity_ks(kernel, n, seed):
     rng = np.random.default_rng(seed)

@@ -8,8 +8,6 @@ from extreme_chains.errors import RegimeError, ValidationError
 
 from _oracles import EULER_GAMMA, ZerosFirst, dkw_bound, ks_statistic
 
-np.seterr(all="ignore")
-
 
 def two_sample_ks(a, b):
     b = np.sort(b)
