@@ -10,22 +10,20 @@ log of the Frechet value, which stays finite beyond x ~ 709 where the Frechet
 value itself overflows.
 
 Sampling is one code path per kernel, and no kernel finds a root.  Only the
-BEV logistic pair draws ``ppf(x, U)``, one uniform per draw, through its
-quantile ``ppf(x, u)``, exact through the Wright omega function.  The others
-draw by their defining mechanism in ``_draw``: conditional normal, volatility
-recursion, tail-switching recursion, exponential autoregression, mixture
-pick, Tawn's max construction (the asymmetric logistic, through the logistic
-pair's Wright-omega inverse), and for the inverted max-stable kernels the
-conditional representation of Dombry, Eyi-Minko and Ribatet (2013), Y = x /
-max(W, R), from two inverse tables (``numerics.inverse_table``) that do not
-depend on x.
+BEV logistic pair draws ``ppf(x, U)``, exact through the Wright omega
+function.  The others draw by their defining mechanism in ``_draw``:
+conditional normal, volatility recursion, tail-switching recursion,
+exponential autoregression, mixture pick, Tawn's max construction, and for
+the inverted max-stable kernels Y = x / max(W, R) (Dombry, Eyi-Minko and
+Ribatet, 2013), from two tables free of x (``numerics.inverse_table``), which
+a density family's cdf also reads.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, wrightomega
+from scipy.special import erfcx, expit, log_ndtr, ndtr, wrightomega
 
 from . import margins, numerics
 from .errors import AccuracyError, DomainError, ValidationError, build, from_spec
@@ -56,24 +54,39 @@ __all__ = [
 # exponent measures
 # ---------------------------------------------------------------------------
 
+# The inverted max-stable kernels' tables hold 1e-12 in units of probability
+# for the cdf and the draws.  The R table: log r from -40 (psi = 1/r - 1 in
+# doubles) in steps of 20 to where -log psi passes 690 (R carries x e^-690).
+_TABLE_TOL = 1e-12
+_LOG_R_GRID = np.arange(-40.0, 701.0, 20.0)
+_LOG_PSI_TOP = 690.0
+
+
 class ExponentMeasure:
     """Bivariate exponent function V, homogeneous of order -1, read through
     the terms at (1, w) that the inverted kernel needs.
 
-    Subclasses provide ``unit_terms(w)``, the pair V_1(1, w) and the
-    cancellation-safe 1 - V(1, w), for its cdf; and for its draw
-    ``neg_log_psi(t)``, -log psi(e^t) for psi(r) = V(1, r) - 1 and its slope
-    in t, and ``draw_log_w(rng, shape)``, log W for P(W <= w) = -V_1(1, w).
-    ``log_w_knots`` are the log w where these are not smooth.
+    Subclasses provide ``unit_terms(w)``, V_1(1, w) (the derivative in the
+    first slot) and 1 - V(1, w) without cancellation, for its cdf; and for its
+    draw ``neg_log_psi(t)``, -log psi(e^t) for psi(r) = V(1, r) - 1 and its
+    slope in t (whence ``r_table``), and ``draw_log_w(rng, shape)``, log W for
+    P(W <= w) = -V_1(1, w); ``log_w_knots``, the log w where these are kinked.
     """
 
     name = "exponent"
     log_w_knots = ()
 
-    def unit_terms(self, w):
-        """V_1(1, w), the partial derivative in the first slot at (1, w), and
-        1 - V(1, w) without cancellation (V(1, w) -> 1 as w -> infinity)."""
-        raise NotImplementedError
+    @functools.cached_property
+    def r_table(self):
+        """-log psi against log r, built on first use.  A miss d in it moves
+        exp(-x psi), read by the cdf and R, by x psi exp(-x psi) d: below d / e,
+        and below 1e6 psi d at the states x up to 1e6, its weight."""
+        def neg_log_psi(t):
+            y, slope = self.neg_log_psi(t)
+            return y, slope, np.minimum(1e6 * np.exp(-y), 1.0 / math.e)
+
+        return numerics.inverse_table(neg_log_psi, np.union1d(_LOG_R_GRID, self.log_w_knots),
+                                      _TABLE_TOL, (-np.inf, _LOG_PSI_TOP))
 
 
 # Below this gamma, Husler-Reiss psi is the integral of the Mills ratio, where
@@ -95,11 +108,8 @@ class HuslerReiss(ExponentMeasure):
         if gamma <= 0.0:
             raise ValidationError("husler_reiss gamma must be positive")
         self.gamma = float(gamma)
-        # ndtr is 0 or 1 beyond |z| = 40, so log w is clipped where |z| passes
-        # it: lw / gamma stays finite at the smallest gamma
+        # log w clipped where ndtr is 0 or 1 keeps lw / gamma finite; log W is held at -1.8e308
         self._lw_cap = self.gamma * (self.gamma / 2.0 + 40.0)
-        # and log W = gamma z is held at -1.8e308, below every log R, where it
-        # would pass the largest double
         self._z_lo = -float(np.finfo(float).max) / self.gamma
 
     def unit_terms(self, w):
@@ -178,10 +188,10 @@ def _integrate(h, lo, hi, knots=(), atol=0.1 * _QUAD_TOL, center=0.0):
     return val
 
 
-# The W table of a density family: log w from -12, below which P(W <= w) is
-# h(1) w to 1e-5 relative, in steps of 4 to where the logit of P(W <= w)
-# passes 38, beyond every uniform double (the logit of 2^-53 is -36.7).
-_LOG_W_GRID = np.arange(-12.0, 41.0, 4.0)
+# The W table: log w from -16 (below, P(W <= w) is h(1) w to 1e-7 of itself) in
+# steps of 4 to where the logit of P(W <= w) passes 38, beyond every uniform
+# double (the logit of 2^-53 is -36.7).
+_LOG_W_GRID = np.arange(-16.0, 41.0, 4.0)
 _LOGIT_TOP = 38.0
 
 
@@ -190,11 +200,11 @@ class DensityFamily(ExponentMeasure):
     of an array that is smooth but at the ``knots``.
 
     Requires total mass 2 and first moment 1 (checked at construction):
-    V(x,y) = int max(w/x, (1-w)/y) h(w) dw.  Everything follows from the
-    cumulative moments H0(s) = int_0^s h and H1(s) = int_0^s u h(u) du at
-    s = 1/(1+w): U = 1/(1 + W) has density u h(u), so P(W > w) = H1, and
-    psi(w) = (s H0 - H1)/(1 - s).  W is drawn through a table of log W
-    against the logit of P(W <= w).
+    V(x,y) = int max(w/x, (1-w)/y) h(w) dw.  With the cumulative moments H0(s)
+    = int_0^s h and H1(s) = int_0^s u h(u) du at s = 1/(1+w), U = 1/(1 + W)
+    has density u h(u), so P(W > w) = H1, and psi(w) = (s H0 - H1)/(1 - s).
+    These are integrated only to build two tables in t = log w, the logit of
+    P(W <= w) and -log psi, which the draw reads backwards and the cdf both.
     """
 
     name = "density_family"
@@ -230,8 +240,9 @@ class DensityFamily(ExponentMeasure):
                 np.where(low, -c, s - r + c), np.where(low, r * m - c, 1.0 - r * m + c))
 
     def unit_terms(self, w):
-        s, _, below, k, _ = self._moments(w)
-        return -below, -k / (w * s)
+        t = np.log(w)
+        neg_log_psi = np.maximum(self.r_table.forward(t), -709.0)    # the cdf is 1 beyond
+        return -expit(self._w_table.forward(t)), -np.exp(-neg_log_psi)
 
     def neg_log_psi(self, t):
         # the slope is (H0 - H1) s / (s H0 - H1)
@@ -243,15 +254,17 @@ class DensityFamily(ExponentMeasure):
     @functools.cached_property
     def _w_table(self):
         def logit(t):
-            # and its slope: the density of U at s times -ds/dt = w s^2, over
-            # P(W <= w) P(W > w)
+            # its slope (the density of U at s times -ds/dt = w s^2 over P(W <=
+            # w) P(W > w), infinite with it where P(W > w) underflows, beyond
+            # the table) and the weight of a unit of it in P(W <= w)
             w = np.exp(t)
             s, above, below, _, _ = self._moments(w)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(below / above), w * s ** 3 * self.h(s) / (above * below)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return (np.log(below / above), w * s ** 3 * self.h(s) / (above * below),
+                        above * below)
 
         return numerics.inverse_table(logit, np.union1d(_LOG_W_GRID, self.log_w_knots),
-                                      (-_LOGIT_TOP, _LOGIT_TOP))
+                                      _TABLE_TOL, (-_LOGIT_TOP, _LOGIT_TOP))
 
     def draw_log_w(self, rng, shape):
         p = margins.nonzero_draws(rng.uniform, shape)
@@ -303,8 +316,7 @@ def density_power_decay(s):
     if s <= -1.0:
         raise ValidationError("power decay exponent must exceed -1")
     a, b = 0.05, 0.55
-    m0 = 1.0 / (s + 1.0)
-    m1 = 1.0 / (s + 2.0)
+    m0, m1 = 1.0 / (s + 1.0), 1.0 / (s + 2.0)
     g, g0 = _bump_density(a, b)
     gm = 0.5 * (a + b)
     det = m0 * g0 * gm - m1 * g0
@@ -314,8 +326,7 @@ def density_power_decay(s):
         raise ValidationError(f"no valid density for s={s} with bump [{a}, {b}]")
 
     fam = DensityFamily(lambda w: kappa * w ** s + c2 * g(w), knots=(a, b))
-    fam.decay_kappa = kappa
-    fam.decay_s = s
+    fam.decay_kappa, fam.decay_s = kappa, s
     return fam
 
 
@@ -502,10 +513,7 @@ class GaussianCopulaKernel(_Kernel):
         self.stationary_law = laws[margin]
         self.name = f"gaussian_copula(rho={rho}, {margin})"
         if rho > 0.0:
-            if margin == "gaussian":
-                self.ht_alpha_beta = (rho, 0.0)
-            else:
-                self.ht_alpha_beta = (rho * rho, 0.5)
+            self.ht_alpha_beta = (rho, 0.0) if margin == "gaussian" else (rho * rho, 0.5)
 
     def _to_z(self, x):
         return margins.transform(x, self.stationary_law, margins.GAUSSIAN)
@@ -647,12 +655,6 @@ class AsymmetricLogisticKernel(_LogisticPairKernel):
         return np.maximum(margins.transform(log_yf, margins.GUMBEL, self.stationary_law), _FLOOR)
 
 
-# The R table: log r from -40, where psi(r) = 1/r - 1 to double precision, in
-# steps of 20 to where -log psi passes 690; beyond, R carries x e^-690 at most.
-_LOG_R_GRID = np.arange(-40.0, 701.0, 20.0)
-_LOG_PSI_TOP = 690.0
-
-
 class InvertedMaxStableKernel(_Kernel):
     """Inverted max-stable copula kernel on exponential margins.
 
@@ -662,9 +664,8 @@ class InvertedMaxStableKernel(_Kernel):
     Given X = x, Y = x / max(W, R) (Dombry, Eyi-Minko and Ribatet, 2013), W
     and R independent with laws free of x: P(W <= w) = -V_1(1, w), drawn by
     the exponent measure, and P(R <= r) = exp(-x psi(r)), psi(r) = V(1, r) -
-    1, so R = psi^-1(E/x) for a unit exponential E, read from a table of log
-    r against -log psi built on the first draw.  Beyond the table R follows
-    its end slopes: psi = 1/r - 1 below and the last slope above.
+    1, so R = psi^-1(E/x) for a unit exponential E, from the exponent
+    measure's R table, and beyond it from its end lines.
     """
 
     def __init__(self, exponent):
@@ -679,15 +680,10 @@ class InvertedMaxStableKernel(_Kernel):
         with np.errstate(over="ignore"):
             return 1.0 + v1 * np.exp(x * one_minus_v)
 
-    @functools.cached_property
-    def _r_table(self):
-        grid = np.union1d(_LOG_R_GRID, self.exponent.log_w_knots)
-        return numerics.inverse_table(self.exponent.neg_log_psi, grid, (-np.inf, _LOG_PSI_TOP))
-
     def _draw(self, x, rng):
         log_w = self.exponent.draw_log_w(rng, x.shape)
         e = margins.nonzero_draws(rng.exponential, x.shape)
-        log_r = self._r_table(np.log(x) - np.log(e))
+        log_r = self.exponent.r_table(np.log(x) - np.log(e))
         return np.maximum(x * np.exp(-np.maximum(log_w, log_r)), _FLOOR)
 
 
@@ -723,16 +719,11 @@ class HtMixtureKernel(_Kernel):
                     "mixture components must carry canonical (alpha, beta) indices")
             if k.stationary_law is not margins.EXPONENTIAL:
                 raise ValidationError("mixture components must live on the exponential scale")
-        a1, b1 = k1.ht_alpha_beta
-        a2, b2 = k2.ht_alpha_beta
+        (a1, b1), (a2, b2) = k1.ht_alpha_beta, k2.ht_alpha_beta
         if not a1 > a2:
-            raise ValidationError(
-                f"mixture needs alpha1 > alpha2, got {a1} <= {a2}")
-        self.lam = float(lam)
-        self.k1 = k1
-        self.k2 = k2
-        self.alpha1, self.beta1 = a1, b1
-        self.alpha2, self.beta2 = a2, b2
+            raise ValidationError(f"mixture needs alpha1 > alpha2, got {a1} <= {a2}")
+        self.lam, self.k1, self.k2 = float(lam), k1, k2
+        self.alpha1, self.beta1, self.alpha2, self.beta2 = a1, b1, a2, b2
         self.name = f"ht_mixture(lam={lam}, {k1.name}, {k2.name})"
 
     @_conditional_cdf

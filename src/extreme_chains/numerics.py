@@ -1,19 +1,19 @@
-"""The bespoke solves the example chains need: the stationary law of the
-exponential autoregression (its series, and its pantograph equation on
-Chebyshev panels), and the tail index and stationary law of the ARCH(1)
-recursion (a Newton root of its moment equation, and one Nystrom solve of its
-stationarity equation by parts, tabulated on Chebyshev panels).  Both laws
-are given as a cumulative hazard Lambda(s) = -log P(S > s) and its inverse
-(for ARCH, of S = |Y| and in log s), which map the kernels' exponential and
-Laplace states straight onto each chain's own scale.  And the inverse tables
-from which the inverted max-stable kernels draw, on the same Chebyshev
-panels.  Everything here runs on numpy and ``scipy.special``.
+"""The bespoke solves the example chains need, on numpy and ``scipy.special``:
+the stationary law of the exponential autoregression (its series, and its
+pantograph equation on Chebyshev panels), and the tail index and stationary
+law of the ARCH(1) recursion (a Newton root of its moment equation, and one
+Nystrom solve of its stationarity equation by parts).  Both laws are a
+cumulative hazard Lambda(s) = -log P(S > s) and its inverse, which map the
+kernels' exponential and Laplace states onto each chain's own scale.  And
+:func:`inverse_table`, one adaptive piecewise-Chebyshev table of an
+increasing function both ways, which holds the ARCH law (log Lambda against
+log |Y|) and the inverted max-stable kernels' laws.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtr, psi
+from scipy.special import erf, gammaln, ndtr, psi
 
 from .errors import ConvergenceError, ValidationError
 
@@ -51,10 +51,9 @@ def _chebyshev(n):
 
 
 def _cheb_fit(vinv, values):
-    """Chebyshev series of node values given one row per panel: coefficients
-    (one column per panel) of the values less the panel's first value, and the
-    first values, to be added last so that their rounding is not spread over
-    every coefficient."""
+    """Chebyshev series of node values, one row per panel: coefficients (a
+    column per panel) of the values less the panel's first, and the first
+    values, added last so that their rounding is not spread over them all."""
     return vinv @ (values - values[:, :1]).T, values[:, 0]
 
 
@@ -126,13 +125,10 @@ _ARCH_R = 1e5
 _ARCH_TAIL_SPAN = 24.0
 _ARCH_PANELS = (8, 24, 24)
 _ARCH_GAUSS = 16
-# The tabulated law: Chebyshev panels of _ARCH_CHEB points, linear in s on
-# [0, _ARCH_SPLIT] and geometric from there to _ARCH_R, the Newton steps that
-# place the quantile's nodes, and the largest relative table error the law may
-# carry between the nodes.
-_ARCH_TABLE_PANELS = (16, 24)
-_ARCH_CHEB = 16
-_ARCH_NEWTON = 3
+# The table: log Lambda against log s in steps of 4 from e^-38 (below, log Lambda =
+# log s + log rho(0) in doubles) to _ARCH_R; its residual, and the most it may carry.
+_ARCH_GRID = np.append(np.arange(-38.0, math.log(_ARCH_R), 4.0), math.log(_ARCH_R))
+_ARCH_TOL = 1e-13
 _ARCH_TABLE_TOL = 1e-8
 # Kernel evaluations go in row blocks of at most this many elements (256 KB),
 # small enough to stay in cache.
@@ -208,59 +204,50 @@ class _ArchNystrom:
         self._wsf = w * np.concatenate([sol[:n], np.full(self.r.size - n, self.sf_R)])
 
     def evaluate(self, s):
-        """P(|Y| > s) by the Nystrom interpolation formula, and its
-        s-derivative with the sign flipped (the density of |Y|), for s <= R."""
+        """P(|Y| > s) and P(|Y| <= s) by the Nystrom interpolation formula, each
+        a sum of its own (neither is 1 less the other), and the density, s <= R."""
         s = np.asarray(s, dtype=float)
-        sf = 2.0 * ndtr(-s)
+        sf, cdf = 2.0 * ndtr(-s), erf(s / math.sqrt(2.0))
         density = (2.0 / _SQRT_2PI) * np.exp(-0.5 * s * s)
         for i in range(0, s.size, self._step):
             k, dk = _arch_kernel(s[i:i + self._step], self.r, self.theta1)
-            sf[i:i + self._step] += k @ self._wsf
+            part = k @ self._wsf
+            sf[i:i + self._step] += part
+            cdf[i:i + self._step] -= part
             density[i:i + self._step] -= dk @ self._wsf
-        return sf, density
+        return sf, cdf, density
 
 
 class ArchStationaryLaw:
     """Stationary law of the squared-volatility recursion, from a solved table.
 
-    The law is symmetric, so it is carried by the cumulative hazard of |Y|,
-    Lambda(s) = -log P(|Y| > s), and its inverse, both in log s: a standard
-    Laplace state x is log|Y| = log Lambda^-1(|x|).  The table is of s = |Y| /
-    sqrt(theta0).  On the Chebyshev panel p between ``edges``, Lambda is
-    ``m_edges[p]`` + (s - ``edges[p]``) times a series in s, exact at every
-    edge (0 at 0); on the panels between the edges' images Lambda^-1 is a
-    series in m (in log s beyond ``_ARCH_SPLIT``).  Beyond ``tail`` (1e5
-    sqrt(theta0)) the tail is exactly Pareto, Lambda(s) = Lambda(tail) +
-    kappa log(s / tail), linear in log s, so every finite m has a finite log s.
+    The symmetric law is carried by the cumulative hazard of |Y|, Lambda(s) =
+    -log P(|Y| > s), and its inverse, in log s: a standard Laplace state x is
+    log|Y| = log Lambda^-1(|x|).  ``table`` holds log Lambda against log s, s =
+    |Y| / sqrt(theta0); its end line below is log Lambda = log s + log rho(0),
+    rho the density of s, exact in doubles.  Beyond ``tail`` (1e5
+    sqrt(theta0)) Lambda(s) = Lambda(tail) + kappa log(s / tail), exactly.
     """
 
-    def __init__(self, theta0, theta1, kappa, edges, m_edges, slope, quantile):
-        self.theta0 = float(theta0)
-        self.theta1 = float(theta1)
-        self.kappa = float(kappa)
+    def __init__(self, theta0, theta1, kappa, table):
+        self.theta0, self.theta1, self.kappa = float(theta0), float(theta1), float(kappa)
+        self._table, self.residual = table, table.residual
         self._log_scale = 0.5 * math.log(self.theta0)
-        self._edges, self._m_edges = edges, m_edges
-        self._slope, self._quantile = slope, quantile
-        self._log_s = edges[:-1] >= _ARCH_SPLIT
-        self._log_top, self._m_top = math.log(edges[-1]), float(m_edges[-1])
-        self.tail = math.sqrt(self.theta0) * float(edges[-1])
+        self._log_top, self._m_top = table.ends[1], math.exp(table.y_ends[1])
+        self.tail = math.sqrt(self.theta0) * math.exp(self._log_top)
 
     def cumhaz_at_log(self, t):
         """Lambda(e^t) = -log P(|Y| > e^t); 0 at t = -inf."""
         u = np.asarray(t, dtype=float) - self._log_scale
-        inner = np.exp(np.minimum(u, self._log_top))
-        p, z = _panel(self._edges, inner)
-        lam = self._m_edges[p] + (inner - self._edges[p]) * _series(self._slope, p, z)
+        lam = np.exp(self._table.forward(np.minimum(u, self._log_top)))
         pareto = self._m_top + self.kappa * (np.maximum(u, self._log_top) - self._log_top)
         return np.where(u <= self._log_top, np.minimum(lam, self._m_top), pareto)
 
     def log_inverse_cumhaz(self, m):
         """log s for the s >= 0 with Lambda(s) = m, for m >= 0; -inf at m = 0."""
         m = np.asarray(m, dtype=float)
-        p, z = _panel(self._m_edges, np.minimum(m, self._m_top))
-        v = _series(self._quantile, p, z)
-        log_s = np.where(self._log_s[p], v, np.log(np.maximum(v, np.finfo(float).tiny)))
-        log_s = np.where(m > 0.0, np.minimum(log_s, self._log_top), -np.inf)
+        log_m = np.log(m, where=m > 0.0, out=np.full(m.shape, -np.inf))
+        log_s = np.minimum(self._table(log_m), self._log_top)
         pareto = self._log_top + (np.maximum(m, self._m_top) - self._m_top) / self.kappa
         return self._log_scale + np.where(m > self._m_top, pareto, log_s)
 
@@ -270,17 +257,12 @@ def arch_stationary_fit(theta0, theta1):
 
     ``Y' = sqrt(theta0 + theta1 Y^2) W`` scales with ``sqrt(theta0)``, so the
     law of |Y| is solved at theta0 = 1 (:class:`_ArchNystrom`: one linear
-    solve, Pareto beyond R = 1e5 with the exact tail index) and tabulated as
-    an :class:`ArchStationaryLaw`: m = -log P(|Y| > s) from the Nystrom
-    formula at the Chebyshev points of 16 linear panels on [0, 8] and 24
-    geometric ones up to R, and its inverse at the Chebyshev points in m of
-    the panels' images, each placed by Newton steps on the formula's slope
-    from a linear interpolation of the values already known.  The law records
-    in ``residual`` the largest difference between its table and the Nystrom
-    formula at the panel edges and halfway between neighbouring nodes: in m,
-    and in s relative to max(s, 1).  Above 1e-8 this raises
-    ConvergenceError, as do a solved sf that is not decreasing and a tail too
-    light for doubles at R (theta1 below about 0.038).
+    solve, Pareto beyond R = 1e5 with the exact tail index) and tabulated, to
+    1e-13 both ways, as log Lambda against log s: Lambda = -log1p(-P(|Y| <=
+    s)) below log 2, else -log P(|Y| > s), each from its own sum so that it
+    keeps its digits as s -> 0.  A ``residual`` above 1e-8 raises
+    ConvergenceError, as do a Lambda that does not increase over the grid and
+    a tail too light for doubles at R (theta1 below about 0.038).
     """
     if theta0 <= 0.0:
         raise ValidationError("theta0 must be positive")
@@ -292,77 +274,69 @@ def arch_stationary_fit(theta0, theta1):
         raise ConvergenceError(
             f"P(|Y| > {_ARCH_R:g} sqrt(theta0)) = {sol.sf_R:.3g} is too small for "
             f"doubles at theta1 = {theta1}")
-    x, vinv = _chebyshev(_ARCH_CHEB)
-    lin, log = _ARCH_TABLE_PANELS
-    edges = np.concatenate([np.linspace(0.0, _ARCH_SPLIT, lin + 1),
-                            np.geomspace(_ARCH_SPLIT, _ARCH_R, log + 1)[1:]])
-    lo = edges[:-1, None]
-    nodes = lo + 0.5 * (edges[1:, None] - lo) * (x + 1.0)
-    check = np.sort(np.concatenate([edges, 0.5 * (nodes[:, 1:] + nodes[:, :-1]).ravel()]))
-    known = np.concatenate([nodes.ravel(), check])
-    sf, density = sol.evaluate(known)
-    order = np.argsort(known)
-    m = -np.log(sf)
-    if not (np.all(np.diff(m[order]) > 0.0) and np.all(density > 0.0)):
-        raise ConvergenceError(f"the solved law of |Y| at theta1 = {theta1} is not "
-                               "a decreasing survival function with a density")
-    m_nodes, m_check = m[:nodes.size].reshape(nodes.shape), m[nodes.size:]
-    m_edges = m_check[np.searchsorted(check, edges)]
-    slope = (m_nodes - m_edges[:-1, None]) / (nodes - lo)
 
-    # the inverse's nodes: the Chebyshev points in m of the edges' images
-    m_lo = m_edges[:-1, None]
-    target = (m_lo + 0.5 * (m_edges[1:, None] - m_lo) * (x + 1.0)).ravel()
-    s = np.interp(target, m[order], known[order])
-    for _ in range(_ARCH_NEWTON):           # dm/ds = density / sf
-        sf_s, density_s = sol.evaluate(s)
-        s = s + (np.log(sf_s) + target) * sf_s / density_s
-    s = s.reshape(nodes.shape)
-    s = np.where(edges[:-1, None] >= _ARCH_SPLIT, np.log(s), s)
-    law = ArchStationaryLaw(theta0, theta1, kappa, edges, m_edges,
-                            _cheb_fit(vinv, slope), _cheb_fit(vinv, s))
+    def log_cumhaz(t):
+        # and its slope, s Lambda'(s) / Lambda with Lambda' = density / sf
+        s = np.exp(t)
+        sf, cdf, density = sol.evaluate(s)
+        lam = np.where(sf > 0.5, -np.log1p(-np.minimum(cdf, 0.75)), -np.log(sf))
+        return np.log(lam), s * density / (sf * lam)
 
-    scale = math.sqrt(theta0)
-    log_check = np.log(scale * check, where=check > 0.0, out=np.full(check.shape, -np.inf))
-    residual = max(
-        float(np.max(np.abs(law.cumhaz_at_log(log_check) - m_check))),
-        float(np.max(np.abs(np.exp(law.log_inverse_cumhaz(m_check)) / scale - check)
-                     / np.maximum(check, 1.0))))
-    if not residual <= _ARCH_TABLE_TOL:
+    table = inverse_table(log_cumhaz, _ARCH_GRID, _ARCH_TOL)
+    if not (table.residual <= _ARCH_TABLE_TOL and np.array_equal(table.ends, _ARCH_GRID[[0, -1]])):
         raise ConvergenceError(
-            f"ARCH law table misses the Nystrom formula by {residual:.3g} "
-            f"(tol {_ARCH_TABLE_TOL:g})")
-    law.residual = residual
-    return law
+            f"ARCH law table at theta1 = {theta1} misses the Nystrom formula by "
+            f"{table.residual:.3g} (tol {_ARCH_TABLE_TOL:g}), or its Lambda does not increase")
+    return ArchStationaryLaw(theta0, theta1, kappa, table)
 
 
-# Inverse tables: the largest residual, the most panels, and the fractions of
-# the gap to the grid point beyond an end, from either side, at which that
-# end is tried.  The tables' t is a log, so a miss in t of a few ulps of 1 is
-# a draw within a few ulps, and counts as none.
+# Tables: the Chebyshev points per panel, the most panels, the least rise of f
+# (of max(1, |f|)) and width of a panel still cut, and the fractions of the gap
+# to the grid point beyond an end, from either side, at which it is tried.  t
+# is a log, so a miss in t of a few ulps of 1 is a draw within a few ulps.
+_CHEB = 16
 _EPS = np.finfo(float).eps
-_INVERSE_TOL = 1e-9
-_INVERSE_PANELS = 1024
+_TABLE_PANELS = 1024
+_TABLE_RISE = 1e-8
+_TABLE_WIDTH = 1e-12
 _APPROACH = np.append(np.arange(1.0, 17.0) / 32.0, 2.0 ** -np.arange(6.0, 1075.0))
 
 
 class InverseTable:
-    """t(y) for an increasing f(t) = y: a Chebyshev series in y on each panel
-    between ``edges``, and beyond them the line through each end with f's
-    slope there.  ``residual`` is the largest |f(t(y)) - y|, to first order,
-    found at the panel edges and halfway between neighbouring nodes where t
-    misses by more than four ulps of 1."""
+    """An increasing f(t) = y both ways, on the same panels: t(y) a Chebyshev
+    series in y on each panel, and y(t) one in t, or in log |t| on a panel on
+    one side of 0.  Beyond the panels each reads the line through the end
+    (``ends`` in t, ``y_ends`` in y) with f's slope there.  ``residual`` is
+    the largest miss of either, in the units :func:`inverse_table` states."""
 
-    def __init__(self, edges, series, ends, slopes, residual):
-        self._edges, self._series = edges, series
-        self._ends, self._slopes, self.residual = ends, slopes, residual
+    def __init__(self, edges, series, t_edges, forward_series, slopes, residual):
+        self._edges, self._series, self._t_edges = edges, series, t_edges
+        self._forward_series, self._slopes, self.residual = forward_series, slopes, residual
+        self.ends, self.y_ends = t_edges[[0, -1]], edges[[0, -1]]
+        ta, tb = t_edges[:-1], t_edges[1:]
+        geo = self._geometric = np.sign(ta) == np.sign(tb)   # log(tb / ta) there, else 1
+        self._log_span = np.log(np.divide(tb, ta, where=geo, out=np.full(ta.shape, math.e)))
 
     def __call__(self, y):
+        """t(y), held to the panel's range in t."""
         y = np.asarray(y, dtype=float)
-        lo, hi = self._edges[[0, -1]]
-        t = _series(self._series, *_panel(self._edges, np.clip(y, lo, hi)))
-        return np.where(y < lo, self._ends[0] + (y - lo) / self._slopes[0],
-                        np.where(y > hi, self._ends[1] + (y - hi) / self._slopes[1], t))
+        lo, hi = self.y_ends
+        p, z = _panel(self._edges, np.clip(y, lo, hi))
+        t = np.clip(_series(self._series, p, z), self._t_edges[p], self._t_edges[p + 1])
+        return np.where(y < lo, self.ends[0] + (y - lo) / self._slopes[0],
+                        np.where(y > hi, self.ends[1] + (y - hi) / self._slopes[1], t))
+
+    def forward(self, t):
+        """y(t)."""
+        t = np.asarray(t, dtype=float)
+        lo, hi = self.ends
+        p, z = _panel(self._t_edges, inner := np.clip(t, lo, hi))
+        geometric = self._geometric[p]
+        ratio = np.divide(inner, self._t_edges[p], where=geometric, out=np.ones(inner.shape))
+        z = np.where(geometric, 2.0 * np.log(ratio) / self._log_span[p] - 1.0, z)
+        y = _series(self._forward_series, p, z)
+        return np.where(t < lo, self.y_ends[0] + (t - lo) * self._slopes[0],
+                        np.where(t > hi, self.y_ends[1] + (t - hi) * self._slopes[1], y))
 
 
 def _spread(ta, tb, q):
@@ -373,25 +347,27 @@ def _spread(ta, tb, q):
     return np.where(np.sign(ta) == np.sign(tb), geometric, ta + (tb - ta) * q)
 
 
-def inverse_table(f, t, y_range=(-np.inf, np.inf)):
-    """The inverse of an increasing function, ``f(t)`` returning f and its
-    slope elementwise, as an :class:`InverseTable`.
+def inverse_table(f, t, tol, y_range=(-np.inf, np.inf)):
+    """An increasing function both ways, ``f(t)`` returning f, its slope and
+    optionally the weight of a unit of f to the caller, as an InverseTable.
 
-    The table spans the run of the ascending grid ``t``, from its first point
-    with f in ``y_range``, over which f stays in range and increases, each end
-    moved towards the grid point beyond it while f stays in range: by 32
-    equal steps, and by steps that halve the gap from either side, but not
-    within 1e-4 of that point, where f may blow up.
-    Its panels are first the ones between those points.  On each, f is taken
-    at the Chebyshev points of its range in t, or in log |t| where that lies
-    on one side of 0 (so that f blowing up at 0 takes a few rounds), and t is
-    interpolated in y there as a Chebyshev series; f at the panel's ends and
-    halfway between its nodes gives the residual, the miss in t times f's
-    slope, where the miss exceeds four ulps of 1 (t is a log in both
-    tables).  A panel whose residual exceeds 1e-9 is cut in four, at the
-    quarters of the same range; more than 1024 panels raise ConvergenceError.
+    The table spans the run of the ascending grid ``t`` from its first point
+    with f in ``y_range`` over which f stays in range and increases, each end
+    moved towards the grid point beyond while f stays in range: by 32 equal
+    steps and by steps that halve the gap from either side (not within 1e-4
+    of that point, where f may blow up), then by 32 steps to the next one.
+    On each panel, at first between those points, f is taken at 16 Chebyshev
+    points in t, or in log |t| on one side of 0 (so that f blowing up at 0
+    takes a few rounds); f is their series there, and t is interpolated in y
+    at the same points, held to the panel.  Each series' miss in f (for t, its
+    miss times f's slope where above four ulps of 1, as t is a log) times the
+    weight, at the ends and halfway between nodes, is the residual.  Above
+    ``tol`` the panel is cut in four, unless f rises over it by less than 1e-8
+    of max(1, |f|) or it is narrower than 1e-12 (of its distance from 0, where
+    in log |t|): the miss is then f's own noise or step.  More than 1024
+    panels raise ConvergenceError.
     """
-    x = _chebyshev(_ARCH_CHEB)[0]
+    x, vinv = _chebyshev(_CHEB)
     z = np.concatenate([[-1.0], x, 0.5 * (x[1:] + x[:-1]), [1.0]])
     t = np.asarray(t, dtype=float)
     y = f(t)[0]
@@ -400,6 +376,11 @@ def inverse_table(f, t, y_range=(-np.inf, np.inf)):
         raise ConvergenceError(f"no grid point maps into {y_range}")
     i = int(np.argmax(ok))
     j = i + int(np.logical_and.accumulate(ok[i:] & np.append(True, y[i + 1:] > y[i:-1])).sum())
+
+    def kept(points):             # the leading run of points f keeps in range
+        yp = f(points)[0]
+        return points[:np.logical_and.accumulate((yp >= y_range[0]) & (yp <= y_range[1])).sum()]
+
     edges = [t[i:j]]
     for good, bad in ((i, i - 1), (j - 1, j)):
         if 0 <= bad < t.size:
@@ -407,35 +388,43 @@ def inverse_table(f, t, y_range=(-np.inf, np.inf)):
             near = np.unique(np.concatenate([t[good] + gap * _APPROACH, t[bad] - gap * _APPROACH]))
             near = near[(near != t[good]) & (np.abs(near - t[bad]) >= 1e-4 * abs(t[bad]))]
             near = near[::1 if gap > 0.0 else -1]
-            yn = f(near)[0]
-            keep = np.logical_and.accumulate((yn >= y_range[0]) & (yn <= y_range[1])).sum()
-            edges.append(near[keep - 1:keep])
+            keep = kept(near)
+            if 0 < keep.size < near.size:       # and in 32 steps to the next point
+                last, beyond = near[keep.size - 1:keep.size + 1]
+                keep = np.append(keep, kept(last + (beyond - last) * np.arange(1.0, 32.0) / 32.0))
+            edges.append(keep[-1:])
     edges = np.unique(np.concatenate(edges))
     todo, done = np.stack([edges[:-1], edges[1:]], axis=1), []
     while todo.size:
-        if len(todo) + sum(map(len, done)) > _INVERSE_PANELS:
-            raise ConvergenceError(f"inverse table needs more than {_INVERSE_PANELS} panels")
+        if len(todo) + sum(map(len, done)) > _TABLE_PANELS:
+            raise ConvergenceError(f"table needs more than {_TABLE_PANELS} panels")
         ta, tb = todo[:, :1], todo[:, 1:]
         tz = _spread(ta, tb, 0.5 * (z + 1.0))
-        yz, slope = (v.reshape(tz.shape) for v in f(tz.ravel()))
+        yz, slope, *weight = (v.reshape(tz.shape) for v in f(tz.ravel()))
         ya, yb, n = yz[:, :1], yz[:, -1:], x.size + 1
-        coef = np.linalg.solve(np.polynomial.chebyshev.chebvander(
-            ((yz[:, 1:n] - ya) + (yz[:, 1:n] - yb)) / (yb - ya), x.size - 1),
-            (tz[:, 1:n] - ta)[..., None])[..., 0]
-        fit = (coef.T, ta[:, 0])
-        miss = np.abs(_series(fit, np.arange(len(todo))[:, None],
-                              ((yz - ya) + (yz - yb)) / (yb - ya)) - tz)
-        miss = np.where(miss <= 4.0 * _EPS, 0.0, miss * slope)
-        fine = np.max(miss, axis=1) <= _INVERSE_TOL
-        done.append(np.concatenate([ya, yb, coef, ta, np.max(miss, axis=1)[:, None]],
-                                   axis=1)[fine])
+        u = ((yz - ya) + (yz - yb)) / (yb - ya)               # y mapped onto [-1, 1]
+        coef = (np.linalg.pinv(np.polynomial.chebyshev.chebvander(u[:, 1:n], x.size - 1))
+                @ (tz[:, 1:n] - ta)[..., None])[..., 0]
+        rows = np.arange(len(todo))[:, None]
+        miss = np.abs(np.clip(_series((coef.T, ta[:, 0]), rows, u), ta, tb) - tz)
+        forward = _cheb_fit(vinv, yz[:, 1:n])
+        miss = np.maximum(np.where(miss <= 4.0 * _EPS, 0.0, miss * slope),
+                          np.abs(_series(forward, rows, z) - yz))
+        worst = np.max(miss * np.prod(weight, axis=0), axis=1)
+        # the width is relative to the distance from 0 where spread in log |t|
+        scale = np.where(np.sign(ta) == np.sign(tb), np.minimum(np.abs(ta), np.abs(tb)), 1.0)
+        fine = ((worst <= tol) | (np.abs(tb - ta) <= _TABLE_WIDTH * scale)[:, 0]
+                | ((yb - ya) <= _TABLE_RISE * np.maximum(np.abs(ya), 1.0))[:, 0])
+        done.append(np.concatenate([ya, yb, ta, tb, coef, forward[0].T, forward[1][:, None],
+                                    worst[:, None]], axis=1)[fine])
         cut = _spread(ta[~fine], tb[~fine], np.linspace(0.0, 1.0, 5))
         todo = np.stack([cut[:, :-1], cut[:, 1:]], axis=2).reshape(-1, 2)
     done = np.concatenate(done)
     done = done[np.argsort(done[:, 0])]
-    ends = edges[[0, -1]]
-    return InverseTable(np.append(done[:, 0], done[-1, 1]), (done[:, 2:-2].T, done[:, -2]),
-                        ends, f(ends)[1], float(np.max(done[:, -1])))
+    inverse, forward = done[:, 4:4 + x.size], done[:, 4 + x.size:-2]
+    return InverseTable(np.append(done[:, 0], done[-1, 1]), (inverse.T, done[:, 2]),
+                        np.append(done[:, 2], done[-1, 3]), (forward.T, done[:, -2]),
+                        f(edges[[0, -1]])[1], float(np.max(done[:, -1])))
 
 
 _EXPAR_FLAT = 2.0 ** -60          # a panel that moves G by less ends the integration

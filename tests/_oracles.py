@@ -119,6 +119,15 @@ def _spectral_density_mp(family, params):
     return h, (a, b), closed
 
 
+def density_cdf_by_quadrature(kernel, x, y):
+    """The inverted density-family kernel's cdf(x, y) = 1 - P(W <= w) exp(-x
+    psi(w)) at w = x / y, with P(W <= w) and psi(w) = (s H0 - H1) / (w s)
+    integrated at each point by the family's own ``_moments``."""
+    w = np.asarray(x, dtype=float) / np.asarray(y, dtype=float)
+    s, _, below, k, _ = kernel.exponent._moments(w)
+    return 1.0 - below * np.exp(-x * k / (w * s))
+
+
 def density_moments_mp(family, params, ws, dps=30):
     """(H0, H1) at s = 1/(1 + w) for each w of ``ws``, H0(s) = int_0^s h and
     H1(s) = int_0^s u h(u) du, for the spectral density ``family`` of

@@ -7,14 +7,16 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from extreme_chains import kernels, margins, norming
 from extreme_chains.errors import AccuracyError, DomainError, ValidationError
 
-from _oracles import (RootFindingError, ZerosFirst, density_moments_mp, dkw_bound,
-                      exponent_V, exponent_V1, gaussian_score_mp, inverse_cdf_sample,
-                      ks_statistic, root_ppf)
+from _oracles import (RootFindingError, ZerosFirst, density_cdf_by_quadrature,
+                      density_moments_mp, dkw_bound, exponent_V, exponent_V1,
+                      gaussian_score_mp, inverse_cdf_sample, ks_statistic, root_ppf)
 
 
 def stationarity_ks(kernel, n, seed):
@@ -169,21 +171,17 @@ def test_density_moments_match_mpmath(family, params):
     np.testing.assert_allclose(H1, ref1, rtol=1e-11, atol=0.0)
 
 
-def test_density_family_cdf_integrates_once(monkeypatch):
-    # V_1(1, w) and 1 - V(1, w) share one (H0, H1) integral per w: one call
-    # for the w with s = 1/(1 + w) <= 1/2, relative, one for the others
+def test_density_family_cdf_integrates_only_to_build(monkeypatch):
+    # the W and R tables, built by the first cdf or draw, give V_1(1, w) and
+    # 1 - V(1, w): no later cdf or draw integrates
     kern = kernels.InvertedMaxStableKernel(kernels.density_logistic(0.3))
-    calls = []
-    integrate = kernels._integrate
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "_integrate", counted)
     ys = np.linspace(0.5, 20.0, 200)
+    kern.cdf(np.full(ys.shape, 9.0), ys)
+    calls = []
+    monkeypatch.setattr(kernels, "_integrate", lambda *args, **kwargs: calls.append(args))
     assert np.all(np.isfinite(kern.cdf(np.full(ys.shape, 9.0), ys)))
-    assert len(calls) == 2 and sum(np.size(lo) for _, lo, *_ in calls) == ys.size
+    assert np.all(np.isfinite(kern.sample(np.full(ys.shape, 9.0), np.random.default_rng(1))))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +374,20 @@ def density_kernel(case):
 
 
 @pytest.mark.parametrize("case", sorted(DENSITY_SPECS))
+def test_density_family_cdf_matches_quadrature(case):
+    # the tables' cdf against 1 - P(W <= w) exp(-x psi(w)) integrated point by
+    # point, for w = x / y from e^-40 to e^40
+    k = density_kernel(case)
+    x = np.repeat([2.0, 9.0, 30.0, 700.0, 1e4, 1e6], 161)
+    y = x * np.exp(-np.tile(np.linspace(-40.0, 40.0, 161), 6))
+    np.testing.assert_allclose(k.cdf(x, y), density_cdf_by_quadrature(k, x, y),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_SPECS))
 def test_density_family_draw_is_uniform_through_cdf(case):
     # 5k draws by the conditional representation, through the kernel's own
-    # cdf (a quadrature per point), are uniform: KS below 1.949/sqrt(n)
+    # cdf (two table reads per point), are uniform: KS below 1.949/sqrt(n)
     k = density_kernel(case)
     rng = np.random.default_rng(31)
     n = 5_000
@@ -398,12 +407,50 @@ def test_inverse_tables_hold_their_residual(case):
     if case.startswith("husler_reiss"):
         k = kernels.make_kernel("inverted_max_stable", family="husler_reiss",
                                 gamma=float(case.split("_")[-1]))
-        tables = [k._r_table]
+        tables = [k.exponent.r_table]
     else:
         k = density_kernel(case)
-        tables = [k._r_table, k.exponent._w_table]
+        tables = [k.exponent.r_table, k.exponent._w_table]
     for table in tables:
         assert table.residual <= 1e-9, (case, table.residual)
+
+
+# a box of each density family's parameters, short of the narrow peaks and
+# fast decays where the quadrature itself is noisy
+DENSITY_BOXES = {
+    "constant": st.just({}),
+    "logistic": st.fixed_dictionaries({"gamma": st.floats(0.1, 0.5)}),
+    "power_decay": st.fixed_dictionaries({"s": st.floats(0.0, 5.0)}),
+    "exp_decay": st.fixed_dictionaries({"delta": st.floats(0.0, 2.0), "gamma": st.floats(0.5, 3.0),
+                                        "kappa": st.floats(0.5, 3.0)}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DENSITY_BOXES))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_density_tables_meet_their_integrals_both_ways(family, data):
+    # at random log w, each table read forwards meets its integral, and read
+    # forwards at its own inverse returns y, within twice its bound (1e-12,
+    # or the residual it records), in the units of the cdf: P(W <= w) for the
+    # W table, and for the R table exp(-x psi) at x up to 1e6
+    fam = getattr(kernels, f"density_{family}")(**data.draw(DENSITY_BOXES[family]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def logit(t):
+        _, above, below, _, _ = fam._moments(np.exp(t))
+        return np.log(below / above), above * below
+
+    def neg_log_psi(t):
+        y = fam.neg_log_psi(t)[0]
+        return y, np.minimum(1e6 * np.exp(-y), 1.0 / math.e)
+
+    for table, f in ((fam._w_table, logit), (fam.r_table, neg_log_psi)):
+        t = rng.uniform(*table.ends, 100)
+        y, weight = f(t)
+        miss = weight * np.abs(table.forward(t) - y)
+        round_trip = weight * np.abs(table.forward(table(y)) - y)
+        assert np.max(np.maximum(miss, round_trip)) <= 2.0 * max(1e-12, table.residual)
 
 
 def test_sampling_loads_no_root_finder_or_interpolator():

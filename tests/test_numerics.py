@@ -186,6 +186,42 @@ class TestArchStationary:
     def test_theta1_one_has_kappa_two(self):
         assert numerics.arch_tail_index(1.0) == 2.0
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-10])
+    def test_small_states_follow_the_density_at_zero(self, arch_law_07, x):
+        # P(|Y| <= s) = rho(0) s (1 + O(s^2)) and Lambda = -log1p(-P), so log|Y|
+        # - log x -> 1/2 log theta0 - log rho(0) + log(-expm1(-x) / x)
+        law = arch_law_07
+        rho0 = numerics._ArchNystrom(law.theta1, law.kappa).evaluate(np.zeros(1))[2][0]
+        limit = 0.5 * math.log(law.theta0) - math.log(rho0) + math.log(-math.expm1(-x) / x)
+        assert abs(float(law.log_inverse_cumhaz(x)) - math.log(x) - limit) <= 1e-12
+        # and rho(0) = sqrt(2 / pi) E[(1 + theta1 |Y|^2)^-1/2], by parts through
+        # the law's own P(|Y| > s), by QUADPACK
+        cumhaz = arch_cumhaz(law)
+        mean = 1.0 - sum(quad(lambda s: law.theta1 * s * (1.0 + law.theta1 * s * s) ** -1.5
+                              * math.exp(-cumhaz(s)), lo, hi, epsabs=0.0, epsrel=1e-12,
+                              limit=200)[0]
+                         for lo, hi in ((0.0, 1.0), (1.0, 100.0), (100.0, np.inf)))
+        assert rho0 == pytest.approx(math.sqrt(2.0 / math.pi) * mean, rel=1e-9)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(theta1=st.floats(0.038, 0.999), seed=st.integers(0, 2 ** 32 - 1))
+def test_arch_law_meets_the_nystrom_formula_both_ways(theta1, seed):
+    # log Lambda against log s, read forwards and backwards at random log s,
+    # within twice its 1e-13 bound of the Nystrom formula, and each way
+    # undoing the other
+    law = numerics.arch_stationary_fit(1.0, theta1)
+    t = np.random.default_rng(seed).uniform(-38.0, math.log(law.tail), 200)
+    sf, cdf, density = numerics._ArchNystrom(theta1, law.kappa).evaluate(np.exp(t))
+    lam = np.where(sf > 0.5, -np.log1p(-np.minimum(cdf, 0.75)), -np.log(sf))
+    slope = np.exp(t) * density / (sf * lam)
+    assert np.max(np.abs(np.log(law.cumhaz_at_log(t)) - np.log(lam))) <= 2e-13
+    miss = np.abs(law.log_inverse_cumhaz(lam) - t)
+    assert np.max(np.where(miss <= 4.0 * np.finfo(float).eps, 0.0, miss * slope)) <= 2e-13
+    m = np.exp(np.random.default_rng(seed).uniform(-80.0, math.log(20.0), 200))
+    back = np.log(law.cumhaz_at_log(law.log_inverse_cumhaz(m)))
+    assert np.max(np.abs(back - np.log(m))) <= 4e-13
+
 
 EXPAR_PHIS = [0.1, 0.5, 0.8, 0.9, 0.95, 0.99]
 
