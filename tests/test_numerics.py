@@ -92,6 +92,10 @@ class TestArchStationaryFit:
     def test_table_residual_recorded(self, arch_law_07):
         assert 0.0 < arch_law_07.residual <= 1e-8
 
+    @pytest.mark.parametrize("theta1", [0.038, 0.1, 0.5, 0.7, 0.9, 0.999])
+    def test_table_holds_1e_13_both_ways(self, theta1):
+        assert numerics.arch_stationary_fit(1.0, theta1).residual <= 1e-13
+
     def test_by_parts_equation_by_quad(self):
         # independent of the solve: P(|Y| > s) = 2 Phibar(s / sqrt(theta0))
         # + int_0^inf d/dr[2 Phibar(s / sigma(r))] P(|Y| > r) dr, with
@@ -204,7 +208,7 @@ class TestArchStationary:
         assert rho0 == pytest.approx(math.sqrt(2.0 / math.pi) * mean, rel=1e-9)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(theta1=st.floats(0.038, 0.999), seed=st.integers(0, 2 ** 32 - 1))
 def test_arch_law_meets_the_nystrom_formula_both_ways(theta1, seed):
     # log Lambda against log s, read forwards and backwards at random log s,
