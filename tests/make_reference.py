@@ -7,6 +7,10 @@ count, the sha256 of the bytes and every ``step``-th row as written (about
 ``SAMPLED_ROWS`` rows per file, one CSV line each).  The stdout of each demo goes to
 ``data/reference/demos/<demo>.txt``.  A change that moves a stream reruns this
 script and records which files moved and by how much.
+
+Run it at one BLAS thread, ``OPENBLAS_NUM_THREADS=1 python
+tests/make_reference.py``: the ARCH law's linear solve rounds differently
+under OpenBLAS's threads, and the reference is taken at one.
 """
 
 import csv
