@@ -7,7 +7,7 @@ cumulative hazard Lambda(s) = -log P(S > s) and its inverse, which map the
 kernels' exponential and Laplace states onto each chain's own scale.  And
 :func:`inverse_table`, one adaptive piecewise-Chebyshev table of an
 increasing function both ways, which holds the ARCH law (log Lambda against
-log |Y|) and the inverted max-stable kernels' laws.
+log |Y|), the inverted max-stable kernels' laws and the ExpAR law's inverse.
 """
 
 import math
@@ -443,11 +443,12 @@ class ExpARLaw:
     McLeod 1971) on panels of ratio phi^(1/m) >= 0.7 with the same Chebyshev
     points, so the lag of a node is the node m panels up: in H = e^s G while
     G < e^-5, then in G by sums of positive terms, until G = 1 fixes the
-    scale.  Lambda and its inverse are Chebyshev series on each panel, in s
-    and in log Lambda, linear below 2^-52.  phi above 0.99 is refused: a_0 ~
-    exp(pi^2 / (6 (1 - phi))) and the panels grow without bound as phi -> 1.
-    phi below 1e-300 is refused too: the series' tail starts near 1/phi, and
-    beyond 1e300 the panel arithmetic overflows.
+    scale.  Lambda is a Chebyshev series in s on each panel, and its inverse
+    an :func:`inverse_table` of log Lambda against s, with its ``residual``;
+    both are linear below 2^-52.  phi above 0.99 is refused: a_0 ~ exp(pi^2 /
+    (6 (1 - phi))) and the panels grow without bound as phi -> 1.  phi below
+    1e-300 is refused too: the series' tail starts near 1/phi, and beyond
+    1e300 the panel arithmetic overflows.
     """
 
     def __init__(self, phi):
@@ -539,7 +540,7 @@ class ExpARLaw:
         # G = 1 at the last edge fixes the scale; the table holds -log(H / a_0) =
         # Lambda - s + log a_0 where H was stepped (small, exact digits), else Lambda
         self.log_a0 = b - math.log(h_top) - math.log(total)
-        self._edges, self._s_lo, nodes = edges[:p + 1], edges[p], nodes[:p]   # s_lo for now
+        self._edges, self._s_lo = edges[:p + 1], edges[p]         # s_lo for now
         self._linear = np.arange(p) < first
         rise, c = np.array(rise[first:]), np.array(c[first:])
         sf = (1.0 + np.cumsum(rise)[:, None] - c) / total
@@ -547,23 +548,23 @@ class ExpARLaw:
         lam = np.concatenate([-np.log(h), np.where(cdf < 0.5, -np.log1p(-cdf), -np.log(sf))])
         self._coef = vinv @ lam.T
 
-        # the inverse in u = log Lambda on equal panels, and the floor's s
-        lam = (lam + self._linear[:, None] * (nodes - self.log_a0))[::-1]
-        inside = lam >= _EXPAR_FLOOR / 16.0
-        known, nodes = np.log(lam[inside]), nodes[::-1][inside]        # ascending
-        u_lo = math.log(_EXPAR_FLOOR)
-        count = math.ceil(math.log(self.tail - self.log_a0) - u_lo)
-        u = np.append(u_lo + np.arange(count)[:, None] + 0.5 * (x + 1.0), u_lo)
-        s = np.interp(u, known, nodes)
-        for _ in range(5):                      # Lambda' = 1 - G(s/phi) / G(s)
+        # the inverse: log Lambda against s to 1e-13, relaxed past |log Lambda|
+        # = 36 for a double's spacing, from the first edge down where Lambda is
+        # below 2^-56 (further down log Lambda is noise), so that the floor's s
+        # is read inside; top splits the span, 1e-16 to 1e300 at phi = 1e-300
+        def log_cumhaz(s):
+            # and its slope Lambda' / Lambda, Lambda' = 1 - G(s/phi) / G(s)
             lam = self.cumhaz(s)
             with np.errstate(over="ignore"):        # beyond 1.8e308, where G = 0
                 lag = s / phi
-            slope = -np.expm1(lam - self.cumhaz(lag))
-            s = np.maximum(s - (np.log(lam) - u) * lam / slope, nodes[0])
-        self._s_lo = float(s[-1])
-        self._icoef, first = _cheb_fit(vinv, s[:-1].reshape(count, n))
-        self._icoef[0] += first
+            log_lam = np.log(lam)
+            return (log_lam, -np.expm1(lam - self.cumhaz(lag)) / lam,
+                    36.0 / np.maximum(np.abs(log_lam), 36.0))
+
+        low = np.argmax(self.cumhaz(self._edges) < _EXPAR_FLOOR / 16.0)
+        self._table = table = inverse_table(log_cumhaz, self._edges[[low, up, 0]], 1e-13,
+                                            (math.log(_EXPAR_FLOOR / 16.0), np.inf))
+        self.residual, self._s_lo = table.residual, float(table(math.log(_EXPAR_FLOOR)))
 
     def cumhaz(self, s):
         """Lambda(s) = -log P(S > s); 0 at and below s = 0."""
@@ -581,9 +582,7 @@ class ExpARLaw:
     def inverse_cumhaz(self, y):
         """The s with Lambda(s) = y, for y >= 0."""
         y = np.asarray(y, dtype=float)
-        u = np.log(np.clip(y, _EXPAR_FLOOR, self.tail - self.log_a0) / _EXPAR_FLOOR)
-        j = np.minimum(u.astype(int), self._icoef.shape[1] - 1)
-        s = _chebval(self._icoef, j, 2.0 * (u - j) - 1.0)
+        s = self._table(np.log(np.clip(y, _EXPAR_FLOOR, self.tail - self.log_a0)))
         low = self._s_lo / _EXPAR_FLOOR * np.clip(y, 0.0, _EXPAR_FLOOR)
         return np.where(y >= self.tail - self.log_a0, y + self.log_a0,
                         np.where(y > _EXPAR_FLOOR, s, low))

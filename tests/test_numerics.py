@@ -262,6 +262,13 @@ class TestFvFixedPoint:
         err = np.abs(law.cumhaz(law.inverse_cumhaz(y)) - y)
         assert np.all(err <= 1e-12 * np.maximum(y, 1e-3))
 
+    @pytest.mark.parametrize("phi", EXPAR_PHIS + [1e-3, 1e-300])
+    def test_inverse_table_holds_its_residual(self, phi):
+        # the inverse comes from the shared table builder, which checks it
+        law = numerics.ExpARLaw(phi)
+        assert law.residual <= 1e-13
+        assert law._table._edges.size - 1 < 1024
+
     def test_row_wise_chebval_is_numpys(self):
         rng = np.random.default_rng(3)
         coef = rng.standard_normal((16, 50)) * 0.5 ** np.arange(16)[:, None]
