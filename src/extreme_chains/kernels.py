@@ -124,24 +124,35 @@ class HuslerReiss(ExponentMeasure):
         as phi(d2) times the integral of 1 - s m(s) over [a, a + g], m the
         Mills ratio, which is m(a) - m(a + g)."""
         g, t = self.gamma, np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
+        with np.errstate(over="ignore"):        # |t| / gamma past doubles: a = -inf or inf
             a = t / g - g / 2.0
-            log_psi = np.log(np.where(t <= 0.0,
-                                      np.expm1(-t) + ndtr(a + g) - np.exp(-t) * ndtr(a),
-                                      np.exp(-t) * ndtr(-a) - ndtr(-a - g)))
-            if g < _HR_MILLS_GAMMA:
-                nodes, weights = np.polynomial.legendre.leggauss(8)
-                s = a[..., None] + 0.5 * g * (nodes + 1.0)
-                mills = math.sqrt(0.5 * math.pi) * erfcx(s / math.sqrt(2.0))
-                area = 0.5 * g * ((1.0 - s * mills) @ weights)
+        # each form is taken where it does not cancel, but formed everywhere: e^-t
+        # overflows below t = -709, and inf * 0 there makes the put nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            price = np.where(t <= 0.0, np.expm1(-t) + ndtr(a + g) - np.exp(-t) * ndtr(a),
+                             np.exp(-t) * ndtr(-a) - ndtr(-a - g))
+        with np.errstate(divide="ignore"):      # the call underflows to 0 far up
+            log_psi = np.log(price)
+        if g < _HR_MILLS_GAMMA:
+            # for a in [-20, inf) only: at a = inf the call is 0 and the integral 0 * inf
+            mid = (a >= -20.0) & (a < np.inf)
+            a = np.where(mid, a, 0.0)
+            nodes, weights = np.polynomial.legendre.leggauss(8)
+            s = a[..., None] + 0.5 * g * (nodes + 1.0)
+            mills = math.sqrt(0.5 * math.pi) * erfcx(s / math.sqrt(2.0))
+            # 1 - s m(s) ~ 1/s^2 rounds to 0 or below from s ~ 1e8 up, where psi = 0
+            area = 0.5 * g * np.maximum((1.0 - s * mills) @ weights, 0.0)
+            with np.errstate(over="ignore"):    # a past 1e154: phi(a + g) = 0
                 log_phi = -0.5 * (a + g) ** 2 - 0.5 * math.log(2.0 * math.pi)
-                # at a = inf the call is 0 and the integral 0 times inf
-                log_psi = np.where((a >= -20.0) & (a < np.inf), log_phi + np.log(area), log_psi)
+            with np.errstate(divide="ignore"):  # psi = 0 where the area is
+                log_psi = np.where(mid, log_phi + np.log(area), log_psi)
         return log_psi
 
     def neg_log_psi(self, t):
         log_psi = self._log_psi(t)
-        with np.errstate(all="ignore"):         # the slope is e^-t Phi(d1) / psi
+        # the slope e^-t Phi(d1) / psi passes doubles where psi underflows, and is
+        # nan where Phi(d1) does too, t / gamma past doubles among them
+        with np.errstate(over="ignore", invalid="ignore"):
             return -log_psi, np.exp(log_ndtr(self.gamma / 2.0 - t / self.gamma) - t - log_psi)
 
     def draw_log_w(self, rng, shape):

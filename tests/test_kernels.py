@@ -78,6 +78,14 @@ class TestExponentMeasures:
                    for wi in map(mpmath.mpf, w)]
         np.testing.assert_allclose(-one_minus_v, psi, rtol=1e-12, atol=0.0)
 
+    def test_hr_psi_underflows_to_zero_at_tiny_gamma(self):
+        # far up the Mills integral rounds to 0 or below: psi is 0 there, not
+        # nan, so the inverted kernel's cdf reads 0 (Y is x as gamma -> 0)
+        hr = kernels.HuslerReiss(1e-300)
+        assert np.all(hr.unit_terms(np.exp([27.5, 55.0]))[1] == 0.0)
+        kernel = kernels.InvertedMaxStableKernel(hr)
+        assert np.all(kernel.cdf(np.exp([27.5, 55.0]), np.ones(2)) == 0.0)
+
     def test_exp_decay_one_minus_v_is_relative_in_the_tail(self):
         # below the bump (s < 0.15) h is exp(-1/u), so H0 = s E_2(1/s), H1 =
         # s^2 E_3(1/s) and psi = (s H0 - H1)/(1 - s) = s^2 (E_2 - E_3)/(1 - s)
