@@ -3,10 +3,11 @@
 Labels and integer columns must match exactly and float columns within
 1e-13 of max(|x|, 1): the ARCH law's linear solve moves its paths by a few
 ulps across BLAS thread counts, and numpy's SIMD exp and log may differ by an
-ulp on another CPU.  So the sha256 is not asserted; the test prints the files
-whose digest differs (``pytest -s``), each with the largest move among its
-sampled rows in units of max(|x|, 1), for a change to quote.  After a change
-that moves a stream, ``python tests/make_reference.py`` rewrites the reference.
+ulp on another CPU.  So the sha256 is not asserted; the test prints, for each
+config where some file's digest differs (``pytest -s``), those files, each
+with the largest move among its sampled rows in units of max(|x|, 1), for a
+change to quote.  After a change that moves a stream,
+``OPENBLAS_NUM_THREADS=1 python tests/make_reference.py`` rewrites the reference.
 """
 
 import csv
@@ -61,7 +62,8 @@ def test_outputs_match_reference(name, tmp_path):
             largest = max([largest, *map(_field_move, got, want)])
         if digest != ref["sha256"]:
             moved.append(f"{file} (largest sampled move {largest:.3g})")
-    print(f"{name}: sha256 differs for {', '.join(moved) or 'no file'}")
+    if moved:
+        print(f"{name}: sha256 differs for {', '.join(moved)}")
 
 
 def test_field_match_is_exact_on_labels_and_integers():
